@@ -12,46 +12,7 @@ point, the decomposition the thm2-10 fixture asserts.
 
 import argparse
 
-from brandt import (
-    brandt_extension,
-    enumerate_homs,
-    enumerate_triples,
-    enumerate_zero_moving,
-    induced_hom,
-)
-from brandt.corpus import acceptance_corpus
-
-
-def census(lam_pairs):
-    """Rows (source, target, l1, l2, brute, triples, zero-moved, exact), where
-    exact says brute = triples + zero-moving as a disjoint union of sets."""
-    corpus = acceptance_corpus()
-    rows = []
-    for s_name, S in corpus.items():
-        for t_name, T in corpus.items():
-            for l1, l2 in lam_pairs:
-                src = brandt_extension(S, l1)
-                dst = brandt_extension(T, l2)
-                brute = {
-                    h.mapping
-                    for h in enumerate_homs(
-                        src.carrier, dst.carrier, nontrivial_only=True
-                    )
-                }
-                generated = {
-                    induced_hom(t, src, dst).mapping
-                    for t in enumerate_triples(S, T, l1, l2)
-                }
-                moved = (
-                    {h.mapping for h in enumerate_zero_moving(S, T, l2)}
-                    if l1 == 1
-                    else set()
-                )
-                exact = not (generated & moved) and brute == generated | moved
-                rows.append(
-                    (s_name, t_name, l1, l2, len(brute), len(generated), len(moved), exact)
-                )
-    return rows
+from brandt.fixtures import completeness_rows
 
 
 def main():
@@ -63,7 +24,11 @@ def main():
     )
     args = parser.parse_args()
     pairs = ((2, 2),) if args.rank_two_only else ((1, 1), (1, 2), (2, 2))
-    rows = census(pairs)
+    rows = [
+        (s, t, l1, l2, len(brute), len(triples), len(moved),
+         not (triples & moved) and brute == triples | moved)
+        for s, t, l1, l2, brute, triples, moved in completeness_rows(pairs)
+    ]
     header = ("source", "target", "l1", "l2", "brute", "triples", "zero-moved")
     widths = [max(len(str(r[i])) for r in rows + [header]) for i in range(7)]
     print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)))

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Union
 
 from .core import (
@@ -29,7 +28,6 @@ from .core import (
     FiniteSemigroup,
     HypothesisUnmet,
     IllFormedTriple,
-    MaximalSubgroup,
     Mismatch,
     NotHomomorphism,
     TrivialInput,
@@ -418,7 +416,6 @@ def image_decomposition(
         raise Mismatch("homomorphism does not start at the given extension")
     if not source_ext.base_has_identity:
         raise Mismatch("source base must be a monoid")
-    S = source_ext.base
     lam = source_ext.lam
     big = sigma.target
 

@@ -89,7 +89,6 @@ def classify(
 ) -> PropertyReport:
     """Compute every structure flag of the report by exhaustive checking."""
     t = S.table
-    order = idempotent_order(S)
 
     regular = is_regular(S)
     inverse = is_inverse(S) if regular else False

@@ -22,7 +22,7 @@ from .core import (
 from .fixtures import FIXTURES
 from .homs import DEFAULT_BUDGET, enumerate_homs
 from .search import iso_search
-from .sgpfile import parse_sgp, read_extension, write_extension, write_sgp
+from .sgpfile import parse_sgp, read_extension, write_extension
 
 
 def _load(path: str):

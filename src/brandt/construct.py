@@ -10,7 +10,6 @@ ordered lexicographically by (a, b, s).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import (
     ConformanceError,

@@ -10,8 +10,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .category import (
-    BlockReport,
-    MorphismTriple,
     NotClassifiable,
     check_block_separation,
     compose_and_check,
@@ -25,7 +23,6 @@ from .category import (
 )
 from .classify import is_regular, is_inverse, idempotents_central
 from .construct import (
-    BrandtExtension,
     bicyclic_with_zero,
     brandt_extension,
     double_extension_witness,
@@ -302,12 +299,33 @@ def _homs_between_extensions(S_name, T_name, l1, l2):
     return src, dst, homs
 
 
-def completeness_sweep_points():
+def completeness_rows(lam_pairs=((1, 1), (1, 2), (2, 2))):
+    """The completeness sweep over every ordered pair of acceptance-corpus
+    monoids and every index-size pair in ``lam_pairs``.
+
+    Returns rows (source, target, l1, l2, brute, from_triples, zero_moving):
+    the non-trivial extension homomorphisms found by brute force, the
+    triple-induced ones, and, at rank-one sources, the zero-moving ones built
+    by ``enumerate_zero_moving``, each as a set of map tables.
+    """
     corpus = acceptance_corpus()
-    for s_name in corpus:
-        for t_name in corpus:
-            for l1, l2 in ((1, 1), (1, 2), (2, 2)):
-                yield s_name, t_name, l1, l2
+    rows = []
+    for s_name, S in corpus.items():
+        for t_name, T in corpus.items():
+            for l1, l2 in lam_pairs:
+                src, dst, homs = _homs_between_extensions(s_name, t_name, l1, l2)
+                from_triples = {
+                    induced_hom(t, src, dst).mapping
+                    for t in enumerate_triples(S, T, l1, l2)
+                }
+                zero_moving = (
+                    {h.mapping for h in enumerate_zero_moving(S, T, l2)}
+                    if l1 == 1
+                    else set()
+                )
+                brute = {h.mapping for h in homs}
+                rows.append((s_name, t_name, l1, l2, brute, from_triples, zero_moving))
+    return rows
 
 
 def run_thm2_10() -> FixtureResult:
@@ -323,17 +341,7 @@ def run_thm2_10() -> FixtureResult:
     rank two or more, or zero-preserving maps, and so excludes this class,
     is not checked against the paper's wording here."""
     res = FixtureResult("thm2-10", True)
-    corpus = acceptance_corpus()
-    for s_name, t_name, l1, l2 in completeness_sweep_points():
-        S, T = corpus[s_name], corpus[t_name]
-        src, dst, homs = _homs_between_extensions(s_name, t_name, l1, l2)
-        brute = {h.mapping for h in homs}
-        from_triples = {
-            induced_hom(t, src, dst).mapping for t in enumerate_triples(S, T, l1, l2)
-        }
-        zero_moving = (
-            {h.mapping for h in enumerate_zero_moving(S, T, l2)} if l1 == 1 else set()
-        )
+    for s_name, t_name, l1, l2, brute, from_triples, zero_moving in completeness_rows():
         generated = from_triples | zero_moving
         tag = f"{s_name} -> {t_name}, lam=({l1},{l2})"
         if from_triples & zero_moving:
@@ -426,11 +434,11 @@ def run_prop2_16() -> FixtureResult:
     exercised = 0
     for s_name in names:
         for t_name in names:
-            src1, mid1, homs1 = _homs_between_extensions(s_name, t_name, 2, 2)
+            src1, _, homs1 = _homs_between_extensions(s_name, t_name, 2, 2)
             if not homs1:
                 continue
             for r_name in names:
-                mid2, dst2, homs2 = _homs_between_extensions(t_name, r_name, 2, 2)
+                _, _, homs2 = _homs_between_extensions(t_name, r_name, 2, 2)
                 for h1 in homs1:
                     for h2 in homs2:
                         compose_and_check(h1, h2, src1)

@@ -1,4 +1,10 @@
-"""Homomorphism checking and brute-force enumeration."""
+"""Homomorphism checking, and the one backtracking kernel for map search.
+
+``_search_maps`` enumerates product-respecting maps between table-backed
+semigroups with forced-product propagation and a step budget;
+``enumerate_homs`` runs it over generator images and ``search.iso_search``
+runs it injectively over profile-compatible candidates.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +17,6 @@ from .core import (
     FiniteSemigroup,
     FunctionSemigroup,
     Mismatch,
-    MaximalSubgroup,
     NotHomomorphism,
     ShapeError,
     maximal_subgroup,
@@ -105,7 +110,7 @@ def compose_homs(first: Homomorphism, then: Homomorphism) -> Homomorphism:
     return Homomorphism(source=first.source, target=then.target, mapping=mapping)
 
 
-def mulclose(table, gens, n) -> set:
+def mulclose(table, gens) -> set:
     els = set(gens)
     frontier = list(els)
     while frontier:
@@ -131,12 +136,88 @@ def generating_set(S: FiniteSemigroup) -> list[int]:
         for e in range(n):
             if e in closed:
                 continue
-            clo = mulclose(t, gens + [e], n)
+            clo = mulclose(t, gens + [e])
             if best_closure is None or len(clo) > len(best_closure):
                 best, best_closure = e, clo
         gens.append(best)
         closed = best_closure
     return gens
+
+
+def _search_maps(
+    A: FiniteSemigroup,
+    B: FiniteSemigroup,
+    branch_order,
+    domains,
+    injective: bool = False,
+    budget: int = DEFAULT_BUDGET,
+):
+    """Yield every product-respecting total map A -> B the search reaches.
+
+    Branches on the elements of ``branch_order`` not yet forced, trying
+    ``domains[x]`` in order; each assignment is closed under products with
+    every assigned element, so a contradiction (or, with ``injective``, a
+    repeated image) prunes the branch at once.  The maps come out as tuples,
+    in the order the branches are tried.  Counts one step per propagated pair
+    and raises BudgetExceeded past ``budget`` steps.
+    """
+    ta, tb = A.table, B.table
+    order = list(branch_order)
+    fwd: list = [None] * A.order
+    used = [False] * B.order  # read only when injective: one preimage each
+    assigned: list = []
+    steps = 0
+
+    def undo(mark):
+        while len(assigned) > mark:
+            a = assigned.pop()
+            used[fwd[a]] = False
+            fwd[a] = None
+
+    def assign(x, y):
+        nonlocal steps
+        mark = len(assigned)
+        stack = [(x, y)]
+        while stack:
+            steps += 1
+            if steps > budget:
+                raise BudgetExceeded(f"search exceeded {budget} steps")
+            a, b = stack.pop()
+            cur = fwd[a]
+            if cur is not None:
+                if cur != b:
+                    break
+                continue
+            if injective and used[b]:
+                break
+            fwd[a] = b
+            used[b] = True
+            assigned.append(a)
+            ra, rb = ta[a], tb[b]
+            for c in assigned:
+                d = fwd[c]
+                stack.append((ra[c], rb[d]))
+                if c != a:
+                    stack.append((ta[c][a], tb[d][b]))
+        else:
+            return True
+        undo(mark)
+        return False
+
+    def search(i):
+        while i < len(order) and fwd[order[i]] is not None:
+            i += 1
+        if i == len(order):
+            yield tuple(fwd)
+            return
+        x = order[i]
+        for y in domains[x]:
+            mark = len(assigned)
+            if assign(x, y):
+                yield from search(i + 1)
+                undo(mark)
+
+    return search(0)
 
 
 def enumerate_homs(
@@ -151,58 +232,8 @@ def enumerate_homs(
     contradiction prunes the branch immediately.  Output is sorted by map
     table.  Raises BudgetExceeded past ``budget`` propagation steps.
     """
-    n, m = S.order, T.order
-    st, tt = S.table, T.table
-    gens = generating_set(S)
-    partial: dict = {}
-    results: list[tuple] = []
-    steps = 0
-
-    def propagate(x, y):
-        nonlocal steps
-        added = []
-        stack = [(x, y)]
-        ok = True
-        while stack:
-            steps += 1
-            if steps > budget:
-                raise BudgetExceeded(f"search exceeded {budget} steps")
-            a, b = stack.pop()
-            cur = partial.get(a)
-            if cur is not None:
-                if cur != b:
-                    ok = False
-                    break
-                continue
-            partial[a] = b
-            added.append(a)
-            for c, d in list(partial.items()):
-                stack.append((st[a][c], tt[b][d]))
-                if c != a:
-                    stack.append((st[c][a], tt[d][b]))
-        if not ok:
-            for a in added:
-                del partial[a]
-            return None
-        return added
-
-    def dfs(i):
-        if i == len(gens):
-            results.append(tuple(partial[x] for x in range(n)))
-            return
-        g = gens[i]
-        if g in partial:
-            dfs(i + 1)
-            return
-        for y in range(m):
-            added = propagate(g, y)
-            if added is not None:
-                dfs(i + 1)
-                for a in added:
-                    del partial[a]
-
-    dfs(0)
-    maps = sorted(results)
+    domains = [range(T.order)] * S.order
+    maps = sorted(_search_maps(S, T, generating_set(S), domains, budget=budget))
     if nontrivial_only:
         maps = [f for f in maps if len(set(f)) > 1]
     return [Homomorphism(source=S, target=T, mapping=f) for f in maps]

@@ -1,29 +1,25 @@
-"""Combinatorial search kernels: congruences, matrix-unit copies, isomorphism.
+"""Combinatorial searches: congruences, matrix-unit copies, isomorphism.
 
 All searches are deterministic: candidates are tried in ascending index order,
 so the first witness found is the lexicographically smallest one the search
-order can produce.
+order can produce.  The isomorphism search is the hom-search kernel of
+``homs`` run injectively; it has no propagator of its own.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (
-    AlgebraError,
-    ConformanceError,
-    FiniteSemigroup,
-    NoZero,
-    ShapeError,
-    TooLarge,
-)
+from .core import FiniteSemigroup, NoZero, ShapeError, TooLarge
+from .homs import _search_maps
 
 DEFAULT_CONGRUENCE_BOUND = 40
 
 
-def _normalize_partition(parent, find, n) -> tuple[int, ...]:
+def _normalize_partition(find, n) -> tuple[int, ...]:
     ids = {}
     out = []
     for i in range(n):
@@ -64,7 +60,7 @@ def congruence_closure(S: FiniteSemigroup, pairs) -> tuple[int, ...]:
             ax, bx = t[a][x], t[b][x]
             if find(ax) != find(bx):
                 work.append((ax, bx))
-    return _normalize_partition(parent, find, n)
+    return _normalize_partition(find, n)
 
 
 def principal_congruence(S: FiniteSemigroup, a: int, b: int) -> tuple[int, ...]:
@@ -114,7 +110,6 @@ def congruence_lattice(
 
     def join(p, q):
         pairs = []
-        first_of_class = {}
         for part in (p, q):
             seen = {}
             for i, c in enumerate(part):
@@ -330,79 +325,16 @@ def _element_profiles(S: FiniteSemigroup):
 def iso_search(A: FiniteSemigroup, B: FiniteSemigroup):
     """Find an isomorphism A -> B, or None.
 
-    Prunes by order and per-element invariants, then backtracks in index
-    order with forced-product propagation; the returned map is the
-    lexicographically smallest witness.  Returns the map as a tuple.
+    Prunes by order and per-element invariants, then runs the injective
+    hom-search kernel in index order with ascending candidates, so the
+    returned map is the lexicographically smallest witness.  Returns the map
+    as a tuple.  Raises BudgetExceeded past the default search budget.
     """
     if A.order != B.order:
         return None
     n = A.order
     pa, pb = _element_profiles(A), _element_profiles(B)
-    from collections import Counter
-
     if Counter(pa) != Counter(pb):
         return None
-    candidates = [
-        [y for y in range(n) if pb[y] == pa[x]] for x in range(n)
-    ]
-    ta, tb = A.table, B.table
-    fwd: list = [None] * n
-    used: list = [None] * n
-
-    def propagate(x, y):
-        added = []
-        stack = [(x, y)]
-        ok = True
-        while stack:
-            a, b = stack.pop()
-            cur = fwd[a]
-            if cur is not None:
-                if cur != b:
-                    ok = False
-                    break
-                continue
-            if used[b] is not None:
-                ok = False
-                break
-            fwd[a] = b
-            used[b] = a
-            added.append(a)
-            for c in range(n):
-                d = fwd[c]
-                if d is None:
-                    continue
-                stack.append((ta[a][c], tb[b][d]))
-                stack.append((ta[c][a], tb[d][b]))
-        if not ok:
-            for a in added:
-                used[fwd[a]] = None
-                fwd[a] = None
-            return None
-        return added
-
-    def next_free():
-        for x in range(n):
-            if fwd[x] is None:
-                return x
-        return None
-
-    def dfs():
-        x = next_free()
-        if x is None:
-            return True
-        for y in candidates[x]:
-            if used[y] is not None:
-                continue
-            added = propagate(x, y)
-            if added is None:
-                continue
-            if dfs():
-                return True
-            for a in added:
-                used[fwd[a]] = None
-                fwd[a] = None
-        return False
-
-    if dfs():
-        return tuple(fwd)
-    return None
+    candidates = [[y for y in range(n) if pb[y] == pa[x]] for x in range(n)]
+    return next(_search_maps(A, B, range(n), candidates, injective=True), None)

@@ -13,7 +13,7 @@ import re
 from typing import Optional
 
 from .core import FiniteSemigroup, ParseError, ShapeError, build_semigroup
-from .construct import BrandtExtension, brandt_extension
+from .construct import BrandtExtension
 
 FORMAT_VERSION = 1
 

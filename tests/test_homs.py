@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -70,12 +71,17 @@ def test_not_homomorphism_reports_pair():
     assert 0 <= i < 5 and 0 <= j < 5
 
 
-def test_enumerate_matches_brute_force_oracle():
+def test_enumerate_matches_brute_force_oracle(relabeled):
     cases = [
         (matrix_units(2), matrix_units(2)),
         (example_e(), example_e()),
         (two_element(), cyclic_group_with_zero(2)),
         (cyclic_group_with_zero(2), example_e()),
+    ]
+    # relabeled copies: the greedy generators no longer come in label order
+    rng = random.Random(7)
+    cases += [
+        (relabeled(S, rng), relabeled(T, rng)) for S, T in cases for _ in range(2)
     ]
     for S, T in cases:
         expected = brute_force_homs(S, T)
@@ -135,6 +141,10 @@ def test_budget_exceeded():
     ext = brandt_extension(E, 2)
     with pytest.raises(BudgetExceeded):
         enumerate_homs(ext.carrier, ext.carrier, budget=3)
+    # the whole search takes exactly 2108 propagation steps
+    with pytest.raises(BudgetExceeded):
+        enumerate_homs(ext.carrier, ext.carrier, budget=2107)
+    assert len(enumerate_homs(ext.carrier, ext.carrier, budget=2108)) == 15
 
 
 def test_hom_invariants_two_element():

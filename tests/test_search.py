@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brandt import (
+    BudgetExceeded,
     NoZero,
     TooLarge,
     congruence_lattice,
@@ -18,13 +20,14 @@ from brandt import (
 )
 from brandt.construct import brandt_extension, matrix_units
 from brandt.corpus import (
+    acceptance_corpus,
     chain,
     cyclic_group_with_zero,
     example_e,
     matrix_units_with_identity_and_new_zero,
     two_element,
 )
-from brandt.homs import check_homomorphism
+from brandt.homs import _search_maps, check_homomorphism
 from brandt.search import identity_partition, universal_partition
 
 
@@ -225,3 +228,45 @@ def test_double_extension_iso_found():
 def test_iso_distinguishes_same_profile_orders():
     # same order, different structure
     assert iso_search(chain(3), cyclic_group_with_zero(2)) is None
+
+
+def first_isomorphism(A, B):
+    """Oracle: the first bijection, in permutations order, respecting products."""
+    n = A.order
+    if B.order != n:
+        return None
+    for p in itertools.permutations(range(n)):
+        if all(
+            B.table[p[i]][p[j]] == p[A.table[i][j]] for i in range(n) for j in range(n)
+        ):
+            return p
+    return None
+
+
+def test_iso_witness_matches_permutation_oracle(relabeled):
+    corpus = list(acceptance_corpus().values()) + [
+        cyclic_group_with_zero(3),
+        matrix_units(2),
+        brandt_extension(two_element(), 2).carrier,
+    ]
+    rng = random.Random(11)
+    pairs = [(relabeled(X, rng), relabeled(X, rng)) for X in corpus for _ in range(5)]
+    # distinct members of equal order, isomorphic or not
+    pairs += [
+        (relabeled(X, rng), relabeled(Y, rng))
+        for X in corpus
+        for Y in corpus
+        if X is not Y and X.order == Y.order
+    ]
+    for A, B in pairs:
+        assert iso_search(A, B) == first_isomorphism(A, B)
+
+
+def test_injective_search_obeys_budget(relabeled):
+    A, B = relabeled(matrix_units(2), random.Random(3)), matrix_units(2)
+    domains = [range(5)] * 5
+    with pytest.raises(BudgetExceeded):
+        next(_search_maps(A, B, range(5), domains, injective=True, budget=3))
+    assert next(_search_maps(A, B, range(5), domains, injective=True)) == (
+        first_isomorphism(A, B)
+    )
