@@ -37,7 +37,6 @@ from .core import (
 )
 from .construct import BrandtExtension, brandt_extension
 from .homs import (
-    DEFAULT_BUDGET,
     Homomorphism,
     check_homomorphism,
     compose_homs,
@@ -290,7 +289,6 @@ def enumerate_triples(
     lam1: int,
     lam2: int,
     nontrivial_only: bool = True,
-    budget: int = DEFAULT_BUDGET,
 ) -> list[MorphismTriple]:
     """All well-formed triples for the given bases and index sizes.
 
@@ -304,7 +302,7 @@ def enumerate_triples(
         raise Mismatch("source index set larger than the target one")
     injections = list(itertools.permutations(range(lam2), lam1))
     out = []
-    for h in enumerate_homs(S, T, budget=budget):
+    for h in enumerate_homs(S, T):
         if h.mapping[S.zero] != T.zero:
             continue
         if h.is_trivial:
@@ -493,8 +491,7 @@ def check_block_separation(
     lam1 = source_ext.lam
     if lam1 < 2:
         raise HypothesisUnmet("matrix-unit exclusion is defined for rank >= 2 only")
-    _, lam_free = matrix_unit_exclusion(target_ext.base, lam1)
-    if not lam_free:
+    if not matrix_unit_exclusion(target_ext.base, lam1):
         raise HypothesisUnmet(
             "target base contains the excluded matrix units; nothing is guaranteed"
         )

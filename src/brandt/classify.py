@@ -82,11 +82,7 @@ def is_primitive_inverse(S: FiniteSemigroup) -> bool:
     return set(order.primitives) == set(nonzero)
 
 
-def classify(
-    S: FiniteSemigroup,
-    lambdas=(),
-    congruence_bound: int = DEFAULT_CONGRUENCE_BOUND,
-) -> PropertyReport:
+def classify(S: FiniteSemigroup, lambdas=()) -> PropertyReport:
     """Compute every structure flag of the report by exhaustive checking."""
     t = S.table
 
@@ -103,9 +99,7 @@ def classify(
     primitive_inverse = inverse and is_primitive_inverse(S)
 
     congruence_free = (
-        is_congruence_free(S, congruence_bound)
-        if S.order <= congruence_bound
-        else None
+        is_congruence_free(S) if S.order <= DEFAULT_CONGRUENCE_BOUND else None
     )
 
     b2 = excludes_b2(S)
@@ -114,7 +108,7 @@ def classify(
         if S.zero is None or lam < 2:
             blambda[lam] = None  # the exclusion is defined for rank >= 2 only
         else:
-            blambda[lam] = matrix_unit_exclusion(S, lam)[1]
+            blambda[lam] = matrix_unit_exclusion(S, lam)
 
     monoid_with_zero = S.identity is not None and S.zero is not None
     return PropertyReport(

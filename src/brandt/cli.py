@@ -83,12 +83,7 @@ def cmd_homs(args, budget):
             legend_missing = f"no extension coordinates in {args.source}"
         elif dst_ext is None:
             legend_missing = f"no extension coordinates in {args.target}"
-        elif not (
-            src_ext.base_has_identity
-            and dst_ext.base_has_identity
-            and src_ext.base.zero is not None
-            and dst_ext.base.zero is not None
-        ):
+        elif not (src_ext.base_has_identity and dst_ext.base_has_identity):
             legend_missing = "a base is not a monoid with zero"
     for h in homs:
         line = " ".join(str(v) for v in h.mapping)

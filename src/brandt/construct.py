@@ -10,11 +10,13 @@ ordered lexicographically by (a, b, s).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     ConformanceError,
     FiniteSemigroup,
     FunctionSemigroup,
+    NoIdentity,
     NoZero,
     build_semigroup,
 )
@@ -28,8 +30,15 @@ class BrandtExtension:
     base: FiniteSemigroup
     lam: int
     carrier: FiniteSemigroup
-    base_has_identity: bool
-    nonzero_base: tuple[int, ...]  # base indices, ascending, zero omitted
+
+    @cached_property
+    def nonzero_base(self) -> tuple[int, ...]:
+        """Base indices, ascending, zero omitted."""
+        return tuple(s for s in range(self.base.order) if s != self.base.zero)
+
+    @property
+    def base_has_identity(self) -> bool:
+        return self.base.identity is not None
 
     def encode(self, a: int, s: int, b: int) -> int:
         """Carrier index of (a, s, b); s is a nonzero base index."""
@@ -53,11 +62,36 @@ class BrandtExtension:
     def unit_index(self, a: int, b: int) -> int:
         """Carrier index of (a, 1_S, b)."""
         if self.base.identity is None:
-            raise NoZero("base has no identity")
+            raise NoIdentity("base has no identity")
         return self.encode(a, self.base.identity, b)
 
     def __repr__(self) -> str:
         return f"BrandtExtension(lam={self.lam}, base={self.base!r})"
+
+
+def _extension_table(S: FiniteSemigroup, lam: int) -> tuple[tuple[int, ...], ...]:
+    """The carrier table of the extension of S over lam indices.
+
+    Only the products (a, s, b)(b, t, d) are visited; every other cell is 0.
+    """
+    nonzero = [s for s in range(S.order) if s != S.zero]
+    m = len(nonzero)
+    pos = {s: p for p, s in enumerate(nonzero)}
+    # block offset of st for nonzero s, t; None where st is the zero
+    offsets = [[pos.get(S.table[s][t]) for t in nonzero] for s in nonzero]
+    n = lam * lam * m + 1
+    table = [[0] * n for _ in range(n)]
+    for a in range(lam):
+        for b in range(lam):
+            rows = table[1 + (a * lam + b) * m : 1 + (a * lam + b + 1) * m]
+            for d in range(lam):
+                col = 1 + (b * lam + d) * m
+                out = 1 + (a * lam + d) * m
+                for row, offs in zip(rows, offsets):
+                    for q, r in enumerate(offs):
+                        if r is not None:
+                            row[col + q] = out + r
+    return tuple(map(tuple, table))
 
 
 def brandt_extension(S: FiniteSemigroup, lam: int, carrier_labels=None) -> BrandtExtension:
@@ -71,41 +105,14 @@ def brandt_extension(S: FiniteSemigroup, lam: int, carrier_labels=None) -> Brand
         raise NoZero("Brandt extensions need a base zero")
     if lam < 1:
         raise ValueError("lam must be positive")
-    nonzero = tuple(s for s in range(S.order) if s != S.zero)
-    m = len(nonzero)
-    n = lam * lam * m + 1
-    pos = {s: p for p, s in enumerate(nonzero)}
-
-    table = [[0] * n for _ in range(n)]
-    st = S.table
-    zero_s = S.zero
-    coords = [None] + [
-        (a, s, b) for a in range(lam) for b in range(lam) for s in nonzero
-    ]
-    for i in range(1, n):
-        a, s, b = coords[i]
-        row = table[i]
-        for j in range(1, n):
-            c, t, d = coords[j]
-            if b != c:
-                continue
-            prod = st[s][t]
-            if prod == zero_s:
-                continue
-            row[j] = 1 + (a * lam + d) * m + pos[prod]
-
     if carrier_labels is None:
+        nonzero = [s for s in range(S.order) if s != S.zero]
         carrier_labels = ["0"] + [
-            f"({a},{S.labels[s]},{b})" for (a, s, b) in coords[1:]
+            f"({a},{S.labels[s]},{b})"
+            for a in range(lam) for b in range(lam) for s in nonzero
         ]
-    carrier = build_semigroup(table, carrier_labels, zero=0)
-    return BrandtExtension(
-        base=S,
-        lam=lam,
-        carrier=carrier,
-        base_has_identity=S.identity is not None,
-        nonzero_base=nonzero,
-    )
+    carrier = build_semigroup(_extension_table(S, lam), carrier_labels, zero=0)
+    return BrandtExtension(base=S, lam=lam, carrier=carrier)
 
 
 _TWO_ELEMENT = build_semigroup([[0, 1], [1, 1]], ["1", "0"])

@@ -103,21 +103,12 @@ class FiniteSemigroup:
     zero: Optional[int] = None
     identity: Optional[int] = None
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def label(self, i: int) -> str:
-        return self.labels[i]
-
     def index_of(self, label: str) -> int:
         return self.labels.index(label)
 
     @cached_property
     def idempotents(self) -> tuple[int, ...]:
         return tuple(e for e in range(self.order) if self.table[e][e] == e)
-
-    def is_idempotent(self, e: int) -> bool:
-        return self.table[e][e] == e
 
     def __repr__(self) -> str:
         bits = [f"order={self.order}"]

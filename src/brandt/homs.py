@@ -248,15 +248,13 @@ class HomInvariants:
     h1: dict
 
 
-def hom_invariants(
-    S: FiniteSemigroup, T: FiniteSemigroup, budget: int = DEFAULT_BUDGET
-) -> HomInvariants:
+def hom_invariants(S: FiniteSemigroup, T: FiniteSemigroup) -> HomInvariants:
     """Hom0(S,T) with the realized identity images and their maximal subgroups."""
     require_monoid_with_zero(S, "source")
     require_monoid_with_zero(T, "target")
     hom0 = tuple(
         h
-        for h in enumerate_homs(S, T, budget=budget)
+        for h in enumerate_homs(S, T)
         if h.mapping[S.zero] == T.zero
     )
     e1 = tuple(sorted({h.mapping[S.identity] for h in hom0}))

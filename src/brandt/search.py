@@ -93,16 +93,14 @@ def is_congruence(S: FiniteSemigroup, partition) -> bool:
     return True
 
 
-def congruence_lattice(
-    S: FiniteSemigroup, bound: int = DEFAULT_CONGRUENCE_BOUND
-) -> list[tuple[int, ...]]:
+def congruence_lattice(S: FiniteSemigroup) -> list[tuple[int, ...]]:
     """All congruences of S, as the join closure of the principal ones.
 
-    Refuses orders above ``bound`` rather than degrade silently.
+    Refuses orders above the congruence bound rather than degrade silently.
     """
     n = S.order
-    if n > bound:
-        raise TooLarge(f"order {n} exceeds the congruence bound {bound}")
+    if n > DEFAULT_CONGRUENCE_BOUND:
+        raise TooLarge(f"order {n} exceeds the congruence bound {DEFAULT_CONGRUENCE_BOUND}")
     found = {identity_partition(n)}
     for a in range(n):
         for b in range(a + 1, n):
@@ -132,17 +130,15 @@ def congruence_lattice(
     return sorted(found)
 
 
-def is_congruence_free(
-    S: FiniteSemigroup, bound: int = DEFAULT_CONGRUENCE_BOUND
-) -> bool:
+def is_congruence_free(S: FiniteSemigroup) -> bool:
     """Exactly two congruences exist: the identity and the universal one.
 
     Equivalent to every principal congruence of a distinct pair being
     universal, which avoids building the whole lattice.
     """
     n = S.order
-    if n > bound:
-        raise TooLarge(f"order {n} exceeds the congruence bound {bound}")
+    if n > DEFAULT_CONGRUENCE_BOUND:
+        raise TooLarge(f"order {n} exceeds the congruence bound {DEFAULT_CONGRUENCE_BOUND}")
     if n < 2:
         return False
     universal = universal_partition(n)
@@ -164,12 +160,6 @@ class MatrixUnitCopy:
     lam: int
     zero_image: int
     unit_images: tuple[tuple[int, ...], ...]
-
-    def image_set(self) -> set:
-        out = {self.zero_image}
-        for row in self.unit_images:
-            out.update(row)
-        return out
 
 
 def _verify_copy(T: FiniteSemigroup, lam, w, units) -> bool:
@@ -269,20 +259,18 @@ def _extend_rows_cols(T, lam, w, diag) -> Optional[MatrixUnitCopy]:
     return None
 
 
-def matrix_unit_exclusion(T: FiniteSemigroup, lam: int) -> tuple[bool, bool]:
-    """(no rank-2 copy at all, no rank-lam copy and no rank-2 copy at the zero).
+def matrix_unit_exclusion(T: FiniteSemigroup, lam: int) -> bool:
+    """No rank-lam copy anywhere in T and no rank-2 copy at T's zero.
 
-    The first flag is the membership test used for classifiable targets; the
-    second is the rank-dependent variant with its anchored condition.
+    This is the rank-dependent exclusion; ``excludes_b2`` is the plain
+    membership test used for classifiable targets.
     """
     if T.zero is None:
         raise NoZero("the rank-dependent exclusion needs a zero")
-    plain = find_matrix_unit_copy(T, 2, anchor_zero=False) is None
-    lam_free = (
+    return (
         find_matrix_unit_copy(T, lam, anchor_zero=False) is None
         and find_matrix_unit_copy(T, 2, anchor_zero=True) is None
     )
-    return plain, lam_free
 
 
 def excludes_b2(T: FiniteSemigroup) -> bool:

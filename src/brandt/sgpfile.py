@@ -12,8 +12,8 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .core import FiniteSemigroup, ParseError, ShapeError, build_semigroup
-from .construct import BrandtExtension
+from .core import FiniteSemigroup, ParseError, ShapeError, build_semigroup, subsemigroup
+from .construct import BrandtExtension, _extension_table
 
 FORMAT_VERSION = 1
 
@@ -139,8 +139,8 @@ def read_extension(text: str) -> Optional[BrandtExtension]:
     """Rebuild extension coordinates from a legend-carrying document.
 
     Returns None when no legend is present.  The diagonal block at index pair
-    (0, 0), together with the carrier zero, recovers the base; the rebuilt
-    product law is validated against the parsed table.
+    (0, 0), together with the carrier zero, recovers the base; the extension
+    table rebuilt from that base must equal the parsed table.
     """
     m = _LAMBDA_RE.search(text)
     if not m:
@@ -152,26 +152,7 @@ def read_extension(text: str) -> Optional[BrandtExtension]:
     if carrier.zero != 0:
         raise ParseError("extension carriers keep their zero at index 0")
     block = (carrier.order - 1) // (lam * lam)
-
-    from .core import subsemigroup
-
-    base = subsemigroup(carrier, range(0, block + 1))
-    ext = BrandtExtension(
-        base=base,
-        lam=lam,
-        carrier=carrier,
-        base_has_identity=base.identity is not None,
-        nonzero_base=tuple(range(1, block + 1)),
-    )
-    for i in range(1, carrier.order):
-        a, s, b = ext.decode(i)
-        for j in range(1, carrier.order):
-            c, t, d = ext.decode(j)
-            if b != c:
-                want = 0
-            else:
-                prod = base.table[s][t]
-                want = 0 if prod == base.zero else ext.encode(a, prod, d)
-            if carrier.table[i][j] != want:
-                raise ParseError("legend is inconsistent with the table")
-    return ext
+    base = subsemigroup(carrier, range(block + 1))
+    if carrier.table != _extension_table(base, lam):
+        raise ParseError("legend is inconsistent with the table")
+    return BrandtExtension(base=base, lam=lam, carrier=carrier)

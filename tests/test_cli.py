@@ -4,6 +4,7 @@ import pytest
 
 from brandt.cli import main
 from brandt.corpus import example_e, two_element
+from brandt.fixtures import FIXTURES
 from brandt.sgpfile import write_sgp
 
 
@@ -67,9 +68,11 @@ def test_iso_exit_codes(tmp_path, e_file, two_file, capsys):
 
 
 def test_verify_pass_and_exit(capsys):
-    assert main(["verify", "ex2-14"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS: ex2-14" in out
+    # one test over every fixture, so the test id stays the same
+    for name in sorted(FIXTURES):
+        assert main(["verify", name]) == 0, name
+        out = capsys.readouterr().out
+        assert f"PASS: {name}" in out
 
 
 def test_usage_error_exit_code():

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brandt import (
+    NoIdentity,
     NoZero,
     build_semigroup,
     iso_search,
@@ -19,9 +22,12 @@ from brandt.construct import (
     primitive_inverse_check_extension,
 )
 from brandt.corpus import (
+    acceptance_corpus,
+    b2_with_identity,
     chain,
     cyclic_group_with_zero,
     example_e,
+    rect_band_with_unit_and_zero,
     two_element,
 )
 from brandt.homs import check_homomorphism
@@ -67,26 +73,36 @@ def test_requires_zero():
         brandt_extension(G, 2)
 
 
-def test_product_law_and_coordinates():
-    S = cyclic_group_with_zero(2)
-    ext = brandt_extension(S, 2)
-    t = ext.carrier.table
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                for d in range(2):
-                    for s in ext.nonzero_base:
-                        for u in ext.nonzero_base:
-                            i = ext.encode(a, s, b)
-                            j = ext.encode(c, u, d)
-                            if b != c:
-                                assert t[i][j] == 0
-                            else:
-                                prod = S.table[s][u]
-                                if prod == S.zero:
-                                    assert t[i][j] == 0
-                                else:
-                                    assert t[i][j] == ext.encode(a, prod, d)
+def test_product_law_and_coordinates(relabeled):
+    # the definition: zero at 0, then (a, s, b) in (a, b, s) order, and
+    # (a, s, b)(c, u, d) = (a, su, d) when b = c and su is nonzero
+    rng = random.Random(6)
+    bases = list(acceptance_corpus().values()) + [
+        cyclic_group_with_zero(3),
+        rect_band_with_unit_and_zero(),
+        b2_with_identity(),
+    ]
+    moved = [relabeled(S, rng) for S in bases]
+    assert all(R.zero != R.order - 1 for R in moved)
+    for S in bases + moved:
+        nonzero = [s for s in range(S.order) if s != S.zero]
+        for lam in (1, 2, 3):
+            ext = brandt_extension(S, lam)
+            coords = [
+                (a, s, b) for a in range(lam) for b in range(lam) for s in nonzero
+            ]
+            index = {c: i for i, c in enumerate(coords, start=1)}
+            t = ext.carrier.table
+            assert ext.carrier.order == len(coords) + 1
+            assert ext.carrier.zero == 0
+            assert all(t[0][i] == 0 == t[i][0] for i in range(len(t)))
+            for (a, s, b), i in index.items():
+                assert ext.decode(i) == (a, s, b)
+                assert ext.encode(a, s, b) == i
+                for (c, u, d), j in index.items():
+                    prod = S.table[s][u]
+                    want = 0 if b != c or prod == S.zero else index[(a, prod, d)]
+                    assert t[i][j] == want
 
 
 @given(st.data())
@@ -139,6 +155,8 @@ def test_extension_warning_flag_for_non_monoid_base():
     assert glued.identity is None
     ext = brandt_extension(glued, 2)
     assert not ext.base_has_identity
+    with pytest.raises(NoIdentity):
+        ext.unit_index(0, 0)
 
 
 def test_double_extension_examples():

@@ -166,8 +166,7 @@ def test_no_copy_in_commutative_semigroup():
     )
     assert find_matrix_unit_copy(E, 2) is None
     assert excludes_b2(E)
-    plain, lam = matrix_unit_exclusion(E, 2)
-    assert plain and lam
+    assert matrix_unit_exclusion(E, 2)
 
 
 def test_unanchored_copy_with_displaced_zero():
@@ -175,17 +174,17 @@ def test_unanchored_copy_with_displaced_zero():
     copy = find_matrix_unit_copy(T, 2, anchor_zero=False)
     assert copy is not None and copy.zero_image != T.zero
     assert find_matrix_unit_copy(T, 2, anchor_zero=True) is None
-    plain, lam = matrix_unit_exclusion(T, 2)
-    assert not plain and not lam
+    assert not excludes_b2(T)
+    assert not matrix_unit_exclusion(T, 2)
 
 
 def test_exclusion_flags_on_matrix_units():
     b2 = matrix_units(2)
-    plain, lam = matrix_unit_exclusion(b2, 2)
-    assert not plain and not lam
+    assert not excludes_b2(b2)
+    assert not matrix_unit_exclusion(b2, 2)
     # the plain flag coincides with the rank-2 variant everywhere it is defined
     for S in (example_e(), b2, cyclic_group_with_zero(2)):
-        p, l2 = matrix_unit_exclusion(S, 2)
+        p, l2 = excludes_b2(S), matrix_unit_exclusion(S, 2)
         assert p == l2 or not p
 
 

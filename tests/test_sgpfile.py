@@ -6,6 +6,7 @@ from brandt import (
     BadZero,
     NonAssociative,
     ParseError,
+    build_semigroup,
     parse_sgp,
     read_extension,
     write_extension,
@@ -108,6 +109,15 @@ def test_corrupted_legend_rejected():
     ext = matrix_units_extension(2)
     text = write_extension(ext).replace("lambda 2", "lambda 3")
     with pytest.raises(ParseError):
+        read_extension(text)
+
+
+def test_inconsistent_legend_rejected():
+    # the five-element chain has the right size for rank 2, but its (0, 0)
+    # block {0, 1} extends to the matrix units, not to the chain
+    table = [[min(i, j) for j in range(5)] for i in range(5)]
+    text = write_sgp(build_semigroup(table)) + "# brandt lambda 2\n"
+    with pytest.raises(ParseError, match="legend is inconsistent"):
         read_extension(text)
 
 
