@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 failed verification or absent witness, 2 usage or
 input errors, 3 exhausted search resources.  The only environment variable
-read is BRANDT_SEARCH_BUDGET, an override for the homomorphism search budget.
+read is BRANDT_SEARCH_BUDGET, an override for the step budget of the
+homomorphism and isomorphism searches.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def cmd_homs(args, budget):
 def cmd_iso(args, budget):
     A = parse_sgp(_load(args.a))
     B = parse_sgp(_load(args.b))
-    witness = iso_search(A, B)
+    witness = iso_search(A, B, budget=budget)
     if witness is None:
         print("NOT-ISOMORPHIC")
         return 1

@@ -19,6 +19,7 @@ from .core import (
     Mismatch,
     NotHomomorphism,
     ShapeError,
+    _grow_closure,
     maximal_subgroup,
     require_monoid_with_zero,
 )
@@ -110,33 +111,19 @@ def compose_homs(first: Homomorphism, then: Homomorphism) -> Homomorphism:
     return Homomorphism(source=first.source, target=then.target, mapping=mapping)
 
 
-def mulclose(table, gens) -> set:
-    els = set(gens)
-    frontier = list(els)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(els):
-                for c in (table[a][b], table[b][a]):
-                    if c not in els:
-                        els.add(c)
-                        fresh.append(c)
-        frontier = fresh
-    return els
-
-
 def generating_set(S: FiniteSemigroup) -> list[int]:
     """Greedy generators: repeatedly add the element whose closure grows most."""
     n = S.order
     t = S.table
     gens: list[int] = []
-    closed: set = set()
+    closed: list[int] = []
     while len(closed) < n:
+        inside = set(closed)
         best, best_closure = None, None
         for e in range(n):
-            if e in closed:
+            if e in inside:
                 continue
-            clo = mulclose(t, gens + [e])
+            clo = _grow_closure(t, list(closed), e)
             if best_closure is None or len(clo) > len(best_closure):
                 best, best_closure = e, clo
         gens.append(best)

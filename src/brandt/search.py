@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import FiniteSemigroup, NoZero, ShapeError, TooLarge
-from .homs import _search_maps
+from .homs import DEFAULT_BUDGET, _search_maps
 
 DEFAULT_CONGRUENCE_BOUND = 40
 
@@ -310,13 +310,13 @@ def _element_profiles(S: FiniteSemigroup):
     return out
 
 
-def iso_search(A: FiniteSemigroup, B: FiniteSemigroup):
+def iso_search(A: FiniteSemigroup, B: FiniteSemigroup, budget: int = DEFAULT_BUDGET):
     """Find an isomorphism A -> B, or None.
 
     Prunes by order and per-element invariants, then runs the injective
     hom-search kernel in index order with ascending candidates, so the
     returned map is the lexicographically smallest witness.  Returns the map
-    as a tuple.  Raises BudgetExceeded past the default search budget.
+    as a tuple.  Raises BudgetExceeded past ``budget`` propagation steps.
     """
     if A.order != B.order:
         return None
@@ -325,4 +325,6 @@ def iso_search(A: FiniteSemigroup, B: FiniteSemigroup):
     if Counter(pa) != Counter(pb):
         return None
     candidates = [[y for y in range(n) if pb[y] == pa[x]] for x in range(n)]
-    return next(_search_maps(A, B, range(n), candidates, injective=True), None)
+    return next(
+        _search_maps(A, B, range(n), candidates, injective=True, budget=budget), None
+    )

@@ -107,5 +107,6 @@ def test_budget_override(tmp_path, e_file, monkeypatch, capsys):
     main(["extend", e_file, "--lambda", "2", "-o", out_ext])
     monkeypatch.setenv("BRANDT_SEARCH_BUDGET", "3")
     assert main(["homs", out_ext, out_ext]) == 3
+    assert main(["iso", out_ext, out_ext]) == 3
     monkeypatch.setenv("BRANDT_SEARCH_BUDGET", "junk")
     assert main(["homs", out_ext, out_ext]) == 2

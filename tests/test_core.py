@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +19,53 @@ from brandt import (
     with_adjoined_zero,
 )
 from brandt.construct import brandt_extension, matrix_units
+from brandt.core import _magma_generators
 from brandt.corpus import (
+    b2_with_identity,
     chain,
     cyclic_group_with_zero,
     example_e,
+    rect_band_with_unit_and_zero,
     two_element,
 )
+
+
+def first_non_associative_triple(table):
+    """Oracle: the first (i, j, k) in index order with (ij)k != i(jk), or None."""
+    n = len(table)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if table[table[i][j]][k] != table[i][table[j][k]]:
+            return (i, j, k)
+    return None
+
+
+def naive_closure(table, gens):
+    """Oracle: add every product of two members until nothing new appears."""
+    els = set(gens)
+    while True:
+        more = {table[a][b] for a in els for b in els} - els
+        if not more:
+            return els
+        els |= more
+
+
+def validate_against_oracle(table):
+    """Check build_semigroup on one table against both oracles.
+
+    It must reject the table exactly when the full scan finds a triple,
+    with that triple as the witness, and the generators of Light's test must
+    close to the whole table.  Returns whether the table was rejected.
+    """
+    n = len(table)
+    witness = first_non_associative_triple(table)
+    if witness is None:
+        assert build_semigroup(table).order == n
+    else:
+        with pytest.raises(NonAssociative) as exc:
+            build_semigroup(table)
+        assert exc.value.witness == witness
+    assert naive_closure(table, _magma_generators(table)) == set(range(n))
+    return witness is not None
 
 
 def test_singleton_table():
@@ -181,19 +223,46 @@ def random_tables(draw):
 @given(random_tables())
 @settings(max_examples=200, deadline=None)
 def test_validation_matches_direct_associativity_check(table):
-    n = len(table)
-    assoc = all(
-        table[table[i][j]][k] == table[i][table[j][k]]
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
-    )
-    if assoc:
-        S = build_semigroup(table)
-        assert S.order == n
-    else:
-        with pytest.raises(NonAssociative):
-            build_semigroup(table)
+    validate_against_oracle(table)
+
+
+# Extension carriers of orders 10 to 73.
+LIGHT_TEST_CARRIERS = [
+    (two_element(), 3),
+    (chain(4), 2),
+    (two_element(), 4),
+    (cyclic_group_with_zero(2), 3),
+    (rect_band_with_unit_and_zero(), 2),
+    (b2_with_identity(), 2),
+    (cyclic_group_with_zero(3), 3),
+    (rect_band_with_unit_and_zero(), 3),
+    (cyclic_group_with_zero(8), 3),
+]
+
+
+def test_light_test_matches_full_scan_on_perturbed_tables(relabeled):
+    rng = random.Random(5)
+    rejected = 0
+    for base, lam in LIGHT_TEST_CARRIERS:
+        C = relabeled(brandt_extension(base, lam).carrier, rng)
+        n = C.order
+        assert not validate_against_oracle(C.table)
+        for _ in range(3):
+            table = [list(row) for row in C.table]
+            i, j = rng.randrange(n), rng.randrange(n)
+            table[i][j] = rng.choice([v for v in range(n) if v != table[i][j]])
+            rejected += validate_against_oracle(table)
+    assert rejected > 0
+
+
+def test_light_test_generators_stay_few(relabeled):
+    # A deterministic bound on the validation work: C8^0 at rank 6 (order
+    # 289) must be generated by at most a tenth of its elements, whatever
+    # the labels; the full O(n^3) scan would correspond to n generators.
+    C = brandt_extension(cyclic_group_with_zero(8), 6).carrier
+    rng = random.Random(11)
+    for S in (C, relabeled(C, rng), relabeled(C, rng)):
+        assert len(_magma_generators(S.table)) <= S.order // 10
 
 
 @given(st.integers(min_value=2, max_value=6))

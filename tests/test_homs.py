@@ -18,9 +18,18 @@ from brandt.construct import (
     function_brandt_extension,
     matrix_units,
 )
-from brandt.corpus import cyclic_group_with_zero, example_e, two_element
+from brandt.corpus import (
+    acceptance_corpus,
+    b2_with_identity,
+    chain,
+    cyclic_group_with_zero,
+    example_e,
+    rect_band_with_unit_and_zero,
+    two_element,
+)
 from brandt.fixtures import ex2_5_data, EX2_12_ENTRIES
 from brandt.construct import matrix_units_extension
+from brandt.homs import generating_set
 
 
 def brute_force_homs(S, T):
@@ -35,6 +44,55 @@ def brute_force_homs(S, T):
         ):
             out.add(mapping)
     return out
+
+
+def mulclose(table, gens):
+    """Oracle: the closure of ``gens`` under the product, grown from scratch."""
+    els = set(gens)
+    frontier = list(els)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(els):
+                for c in (table[a][b], table[b][a]):
+                    if c not in els:
+                        els.add(c)
+                        fresh.append(c)
+        frontier = fresh
+    return els
+
+
+def greedy_generating_set(S):
+    """Oracle: the greedy generators, closing each candidate set from scratch."""
+    n = S.order
+    gens, closed = [], set()
+    while len(closed) < n:
+        best, best_closure = None, None
+        for e in range(n):
+            if e in closed:
+                continue
+            clo = mulclose(S.table, gens + [e])
+            if best_closure is None or len(clo) > len(best_closure):
+                best, best_closure = e, clo
+        gens.append(best)
+        closed = best_closure
+    return gens
+
+
+def test_generating_set_matches_greedy_oracle(relabeled):
+    bases = list(acceptance_corpus().values()) + [
+        chain(4),
+        cyclic_group_with_zero(3),
+        cyclic_group_with_zero(8),
+        rect_band_with_unit_and_zero(),
+        b2_with_identity(),
+    ]
+    rng = random.Random(4)
+    for base in bases:
+        for lam in (1, 2, 3):
+            C = brandt_extension(base, lam).carrier
+            for S in (C, relabeled(C, rng)):
+                assert generating_set(S) == greedy_generating_set(S)
 
 
 def test_embedded_17_entry_map_is_a_homomorphism():

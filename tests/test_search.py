@@ -266,6 +266,8 @@ def test_injective_search_obeys_budget(relabeled):
     domains = [range(5)] * 5
     with pytest.raises(BudgetExceeded):
         next(_search_maps(A, B, range(5), domains, injective=True, budget=3))
+    with pytest.raises(BudgetExceeded):
+        iso_search(A, B, budget=3)
     assert next(_search_maps(A, B, range(5), domains, injective=True)) == (
         first_isomorphism(A, B)
     )
