@@ -57,7 +57,6 @@ from .construct import (
     matrix_units,
     matrix_units_extension,
     orthogonal_sum,
-    primitive_inverse_check_extension,
 )
 from .homs import (
     HomInvariants,
@@ -68,7 +67,6 @@ from .homs import (
     hom_invariants,
 )
 from .category import (
-    BlockReport,
     MorphismTriple,
     NotClassifiable,
     check_block_separation,

@@ -15,13 +15,17 @@ central idempotents and no embedded rank-2 matrix units, every non-trivial
 homomorphism between extensions is either induced by a triple, and then
 recovered from its values on the unit blocks, or, at a rank-one source, one
 of the zero-moving maps; the two classes are disjoint.
+
+induced_hom, recover_triple, enumerate_zero_moving and the checks on
+extension homomorphisms take the source and target extensions the caller
+already holds; none of them rebuilds an extension it is handed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .core import (
     ConformanceError,
@@ -127,15 +131,10 @@ def identity_triple(S: FiniteSemigroup, lam: int) -> MorphismTriple:
     )
 
 
-def _subgroup_inverses(T: FiniteSemigroup, e: int) -> dict:
-    H = maximal_subgroup(T, e)
-    return {x: H.inverse(T, x) for x in H.members}
-
-
 def induced_hom(
     triple: MorphismTriple,
-    source_ext: Optional[BrandtExtension] = None,
-    target_ext: Optional[BrandtExtension] = None,
+    source_ext: BrandtExtension,
+    target_ext: BrandtExtension,
 ) -> Homomorphism:
     """The extension homomorphism induced by a triple (the functor's action).
 
@@ -144,10 +143,6 @@ def induced_hom(
     failure cannot happen for well-formed input and aborts loudly.
     """
     S, T = triple.base.source, triple.base.target
-    if source_ext is None:
-        source_ext = brandt_extension(S, triple.lam)
-    if target_ext is None:
-        target_ext = brandt_extension(T, triple.index_codomain)
     if source_ext.base != S or source_ext.lam != triple.lam:
         raise IllFormedTriple("source extension does not match the triple")
     if target_ext.base != T or target_ext.lam != triple.index_codomain:
@@ -161,7 +156,8 @@ def induced_hom(
         h = triple.base.mapping
         tz = T.zero
         tt = T.table
-        inv = _subgroup_inverses(T, triple.idempotent)
+        H = maximal_subgroup(T, triple.idempotent)
+        inv = {x: H.inverse(T, x) for x in H.members}
         u = triple.weights
         phi = triple.index_map
         for idx in range(1, n):
@@ -320,12 +316,11 @@ def enumerate_triples(
 
 
 def enumerate_zero_moving(
-    S: FiniteSemigroup,
-    T: FiniteSemigroup,
-    lam2: int,
+    source_ext: BrandtExtension,
+    target_ext: BrandtExtension,
 ) -> list[Homomorphism]:
-    """The non-trivial homomorphisms from the rank-one extension of S into
-    the rank-lam2 extension of T that move the zero.
+    """The non-trivial homomorphisms from a rank-one extension of S into an
+    extension of T that move the zero.
 
     The non-zero image of the zero is an idempotent (a, f, a) absorbing every
     image on both sides, so the whole map lives on the diagonal block (a, a):
@@ -333,12 +328,13 @@ def enumerate_zero_moving(
     for a non-constant base homomorphism h with h(0_S) != 0_T.  Every such h
     and index a give one map; output is sorted by map table.  Sources of
     rank two or more have no such maps: there the units, and with them every
-    element, would be sent to the image of the zero.
+    element, would be sent to the image of the zero; they raise Mismatch.
     """
+    if source_ext.lam != 1:
+        raise Mismatch("zero-moving maps start at a rank-one extension")
+    S, T = source_ext.base, target_ext.base
     require_monoid_with_zero(S)
     require_monoid_with_zero(T)
-    source_ext = brandt_extension(S, 1)
-    target_ext = brandt_extension(T, lam2)
     middles = [S.zero] + [
         source_ext.decode(idx)[1] for idx in range(1, source_ext.carrier.order)
     ]
@@ -346,7 +342,7 @@ def enumerate_zero_moving(
     for h in enumerate_homs(S, T, nontrivial_only=True):
         if h.mapping[S.zero] == T.zero:
             continue
-        for a in range(lam2):
+        for a in range(target_ext.lam):
             mapping = [target_ext.encode(a, h.mapping[s], a) for s in middles]
             try:
                 out.append(
@@ -362,13 +358,13 @@ def compose_and_check(
     s1: Homomorphism,
     s2: Homomorphism,
     source_ext: BrandtExtension,
-) -> tuple[Homomorphism, bool, bool]:
+) -> Homomorphism:
     """Compose two non-trivial extension homomorphisms and test the
     kernel-avoidance predicate against the composite's non-triviality.
 
     The predicate: some unit-block image under s1 escapes the set of elements
     s2 kills.  It must coincide with the composite being non-trivial; a
-    disagreement aborts loudly.
+    disagreement aborts loudly.  Returns the composite.
     """
     if s1.target != s2.source:
         raise Mismatch("middle semigroups differ")
@@ -379,7 +375,6 @@ def compose_and_check(
     if not source_ext.base_has_identity:
         raise Mismatch("source base must be a monoid")
     composite = compose_homs(s1, s2)
-    nontrivial = not composite.is_trivial
     zero3 = s2.target.zero
     lam = source_ext.lam
     predicate = any(
@@ -387,11 +382,11 @@ def compose_and_check(
         for a in range(lam)
         for b in range(lam)
     )
-    if predicate != nontrivial:
+    if predicate == composite.is_trivial:
         raise ConformanceError(
             "kernel-avoidance predicate disagrees with the composite's triviality"
         )
-    return composite, nontrivial, predicate
+    return composite
 
 
 def image_decomposition(
@@ -457,30 +452,21 @@ def image_decomposition(
     return T0, witness
 
 
-@dataclass(frozen=True)
-class BlockReport:
-    """Outcome of the zero-image and block-separation checks."""
-
-    zero_preserved: bool
-    unit_blocks: tuple
-    blocks_disjoint: bool
-    confined: bool
-    uniform_zero_pattern: bool
-
-
 def check_block_separation(
     sigma: Homomorphism,
     source_ext: BrandtExtension,
     target_ext: BrandtExtension,
-) -> BlockReport:
+) -> tuple:
     """Assert the guaranteed image geometry of a non-trivial homomorphism
     into an extension whose base excludes the relevant matrix units.
 
     Checks: the zero maps to the zero; distinct unit images occupy pairwise
     distinct coordinate blocks; each (a, b) block's images stay inside one
     target block; and an element's vanishing pattern is uniform across index
-    pairs.  Raises HypothesisUnmet when the target base fails the exclusion
-    hypotheses and ConformanceError when a guaranteed assertion fails.
+    pairs.  Returns the sorted ((a, b), (mu, nu)) pairs placing each unit
+    (a, 1, b) in its target block.  Raises HypothesisUnmet when the target
+    base fails the exclusion hypotheses and ConformanceError when a
+    guaranteed assertion fails.
     """
     if sigma.is_trivial:
         raise TrivialInput("block checks expect a non-trivial map")
@@ -532,13 +518,7 @@ def check_block_separation(
                 f"vanishing pattern of {_base_label(source_ext, s)} is not uniform"
             )
 
-    return BlockReport(
-        zero_preserved=True,
-        unit_blocks=tuple(sorted(unit_blocks.items())),
-        blocks_disjoint=True,
-        confined=True,
-        uniform_zero_pattern=True,
-    )
+    return tuple(sorted(unit_blocks.items()))
 
 
 def _base_label(ext: BrandtExtension, s: int) -> str:

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 failed verification or absent witness, 2 usage or
 input errors, 3 exhausted search resources.  The only environment variable
 read is BRANDT_SEARCH_BUDGET, an override for the step budget of the
-homomorphism and isomorphism searches.
+homomorphism and isomorphism searches; it must be a positive integer.
 """
 
 from __future__ import annotations
@@ -180,6 +180,8 @@ def main(argv=None) -> int:
         try:
             budget = int(raw)
         except ValueError:
+            budget = 0
+        if budget < 1:
             print(f"bad BRANDT_SEARCH_BUDGET value {raw!r}", file=sys.stderr)
             return 2
     try:

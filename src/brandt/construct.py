@@ -202,22 +202,6 @@ def orthogonal_sum(parts) -> tuple[FiniteSemigroup, list[Homomorphism]]:
     return sum_sg, injections
 
 
-def primitive_inverse_check_extension(
-    S: FiniteSemigroup, lam: int
-) -> tuple[bool, bool]:
-    """Primitive-inverse flag of the base and of its extension.
-
-    The two flags agree for every base; the pair is exposed so the agreement
-    can be asserted by name.
-    """
-    from .classify import is_primitive_inverse
-
-    if S.zero is None:
-        raise NoZero("base has no zero")
-    ext = brandt_extension(S, lam)
-    return is_primitive_inverse(S), is_primitive_inverse(ext.carrier)
-
-
 BICYCLIC_ZERO = "0"
 
 

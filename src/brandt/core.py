@@ -327,15 +327,12 @@ def require_monoid_with_zero(S: FiniteSemigroup, what: str = "semigroup"):
 class IdempotentOrder:
     """E(S) with its natural partial order and the primitive idempotents.
 
-    When S has no zero, minimality is taken over all of E(S) and
-    ``zero_missing`` records that caveat.
+    When S has no zero, minimality is taken over all of E(S).
     """
 
     idempotents: tuple[int, ...]
     pairs: frozenset
     primitives: tuple[int, ...]
-    zero: Optional[int]
-    zero_missing: bool
 
     def le(self, e: int, f: int) -> bool:
         return (e, f) in self.pairs
@@ -354,13 +351,7 @@ def idempotent_order(S: FiniteSemigroup) -> IdempotentOrder:
         for e in nonzero
         if not any(f != e and (f, e) in pairs for f in nonzero)
     )
-    return IdempotentOrder(
-        idempotents=idem,
-        pairs=pairs,
-        primitives=primitives,
-        zero=S.zero,
-        zero_missing=S.zero is None,
-    )
+    return IdempotentOrder(idempotents=idem, pairs=pairs, primitives=primitives)
 
 
 @dataclass(frozen=True)
@@ -369,7 +360,6 @@ class MaximalSubgroup:
 
     identity: int
     members: tuple[int, ...]
-    group: FiniteSemigroup
 
     def inverse(self, S: FiniteSemigroup, x: int) -> int:
         # exhaustive search; subgroups stay tiny at desk scale
@@ -389,4 +379,4 @@ def maximal_subgroup(S: FiniteSemigroup, e: int) -> MaximalSubgroup:
     members = tuple(
         x for x in local if any(t[x][y] == e and t[y][x] == e for y in local)
     )
-    return MaximalSubgroup(identity=e, members=members, group=subsemigroup(S, members))
+    return MaximalSubgroup(identity=e, members=members)

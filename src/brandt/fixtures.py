@@ -21,7 +21,7 @@ from .category import (
     make_triple,
     recover_triple,
 )
-from .classify import is_regular, is_inverse, idempotents_central
+from .classify import idempotents_central, is_inverse, is_primitive_inverse, is_regular
 from .construct import (
     bicyclic_with_zero,
     brandt_extension,
@@ -30,7 +30,6 @@ from .construct import (
     matrix_units,
     matrix_units_extension,
     orthogonal_sum,
-    primitive_inverse_check_extension,
 )
 from .core import HypothesisUnmet, NotHomomorphism
 from .corpus import (
@@ -319,7 +318,7 @@ def completeness_rows(lam_pairs=((1, 1), (1, 2), (2, 2))):
                     for t in enumerate_triples(S, T, l1, l2)
                 }
                 zero_moving = (
-                    {h.mapping for h in enumerate_zero_moving(S, T, l2)}
+                    {h.mapping for h in enumerate_zero_moving(src, dst)}
                     if l1 == 1
                     else set()
                 )
@@ -416,11 +415,11 @@ def run_cor1_10() -> FixtureResult:
             agree = (
                 is_regular(S) == is_regular(ext)
                 and is_inverse(S) == is_inverse(ext)
+                and is_primitive_inverse(S) == is_primitive_inverse(ext)
                 and is_congruence_free(S) == is_congruence_free(ext)
             )
-            prim = primitive_inverse_check_extension(S, lam)
             res.check(
-                agree and prim[0] == prim[1],
+                agree,
                 f"{name}, lam={lam}: regular/inverse/primitive/congruence-free agree",
             )
     return res
@@ -448,9 +447,8 @@ def run_prop2_16() -> FixtureResult:
     E = example_e()
     ext = brandt_extension(E, 2)
     sig = induced_hom(ex2_14_triple(), ext, ext)
-    _, nontrivial, predicate = compose_and_check(sig, sig, ext)
     res.check(
-        not nontrivial and not predicate,
+        compose_and_check(sig, sig, ext).is_trivial,
         "the collapsing self-composition is trivial with a false predicate",
     )
     return res

@@ -2,9 +2,11 @@
 
 Layout, in order: a `sgp 1` header, `n <order>`, an optional `labels` line
 (space-separated tokens, defaulting to e0..e{n-1}), n `row` lines of 0-based
-indices, then optional `zero <index>` and `identity <index>` lines.  `#`
-starts a comment.  Writing is canonical (single spaces, labels always
-present, newline-terminated), and parse(write(S)) reproduces S exactly.
+indices, then optional `zero <index>` and `identity <index>` lines.  Numbers
+are ASCII digits only, and `#` starts a comment, so a label is a non-empty
+token without whitespace or `#`; write_sgp refuses any other.  Writing is
+canonical (single spaces, labels always present, newline-terminated), and
+parse(write(S)) reproduces S exactly.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ FORMAT_VERSION = 1
 
 
 def write_sgp(S: FiniteSemigroup) -> str:
-    if any(re.search(r"\s", lab) for lab in S.labels):
-        raise ShapeError("labels with whitespace cannot be serialized")
+    if any(not lab or re.search(r"[\s#]", lab) for lab in S.labels):
+        raise ShapeError("labels must be non-empty, without whitespace or '#'")
     lines = [f"sgp {FORMAT_VERSION}", f"n {S.order}", "labels " + " ".join(S.labels)]
     for row in S.table:
         lines.append("row " + " ".join(str(v) for v in row))
@@ -29,6 +31,10 @@ def write_sgp(S: FiniteSemigroup) -> str:
     if S.identity is not None:
         lines.append(f"identity {S.identity}")
     return "\n".join(lines) + "\n"
+
+
+def _is_index(word: str) -> bool:
+    return word.isascii() and word.isdigit()
 
 
 def _tokenize(text: str):
@@ -57,7 +63,7 @@ def parse_sgp(text: str) -> FiniteSemigroup:
     if words != ["sgp", str(FORMAT_VERSION)]:
         raise ParseError(f"expected header 'sgp {FORMAT_VERSION}'", lineno)
     lineno, words = take()
-    if len(words) != 2 or words[0] != "n" or not words[1].isdigit():
+    if len(words) != 2 or words[0] != "n" or not _is_index(words[1]):
         raise ParseError("expected 'n <order>'", lineno)
     n = int(words[1])
     if n < 1:
@@ -92,13 +98,13 @@ def parse_sgp(text: str) -> FiniteSemigroup:
                 )
             row = []
             for w in entries:
-                if not w.isdigit() or not (0 <= int(w) < n):
+                if not _is_index(w) or not (0 <= int(w) < n):
                     raise ParseError(f"index {w!r} out of range 0..{n - 1}", lineno)
                 row.append(int(w))
             rows.append(row)
             row_line = lineno
         elif key in ("zero", "identity"):
-            if len(words) != 2 or not words[1].isdigit():
+            if len(words) != 2 or not _is_index(words[1]):
                 raise ParseError(f"expected '{key} <index>'", lineno)
             v = int(words[1])
             if not (0 <= v < n):
@@ -132,7 +138,7 @@ def write_extension(ext: BrandtExtension) -> str:
     return "\n".join(out) + "\n"
 
 
-_LAMBDA_RE = re.compile(r"^#\s*brandt\s+lambda\s+(\d+)\s*$", re.MULTILINE)
+_LAMBDA_RE = re.compile(r"^#\s*brandt\s+lambda\s+([0-9]+)\s*$", re.MULTILINE)
 
 
 def read_extension(text: str) -> Optional[BrandtExtension]:

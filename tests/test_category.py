@@ -143,7 +143,7 @@ def test_rank_one_sources_split_along_zero_preservation():
                 assert generated <= {h.mapping for h in brute}
                 outside += sum(1 for h in brute if h.mapping[0] != 0)
 
-                moving = enumerate_zero_moving(S, T, l2)
+                moving = enumerate_zero_moving(src, dst)
                 assert {h.mapping for h in brute if h.mapping[0] != 0} == {
                     h.mapping for h in moving
                 }
@@ -165,6 +165,14 @@ def test_rank_one_sources_split_along_zero_preservation():
                 for sigma in moving:
                     check_homomorphism(sigma.mapping, src.carrier, dst.carrier)
     assert outside > 0  # the gap is real, not vacuous
+
+
+def test_zero_moving_needs_rank_one_source():
+    S = example_e()
+    ext2 = brandt_extension(S, 2)
+    with pytest.raises(Mismatch):
+        enumerate_zero_moving(ext2, ext2)
+    assert enumerate_zero_moving(brandt_extension(S, 1), ext2) != []
 
 
 def test_recover_rejects_band_target():
@@ -226,16 +234,16 @@ def test_compose_and_check_on_matrix_unit_endos():
     homs = enumerate_homs(b2x.carrier, b2x.carrier, nontrivial_only=True)
     for h1 in homs:
         for h2 in homs:
-            composite, nontrivial, predicate = compose_and_check(h1, h2, b2x)
-            assert nontrivial and predicate
+            assert not compose_and_check(h1, h2, b2x).is_trivial
 
 
 def test_compose_and_check_trivial_composition():
     E = example_e()
     ext = brandt_extension(E, 2)
     sig = induced_hom(ex2_14_triple(), ext, ext)
-    composite, nontrivial, predicate = compose_and_check(sig, sig, ext)
-    assert composite.is_trivial and not nontrivial and not predicate
+    composite = compose_and_check(sig, sig, ext)
+    assert composite.is_trivial
+    assert composite.mapping == compose_homs(sig, sig).mapping
 
 
 def test_recover_rejects_reverse_direction():
@@ -264,8 +272,7 @@ def test_composites_over_two_idempotent_targets_stay_nontrivial():
             homs2 = enumerate_homs(mid.carrier, mid.carrier, nontrivial_only=True)
             for h1 in homs1:
                 for h2 in homs2:
-                    composite, nontrivial, _ = compose_and_check(h1, h2, src)
-                    assert nontrivial
+                    assert not compose_and_check(h1, h2, src).is_trivial
 
 
 def test_compose_and_check_rejects_trivial_input():
@@ -336,8 +343,9 @@ def test_image_decomposition_rejects_trivial():
 def test_block_separation_on_clean_endomorphisms():
     b2x = matrix_units_extension(2)
     for h in enumerate_homs(b2x.carrier, b2x.carrier, nontrivial_only=True):
-        report = check_block_separation(h, b2x, b2x)
-        assert report.zero_preserved and report.blocks_disjoint
+        blocks = check_block_separation(h, b2x, b2x)
+        assert [ab for ab, _ in blocks] == [(a, b) for a in range(2) for b in range(2)]
+        assert len({blk for _, blk in blocks}) == 2 * 2
 
 
 def test_block_separation_hypothesis_gate():

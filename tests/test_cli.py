@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import pytest
 
@@ -68,11 +69,16 @@ def test_iso_exit_codes(tmp_path, e_file, two_file, capsys):
 
 
 def test_verify_pass_and_exit(capsys):
-    # one test over every fixture, so the test id stays the same
+    # one test over every fixture, so the test id stays the same; the
+    # concatenated stdout must match the checked-in transcript byte for byte
+    outs = []
     for name in sorted(FIXTURES):
         assert main(["verify", name]) == 0, name
         out = capsys.readouterr().out
         assert f"PASS: {name}" in out
+        outs.append(out)
+    golden = Path(__file__).parent / "data" / "verify.txt"
+    assert "".join(outs) == golden.read_text(encoding="utf-8")
 
 
 def test_usage_error_exit_code():
@@ -85,6 +91,10 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.sgp"
     bad.write_text("sgp 1\nn 2\nrow 0 1\n")
     assert main(["props", str(bad)]) == 2
+    # a superscript digit passes str.isdigit but is not an index
+    bad.write_text("sgp 1\nn 2\nrow 0 \u00b2\nrow 1 1\n", encoding="utf-8")
+    assert main(["props", str(bad)]) == 2
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_output_is_deterministic(tmp_path, e_file, capsys):
@@ -108,5 +118,7 @@ def test_budget_override(tmp_path, e_file, monkeypatch, capsys):
     monkeypatch.setenv("BRANDT_SEARCH_BUDGET", "3")
     assert main(["homs", out_ext, out_ext]) == 3
     assert main(["iso", out_ext, out_ext]) == 3
-    monkeypatch.setenv("BRANDT_SEARCH_BUDGET", "junk")
-    assert main(["homs", out_ext, out_ext]) == 2
+    for bad in ("junk", "-5", "0"):
+        monkeypatch.setenv("BRANDT_SEARCH_BUDGET", bad)
+        assert main(["homs", out_ext, out_ext]) == 2
+        assert f"bad BRANDT_SEARCH_BUDGET value {bad!r}" in capsys.readouterr().err

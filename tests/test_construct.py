@@ -11,7 +11,7 @@ from brandt import (
     iso_search,
     subsemigroup,
 )
-from brandt.classify import is_inverse, is_regular
+from brandt.classify import is_inverse, is_primitive_inverse, is_regular
 from brandt.construct import (
     bicyclic_with_zero,
     brandt_extension,
@@ -19,7 +19,6 @@ from brandt.construct import (
     function_brandt_extension,
     matrix_units,
     orthogonal_sum,
-    primitive_inverse_check_extension,
 )
 from brandt.corpus import (
     acceptance_corpus,
@@ -203,15 +202,15 @@ def test_structure_transfer_to_extensions():
             ext = brandt_extension(S, lam).carrier
             assert is_regular(ext) == is_regular(S)
             assert is_inverse(ext) == is_inverse(S)
-
-
-def test_primitive_inverse_check_pairs():
-    assert primitive_inverse_check_extension(cyclic_group_with_zero(2), 2) == (
-        True,
-        True,
-    )
-    assert primitive_inverse_check_extension(chain(3), 2) == (False, False)
-    assert primitive_inverse_check_extension(two_element(), 3) == (True, True)
+    # the primitive-inverse flag of a base and of its extension
+    for S, lam, flag in (
+        (cyclic_group_with_zero(2), 2, True),
+        (chain(3), 2, False),
+        (two_element(), 3, True),
+    ):
+        ext = brandt_extension(S, lam).carrier
+        assert is_primitive_inverse(S) is flag
+        assert is_primitive_inverse(ext) is flag
 
 
 def test_bicyclic_relations():

@@ -162,7 +162,14 @@ def test_maximal_subgroup_of_monoid_identity_is_unit_group():
     G = cyclic_group_with_zero(3)
     H = maximal_subgroup(G, G.identity)
     assert set(H.members) == {0, 1, 2}
-    assert H.group.identity is not None
+    # group laws on the members: closed, e a two-sided identity, inverses inside
+    t, e, members = G.table, H.identity, set(H.members)
+    assert e in members
+    assert all(t[x][y] in members for x in members for y in members)
+    assert all(t[e][x] == x == t[x][e] for x in members)
+    assert all(
+        any(t[x][y] == e == t[y][x] for y in members) for x in members
+    )
 
 
 def test_maximal_subgroup_matrix_unit_is_trivial():

@@ -6,6 +6,7 @@ from brandt import (
     BadZero,
     NonAssociative,
     ParseError,
+    ShapeError,
     build_semigroup,
     parse_sgp,
     read_extension,
@@ -59,6 +60,29 @@ def test_parse_error_carries_line_number():
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("sgp 1\nn \u00b2\n", 2),  # superscript two as the order
+        ("sgp 1\nn 2\nrow 0 \u00b2\nrow 1 1\n", 3),  # in a row
+        ("sgp 1\nn 2\nrow 0 1\nrow 1 1\nzero \u00b9\n", 5),  # superscript one
+        ("sgp 1\nn 2\nrow 0 1\nrow 1 1\nidentity \u0660\n", 5),  # Arabic-Indic zero
+    ],
+    ids=["order", "row", "zero", "identity"],
+)
+def test_non_ascii_digits_rejected(text, line):
+    with pytest.raises(ParseError) as exc:
+        parse_sgp(text)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("label", ["a#b", "", "a b"], ids=["hash", "empty", "space"])
+def test_unreadable_labels_not_written(label):
+    S = build_semigroup([[0, 0], [0, 1]], [label, "c"])
+    with pytest.raises(ShapeError):
+        write_sgp(S)
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(ParseError):
         parse_sgp("sgp 1\nn 2\nlabels a a\nrow 0 1\nrow 1 1\n")
@@ -103,6 +127,9 @@ def test_extension_legend_roundtrip():
 
 def test_plain_file_has_no_legend():
     assert read_extension(write_sgp(example_e())) is None
+    # a size in non-ASCII digits is no legend, like any other non-number
+    text = write_extension(matrix_units_extension(2))
+    assert read_extension(text.replace("lambda 2", "lambda \u0662")) is None
 
 
 def test_corrupted_legend_rejected():
