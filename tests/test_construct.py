@@ -202,6 +202,9 @@ def test_structure_transfer_to_extensions():
             ext = brandt_extension(S, lam).carrier
             assert is_regular(ext) == is_regular(S)
             assert is_inverse(ext) == is_inverse(S)
+
+
+def test_primitive_inverse_check_pairs():
     # the primitive-inverse flag of a base and of its extension
     for S, lam, flag in (
         (cyclic_group_with_zero(2), 2, True),
