@@ -18,6 +18,7 @@ from .core import (
     FunctionSemigroup,
     NoIdentity,
     NoZero,
+    ShapeError,
     build_semigroup,
 )
 from .homs import Homomorphism, check_homomorphism
@@ -104,7 +105,7 @@ def brandt_extension(S: FiniteSemigroup, lam: int, carrier_labels=None) -> Brand
     if S.zero is None:
         raise NoZero("Brandt extensions need a base zero")
     if lam < 1:
-        raise ValueError("lam must be positive")
+        raise ShapeError(f"lambda must be positive, got {lam}")
     if carrier_labels is None:
         nonzero = [s for s in range(S.order) if s != S.zero]
         carrier_labels = ["0"] + [
@@ -121,7 +122,7 @@ _TWO_ELEMENT = build_semigroup([[0, 1], [1, 1]], ["1", "0"])
 def matrix_units_extension(lam: int) -> BrandtExtension:
     """The rank-lam matrix units, kept with their extension coordinates."""
     if lam < 1:
-        raise ValueError("lam must be positive")
+        raise ShapeError(f"lambda must be positive, got {lam}")
     labels = ["0"] + [
         f"({a + 1},{b + 1})" for a in range(lam) for b in range(lam)
     ]
@@ -229,7 +230,7 @@ def function_brandt_extension(fs: FunctionSemigroup, lam: int) -> FunctionSemigr
     """Extension of a function-backed semigroup with zero; tokens are
     (a, s, b) triples over nonzero base tokens, plus the token "0"."""
     if lam < 1:
-        raise ValueError("lam must be positive")
+        raise ShapeError(f"lambda must be positive, got {lam}")
     base_zero = fs.zero
 
     def mul(x, y):

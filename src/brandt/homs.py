@@ -1,9 +1,14 @@
 """Homomorphism checking, and the one backtracking kernel for map search.
 
 ``_search_maps`` enumerates product-respecting maps between table-backed
-semigroups with forced-product propagation and a step budget;
-``enumerate_homs`` runs it over generator images and ``search.iso_search``
-runs it injectively over profile-compatible candidates.
+semigroups with a step budget.  It branches on a set of generators of the
+source, which the caller passes and which must generate it, and propagates
+along the right Cayley edges only: it checks h(x·g) = h(x)·h(g) for each
+assigned x and assigned generator g (Froidure and Pin, "Algorithms for
+computing finite semigroups", 1997), which at a full assignment makes h a
+homomorphism by induction on word length.  ``enumerate_homs`` runs it over
+``generating_set(S)``, and ``search.iso_search`` runs it injectively over
+profile-compatible candidates with every element a generator.
 """
 
 from __future__ import annotations
@@ -141,23 +146,37 @@ def _search_maps(
 ):
     """Yield every product-respecting total map A -> B the search reaches.
 
-    Branches on the elements of ``branch_order`` not yet forced, trying
-    ``domains[x]`` in order; each assignment is closed under products with
-    every assigned element, so a contradiction (or, with ``injective``, a
-    repeated image) prunes the branch at once.  The maps come out as tuples,
-    in the order the branches are tried.  Counts one step per propagated pair
-    and raises BudgetExceeded past ``budget`` steps.
+    The elements of ``branch_order`` are the generators, and they must
+    generate A.  The search branches on the generators not yet forced,
+    trying ``domains[x]`` in order, and propagates each assignment along the
+    right Cayley edges (x, g), g a generator: when x gets an image, every
+    edge (x, g) to an assigned generator g is checked, and when x is itself
+    a generator, so is every edge (c, x) from an assigned c.  An edge whose
+    product already has an image is compared at once; otherwise the forced
+    pair x·g -> h(x)·h(g) is pushed.  A contradiction (or, with
+    ``injective``, a repeated image) prunes the branch.  At a leaf every
+    element is assigned and h(x·g) = h(x)·h(g) holds for every x and
+    generator g, so h is a homomorphism by induction on word length.  The
+    maps come out as tuples, in the order the branches are tried.  Counts
+    one step per popped pair and raises BudgetExceeded past ``budget``
+    steps.
     """
     ta, tb = A.table, B.table
     order = list(branch_order)
+    is_gen = [False] * A.order
+    for g in order:
+        is_gen[g] = True
     fwd: list = [None] * A.order
     used = [False] * B.order  # read only when injective: one preimage each
     assigned: list = []
+    gens: list = []  # the assigned generators, in assignment order
     steps = 0
 
     def undo(mark):
         while len(assigned) > mark:
             a = assigned.pop()
+            if is_gen[a]:
+                gens.pop()
             used[fwd[a]] = False
             fwd[a] = None
 
@@ -181,11 +200,28 @@ def _search_maps(
             used[b] = True
             assigned.append(a)
             ra, rb = ta[a], tb[b]
-            for c in assigned:
-                d = fwd[c]
-                stack.append((ra[c], rb[d]))
-                if c != a:
-                    stack.append((ta[c][a], tb[d][b]))
+            clash = False
+            for g in gens:  # the edges (a, g)
+                p, q = ra[g], rb[fwd[g]]
+                cur = fwd[p]
+                if cur is None:
+                    stack.append((p, q))
+                elif cur != q:
+                    clash = True
+                    break
+            if is_gen[a]:
+                gens.append(a)
+                if not clash:
+                    for c in assigned:  # the edges (c, a)
+                        p, q = ta[c][a], tb[fwd[c]][b]
+                        cur = fwd[p]
+                        if cur is None:
+                            stack.append((p, q))
+                        elif cur != q:
+                            clash = True
+                            break
+            if clash:
+                break
         else:
             return True
         undo(mark)
@@ -215,9 +251,11 @@ def enumerate_homs(
 ) -> list[Homomorphism]:
     """Every homomorphism S -> T, by backtracking over generator images.
 
-    Partial maps are closed under forced products as the search goes, so a
-    contradiction prunes the branch immediately.  Output is sorted by map
-    table.  Raises BudgetExceeded past ``budget`` propagation steps.
+    The generators are ``generating_set(S)``.  As the search goes, each
+    assigned element x forces the image of x·g for every assigned generator
+    g, and an edge whose image is already set and disagrees prunes the
+    branch.  Output is sorted by map table.  Raises BudgetExceeded past
+    ``budget`` propagation steps, a step being one forced pair popped.
     """
     domains = [range(T.order)] * S.order
     maps = sorted(_search_maps(S, T, generating_set(S), domains, budget=budget))

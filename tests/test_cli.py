@@ -43,6 +43,13 @@ def test_units_and_extend(tmp_path, two_file, capsys):
     assert "order" in capsys.readouterr().out
     assert "n 2" in open(out_ext).read()
 
+    # a rank below 1 is an input error: a message, no traceback, exit 2
+    capsys.readouterr()
+    assert main(["units", "--lambda", "0", "-o", out_b2]) == 2
+    assert main(["extend", two_file, "--lambda", "-1", "-o", out_ext]) == 2
+    err = capsys.readouterr().err
+    assert "lambda must be positive" in err and "Traceback" not in err
+
 
 def test_homs_classified(tmp_path, capsys):
     out_b2 = str(tmp_path / "b2.sgp")

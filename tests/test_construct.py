@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from brandt import (
     NoIdentity,
     NoZero,
+    ShapeError,
     build_semigroup,
     iso_search,
     subsemigroup,
@@ -18,6 +19,7 @@ from brandt.construct import (
     double_extension_witness,
     function_brandt_extension,
     matrix_units,
+    matrix_units_extension,
     orthogonal_sum,
 )
 from brandt.corpus import (
@@ -30,6 +32,16 @@ from brandt.corpus import (
     two_element,
 )
 from brandt.homs import check_homomorphism
+
+
+def test_rank_below_one_is_a_shape_error():
+    for lam in (0, -1):
+        with pytest.raises(ShapeError):
+            brandt_extension(example_e(), lam)
+        with pytest.raises(ShapeError):
+            matrix_units_extension(lam)
+        with pytest.raises(ShapeError):
+            function_brandt_extension(bicyclic_with_zero(), lam)
 
 
 def test_lambda_one_is_the_base():

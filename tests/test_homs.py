@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from brandt import (
     BudgetExceeded,
@@ -30,6 +32,7 @@ from brandt.corpus import (
 from brandt.fixtures import ex2_5_data, EX2_12_ENTRIES
 from brandt.construct import matrix_units_extension
 from brandt.homs import generating_set
+from reference_kernel import reference_search_maps
 
 
 def brute_force_homs(S, T):
@@ -147,6 +150,103 @@ def test_enumerate_matches_brute_force_oracle(relabeled):
         assert got == expected
 
 
+def oracle_homs(S, T):
+    """Oracle: the sorted maps of the kernel that closed against every element."""
+    domains = [range(T.order)] * S.order
+    return sorted(reference_search_maps(S, T, generating_set(S), domains))
+
+
+def edge_kernel_homs(S, T):
+    return [h.mapping for h in enumerate_homs(S, T)]
+
+
+# The extensions of order <= 28 the hom-search benchmark pairs up, and the
+# acceptance corpus at rank 1 and 2.
+ORACLE_EXTENSIONS = [
+    (two_element(), 3),
+    (chain(3), 2),
+    (chain(3), 3),
+    (chain(4), 2),
+    (chain(4), 3),
+    (cyclic_group_with_zero(2), 2),
+    (cyclic_group_with_zero(2), 3),
+    (cyclic_group_with_zero(3), 2),
+    (cyclic_group_with_zero(3), 3),
+    (rect_band_with_unit_and_zero(), 2),
+    (b2_with_identity(), 2),
+] + [(base, lam) for base in acceptance_corpus().values() for lam in (1, 2)]
+
+
+def oracle_carriers():
+    """The distinct carriers of ORACLE_EXTENSIONS (chain3 and the abc
+    semilattice share a table, and two entries recur in both lists)."""
+    carriers = {}
+    for base, lam in ORACLE_EXTENSIONS:
+        C = brandt_extension(base, lam).carrier
+        carriers.setdefault(C.table, C)
+    return list(carriers.values())
+
+
+def test_cayley_edge_kernel_matches_reference_kernel():
+    carriers = oracle_carriers()
+    assert len(carriers) == 15
+    for S in carriers:
+        for T in carriers:
+            assert edge_kernel_homs(S, T) == oracle_homs(S, T)
+
+
+def test_cayley_edge_kernel_matches_reference_kernel_on_relabelings(relabeled):
+    # other labels give other generators and another branch order
+    rng = random.Random(13)
+    carriers = [relabeled(C, rng) for C in oracle_carriers()]
+    for S in carriers:
+        for T in carriers:
+            assert edge_kernel_homs(S, T) == oracle_homs(S, T)
+
+
+@st.composite
+def associative_tables(draw):
+    """A table of order <= 4, each cell drawn from the values that keep the
+    products defined so far associative."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    t = [[None] * n for _ in range(n)]
+
+    def consistent():
+        for x in range(n):
+            for y in range(n):
+                xy = t[x][y]
+                if xy is None:
+                    continue
+                for z in range(n):
+                    yz = t[y][z]
+                    if yz is None:
+                        continue
+                    left, right = t[xy][z], t[x][yz]
+                    if None not in (left, right) and left != right:
+                        return False
+        return True
+
+    for i in range(n):
+        for j in range(n):
+            choices = []
+            for v in range(n):
+                t[i][j] = v
+                if consistent():
+                    choices.append(v)
+            assume(choices)  # a dead end: no value keeps the table associative
+            t[i][j] = draw(st.sampled_from(choices))
+    return t
+
+
+@given(associative_tables(), associative_tables())
+@settings(max_examples=150, deadline=None)
+def test_cayley_edge_kernel_matches_oracles_on_random_tables(s_table, t_table):
+    S, T = build_semigroup(s_table), build_semigroup(t_table)
+    got = edge_kernel_homs(S, T)
+    assert got == oracle_homs(S, T)
+    assert set(got) == brute_force_homs(S, T)
+
+
 def test_matrix_unit_endomorphisms():
     b2 = matrix_units(2)
     homs = enumerate_homs(b2, b2, nontrivial_only=True)
@@ -199,10 +299,18 @@ def test_budget_exceeded():
     ext = brandt_extension(E, 2)
     with pytest.raises(BudgetExceeded):
         enumerate_homs(ext.carrier, ext.carrier, budget=3)
-    # the whole search takes exactly 2108 propagation steps
+    # the whole search takes exactly 383 propagation steps
     with pytest.raises(BudgetExceeded):
-        enumerate_homs(ext.carrier, ext.carrier, budget=2107)
-    assert len(enumerate_homs(ext.carrier, ext.carrier, budget=2108)) == 15
+        enumerate_homs(ext.carrier, ext.carrier, budget=382)
+    assert len(enumerate_homs(ext.carrier, ext.carrier, budget=383)) == 15
+
+
+def test_chain4_rank3_endomorphisms_step_count():
+    B3 = brandt_extension(chain(4), 3).carrier
+    # the whole search takes exactly 34534 propagation steps (order 28)
+    with pytest.raises(BudgetExceeded):
+        enumerate_homs(B3, B3, budget=34533)
+    assert len(enumerate_homs(B3, B3, budget=34534)) == 124
 
 
 def test_hom_invariants_two_element():
