@@ -49,8 +49,10 @@ def cmd_props(args, budget):
     ]
     width = max(len(k) for k, _ in pairs)
     for k, v in pairs:
-        shown = {True: "yes", False: "no", None: "unknown"}.get(v, v)
-        print(f"{k.ljust(width)} : {shown}")
+        # flags only: an order of 1 equals True but must print as 1
+        if v is None or isinstance(v, bool):
+            v = {True: "yes", False: "no", None: "unknown"}[v]
+        print(f"{k.ljust(width)} : {v}")
     return 0
 
 

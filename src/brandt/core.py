@@ -118,6 +118,11 @@ class FiniteSemigroup:
     def idempotents(self) -> tuple[int, ...]:
         return tuple(e for e in range(self.order) if self.table[e][e] == e)
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """The generating set of ``_magma_generators``, computed once."""
+        return tuple(_magma_generators(self.table))
+
     def __repr__(self) -> str:
         bits = [f"order={self.order}"]
         if self.zero is not None:

@@ -4,6 +4,12 @@ All searches are deterministic: candidates are tried in ascending index order,
 so the first witness found is the lexicographically smallest one the search
 order can produce.  The isomorphism search is the hom-search kernel of
 ``homs`` run injectively; it has no propagator of its own.
+
+Congruences are closed along the Cayley graph, as in Freese, "Computing
+congruences efficiently" (Algebra Universalis 59, 2008): a merged pair is
+translated by the generators of ``FiniteSemigroup.generators`` only, on
+both sides, and the closure stops as soon as one class is left.  The lattice
+is the join closure of the principal congruences.
 """
 
 from __future__ import annotations
@@ -33,12 +39,20 @@ def _normalize_partition(find, n) -> tuple[int, ...]:
 def congruence_closure(S: FiniteSemigroup, pairs) -> tuple[int, ...]:
     """Smallest congruence containing the given pairs, as a partition tuple.
 
-    Pair-closure: whenever a pair merges, its left and right translates are
-    queued, which suffices because merged chains translate elementwise.
+    Pair-closure along generator translations (Freese, "Computing
+    congruences efficiently", Algebra Universalis 59, 2008): whenever a pair
+    (a, b) merges, (a*g, b*g) and (g*a, g*b) are queued for every generator g
+    of ``S.generators``.  That suffices: the merged pairs generate the
+    partition as an equivalence, so it is closed under translation by each
+    generator, and every element is a product of generators, so it is closed
+    under every translation one factor at a time.  Stops as soon as a
+    single class is left.
     """
     n = S.order
     t = S.table
+    gens = S.generators
     parent = list(range(n))
+    classes = n
 
     def find(x):
         while parent[x] != x:
@@ -47,19 +61,22 @@ def congruence_closure(S: FiniteSemigroup, pairs) -> tuple[int, ...]:
         return x
 
     work = list(pairs)
-    while work:
+    while work and classes > 1:
         a, b = work.pop()
         ra, rb = find(a), find(b)
         if ra == rb:
             continue
         parent[rb] = ra
-        for x in range(n):
-            xa, xb = t[x][a], t[x][b]
-            if find(xa) != find(xb):
-                work.append((xa, xb))
-            ax, bx = t[a][x], t[b][x]
-            if find(ax) != find(bx):
-                work.append((ax, bx))
+        classes -= 1
+        ta, tb = t[a], t[b]
+        for g in gens:
+            x, y = ta[g], tb[g]
+            if x != y:
+                work.append((x, y))
+            tg = t[g]
+            x, y = tg[a], tg[b]
+            if x != y:
+                work.append((x, y))
     return _normalize_partition(find, n)
 
 

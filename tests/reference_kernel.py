@@ -1,10 +1,15 @@
-"""The map-search kernel as it was before the Cayley-edge rewrite, kept as
-the oracle for ``homs._search_maps``: it closes each assignment under the
-products with every assigned element, on both sides.
+"""Kernels as they were before their Cayley-edge rewrites, kept as oracles.
+
+``reference_search_maps`` is the oracle for ``homs._search_maps``: it closes
+each assignment under the products with every assigned element, on both
+sides.  ``reference_congruence_closure`` is the oracle for
+``search.congruence_closure``: it translates each merged pair by every
+element, on both sides.
 """
 
 from brandt.core import BudgetExceeded, FiniteSemigroup
 from brandt.homs import DEFAULT_BUDGET
+from brandt.search import _normalize_partition
 
 
 def reference_search_maps(
@@ -81,3 +86,36 @@ def reference_search_maps(
                 undo(mark)
 
     return search(0)
+
+
+def reference_congruence_closure(S: FiniteSemigroup, pairs) -> tuple[int, ...]:
+    """Smallest congruence containing the given pairs, as a partition tuple.
+
+    Pair-closure: whenever a pair merges, its left and right translates are
+    queued, which suffices because merged chains translate elementwise.
+    """
+    n = S.order
+    t = S.table
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    work = list(pairs)
+    while work:
+        a, b = work.pop()
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        parent[rb] = ra
+        for x in range(n):
+            xa, xb = t[x][a], t[x][b]
+            if find(xa) != find(xb):
+                work.append((xa, xb))
+            ax, bx = t[a][x], t[b][x]
+            if find(ax) != find(bx):
+                work.append((ax, bx))
+    return _normalize_partition(find, n)

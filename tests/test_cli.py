@@ -29,6 +29,25 @@ def test_props(e_file, capsys):
     assert "inverse" in out and "classifiable_target : yes" in out
 
 
+def test_props_of_the_trivial_semigroup(tmp_path, capsys):
+    path = tmp_path / "one.sgp"
+    path.write_text("sgp 1\nn 1\nrow 0\n")
+    assert main(["props", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "order               : 1\n"
+        "monoid_with_zero    : yes\n"
+        "regular             : yes\n"
+        "inverse             : yes\n"
+        "clifford            : yes\n"
+        "idempotents_central : yes\n"
+        "primitive_inverse   : yes\n"
+        "congruence_free     : no\n"
+        "b2_free             : yes\n"
+        "blambda_free[2]     : yes\n"
+        "classifiable_target : yes\n"
+    )
+
+
 def test_units_and_extend(tmp_path, two_file, capsys):
     out_b2 = str(tmp_path / "b2.sgp")
     assert main(["units", "--lambda", "2", "-o", out_b2]) == 0

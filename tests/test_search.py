@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from brandt import (
     BudgetExceeded,
     NoZero,
     TooLarge,
+    build_semigroup,
     congruence_lattice,
     excludes_b2,
     find_matrix_unit_copy,
@@ -18,17 +21,32 @@ from brandt import (
     matrix_unit_exclusion,
     principal_congruence,
 )
+from brandt import search
 from brandt.construct import brandt_extension, matrix_units
+from brandt.core import _magma_generators
 from brandt.corpus import (
     acceptance_corpus,
     chain,
     cyclic_group_with_zero,
     example_e,
     matrix_units_with_identity_and_new_zero,
+    rect_band_with_unit_and_zero,
     two_element,
 )
 from brandt.homs import _search_maps, check_homomorphism
-from brandt.search import identity_partition, universal_partition
+from brandt.search import (
+    DEFAULT_CONGRUENCE_BOUND,
+    identity_partition,
+    universal_partition,
+)
+from reference_kernel import reference_congruence_closure
+from test_homs import associative_tables, mulclose
+
+
+def class_ids(keys):
+    """Renumber per-element class keys by first occurrence."""
+    ids = {}
+    return tuple(ids.setdefault(k, len(ids)) for k in keys)
 
 
 def all_partitions(n):
@@ -36,17 +54,36 @@ def all_partitions(n):
     if n == 0:
         return
     for assignment in itertools.product(range(n), repeat=n):
-        ids = {}
-        norm = []
-        for c in assignment:
-            if c not in ids:
-                ids[c] = len(ids)
-            norm.append(ids[c])
-        yield tuple(norm)
+        yield class_ids(assignment)
 
 
 def brute_congruences(S):
     return {p for p in set(all_partitions(S.order)) if is_congruence(S, p)}
+
+
+def set_partitions(n):
+    """Every partition of range(n) exactly once, by the Bell-number recursion,
+    as normalized class-id tuples."""
+
+    def partitions(collection):
+        if len(collection) == 1:
+            yield [collection]
+            return
+        first = collection[0]
+        for smaller in partitions(collection[1:]):
+            for i, subset in enumerate(smaller):
+                yield smaller[:i] + [[first] + subset] + smaller[i + 1 :]
+            yield [[first]] + smaller
+
+    for part in partitions(list(range(n))):
+        cls = {x: i for i, members in enumerate(part) for x in members}
+        yield class_ids(cls[x] for x in range(n))
+
+
+@functools.cache
+def bell_congruences(S):
+    """Every congruence of S, filtered from all its partitions."""
+    return frozenset(p for p in set_partitions(S.order) if is_congruence(S, p))
 
 
 def test_lattice_matches_partition_filter_on_chain():
@@ -90,36 +127,7 @@ def test_matrix_units_rank3_congruence_free():
 def test_lattice_matches_partition_filter_on_an_extension():
     """Full Bell-number sweep over the order-9 extension of the chain."""
     S = brandt_extension(chain(3), 2).carrier
-    n = S.order
-
-    def partitions(collection):
-        if len(collection) == 1:
-            yield [collection]
-            return
-        first = collection[0]
-        for smaller in partitions(collection[1:]):
-            for i, subset in enumerate(smaller):
-                yield smaller[:i] + [[first] + subset] + smaller[i + 1 :]
-            yield [[first]] + smaller
-
-    def normalize(part):
-        out = [0] * n
-        for i, cls in enumerate(part):
-            for x in cls:
-                out[x] = i
-        ids = {}
-        res = []
-        for c in out:
-            if c not in ids:
-                ids[c] = len(ids)
-            res.append(ids[c])
-        return tuple(res)
-
-    brute = {
-        p
-        for p in map(normalize, partitions(list(range(n))))
-        if is_congruence(S, p)
-    }
+    brute = bell_congruences(S)
     assert set(congruence_lattice(S)) == brute
     assert len(brute) == 4
 
@@ -140,6 +148,65 @@ def test_principal_congruence_is_congruence(pair):
     part = principal_congruence(S, a, b)
     assert is_congruence(S, part)
     assert part[a] == part[b]
+    # least: the meet of every congruence that identifies a and b
+    containing = [p for p in bell_congruences(S) if p[a] == p[b]]
+    assert part == class_ids(tuple(p[x] for p in containing) for x in range(S.order))
+
+
+def congruence_carriers():
+    """The extensions of order <= 40 of two, chain3, z2, rect and C8^0 at
+    ranks 1..6, and the acceptance corpus with its extensions at rank <= 3,
+    each table once."""
+    bases = [
+        two_element(),
+        chain(3),
+        cyclic_group_with_zero(2),
+        rect_band_with_unit_and_zero(),
+        cyclic_group_with_zero(8),
+    ]
+    corpus = list(acceptance_corpus().values())
+    members = [(S, lam) for S in bases for lam in range(1, 7)]
+    members += [(S, lam) for S in corpus for lam in range(1, 4)]
+    carriers = {S.table: S for S in corpus}
+    for S, lam in members:
+        if lam * lam * (S.order - 1) + 1 <= DEFAULT_CONGRUENCE_BOUND:
+            C = brandt_extension(S, lam).carrier
+            carriers.setdefault(C.table, C)
+    return list(carriers.values())
+
+
+def assert_congruences_match_reference(S):
+    assert S.generators == tuple(_magma_generators(S.table))
+    assert mulclose(S.table, S.generators) == set(range(S.order))
+    for a, b in itertools.combinations(range(S.order), 2):
+        assert principal_congruence(S, a, b) == reference_congruence_closure(S, [(a, b)])
+    lattice, free = congruence_lattice(S), is_congruence_free(S)
+    # the same computations, run on the all-translations closure
+    with mock.patch.object(search, "congruence_closure", reference_congruence_closure):
+        assert lattice == congruence_lattice(S)
+        assert free == is_congruence_free(S)
+
+
+def test_generator_closure_matches_reference_closure():
+    carriers = congruence_carriers()
+    assert sorted(C.order for C in carriers) == [
+        2, 2, 3, 3, 3, 3, 5, 6, 9, 9, 9, 10, 17, 19, 19, 21, 26, 33, 33, 33, 37
+    ]
+    for S in carriers:
+        assert_congruences_match_reference(S)
+
+
+def test_generator_closure_matches_reference_closure_on_relabelings(relabeled):
+    # other labels give other generators and another merge order
+    rng = random.Random(17)
+    for S in congruence_carriers():
+        assert_congruences_match_reference(relabeled(S, rng))
+
+
+@given(associative_tables())
+@settings(max_examples=200, deadline=None)
+def test_generator_closure_matches_reference_closure_on_random_tables(table):
+    assert_congruences_match_reference(build_semigroup(table))
 
 
 def test_b2_embeds_in_itself_anchored():
@@ -195,8 +262,6 @@ def test_exclusion_needs_zero():
 
 
 def build_semigroup_no_zero():
-    from brandt import build_semigroup
-
     return build_semigroup([[0, 1], [1, 0]])  # the 2-element group
 
 
