@@ -418,8 +418,7 @@ def image_decomposition(
         g = sigma.mapping[source_ext.encode(0, s, 0)]
         if g != z and g not in diag_images:
             diag_images[g] = s
-    t0_globals = sorted(diag_images) + [z]
-    t0_globals.sort()
+    t0_globals = sorted([*diag_images, z])
     T0 = subsemigroup(big, t0_globals)
     local0 = {g: i for i, g in enumerate(t0_globals)}
     if T0.zero != local0[z]:
@@ -504,7 +503,7 @@ def check_block_separation(
             mu, _, nu = target_ext.decode(img)
             if (mu, nu) != block:
                 raise ConformanceError(
-                    f"image of ({a},{_base_label(source_ext, s)},{b}) leaves its block"
+                    f"image of ({a},{source_ext.base.labels[s]},{b}) leaves its block"
                 )
 
     for s in source_ext.nonzero_base:
@@ -515,11 +514,7 @@ def check_block_separation(
         }
         if len(vanish) != 1:
             raise ConformanceError(
-                f"vanishing pattern of {_base_label(source_ext, s)} is not uniform"
+                f"vanishing pattern of {source_ext.base.labels[s]} is not uniform"
             )
 
     return tuple(sorted(unit_blocks.items()))
-
-
-def _base_label(ext: BrandtExtension, s: int) -> str:
-    return ext.base.labels[s]

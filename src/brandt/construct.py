@@ -10,7 +10,7 @@ ordered lexicographically by (a, b, s).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .core import (
     ConformanceError,
@@ -129,6 +129,7 @@ def matrix_units_extension(lam: int) -> BrandtExtension:
     return brandt_extension(_TWO_ELEMENT, lam, carrier_labels=labels)
 
 
+@lru_cache(maxsize=None)
 def matrix_units(lam: int) -> FiniteSemigroup:
     """The semigroup of lam-by-lam matrix units, labelled "(i,j)" and "0"."""
     return matrix_units_extension(lam).carrier
@@ -185,8 +186,7 @@ def orthogonal_sum(parts) -> tuple[FiniteSemigroup, list[Homomorphism]]:
         P = parts[k]
         if x == P.zero:
             return 0
-        skip = sum(1 for y in range(x) if y == P.zero)
-        return offsets[k] + x - skip
+        return offsets[k] + x - (x > P.zero)
 
     table = [[0] * total for _ in range(total)]
     for k, P in enumerate(parts):

@@ -279,7 +279,7 @@ def run_ex2_6() -> FixtureResult:
     res.check(copy is not None, "target base contains rank-2 matrix units")
     if copy is not None:
         res.check(
-            copy.zero_image != T7.zero,
+            copy.mapping[0] != T7.zero,
             "found copy's zero differs from the ambient zero",
         )
     res.check(

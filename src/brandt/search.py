@@ -5,6 +5,11 @@ so the first witness found is the lexicographically smallest one the search
 order can produce.  The isomorphism search is the hom-search kernel of
 ``homs`` run injectively; it has no propagator of its own.
 
+A matrix-unit copy is an embedding of ``matrix_units(lam)`` verified by
+``check_homomorphism``.  Its diagonal idempotents are chosen depth first,
+keeping only those orthogonal to every one already chosen, so a target
+without a copy is dismissed without trying every combination.
+
 Congruences are closed along the Cayley graph, as in Freese, "Computing
 congruences efficiently" (Algebra Universalis 59, 2008): a merged pair is
 translated by the generators of ``FiniteSemigroup.generators`` only, on
@@ -16,11 +21,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional
 
-from .core import FiniteSemigroup, NoZero, ShapeError, TooLarge
-from .homs import DEFAULT_BUDGET, _search_maps
+from .construct import matrix_units
+from .core import FiniteSemigroup, NotHomomorphism, NoZero, ShapeError, TooLarge
+from .homs import DEFAULT_BUDGET, Homomorphism, _search_maps, check_homomorphism
 
 DEFAULT_CONGRUENCE_BOUND = 40
 
@@ -166,50 +171,18 @@ def is_congruence_free(S: FiniteSemigroup) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class MatrixUnitCopy:
-    """An embedded copy of the matrix-unit semigroup of a given rank.
-
-    ``unit_images[i][j]`` is the ambient element playing the (i+1,j+1) unit;
-    ``zero_image`` plays the copy's zero and need not be the ambient zero.
-    """
-
-    lam: int
-    zero_image: int
-    unit_images: tuple[tuple[int, ...], ...]
-
-
-def _verify_copy(T: FiniteSemigroup, lam, w, units) -> bool:
-    t = T.table
-    elems = {w}
-    for row in units:
-        elems.update(row)
-    if len(elems) != lam * lam + 1:
-        return False
-    if t[w][w] != w:
-        return False
-    for i in range(lam):
-        for j in range(lam):
-            x = units[i][j]
-            if t[x][w] != w or t[w][x] != w:
-                return False
-            for k in range(lam):
-                for l in range(lam):
-                    y = units[k][l]
-                    want = units[i][l] if j == k else w
-                    if t[x][y] != want:
-                        return False
-    return True
-
-
 def find_matrix_unit_copy(
     T: FiniteSemigroup, lam: int, anchor_zero: bool = False
-) -> Optional[MatrixUnitCopy]:
-    """Search T for a subsemigroup isomorphic to the rank-lam matrix units.
+) -> Optional[Homomorphism]:
+    """The first embedding of the rank-lam matrix units into T, or None.
 
-    Backtracks over the diagonal idempotent images first, then the first row
-    and column; the remaining units are forced as products.  With
-    ``anchor_zero`` the copy's zero must be T's own zero.
+    Branches on the copy's zero w among T's idempotents (T's own zero with
+    ``anchor_zero``), then on ascending tuples of pairwise orthogonal
+    idempotents above w for the diagonal, then on the (a, b) pairs playing
+    the units (0, j) and (j, 0); unit (i, j) is the product (i, 0)(0, j).
+    The candidate maps the zero to index 0 and unit (i, j) to 1 + i*lam + j,
+    the layout of ``matrix_units(lam)``, and is returned once it is
+    injective and ``check_homomorphism`` accepts it.
     """
     if lam < 2:
         raise ShapeError("matrix-unit rank must be at least 2")
@@ -220,59 +193,45 @@ def find_matrix_unit_copy(
         raise NoZero("anchored search needs a zero")
     t = T.table
     idem = T.idempotents
-    zero_candidates = (T.zero,) if anchor_zero else idem
 
-    for w in zero_candidates:
-        diag_pool = [
-            e for e in idem if e != w and t[e][w] == w and t[w][e] == w
-        ]
-        for diag in itertools.combinations(diag_pool, lam):
-            if any(
-                t[diag[i]][diag[j]] != w or t[diag[j]][diag[i]] != w
-                for i in range(lam)
-                for j in range(i + 1, lam)
-            ):
-                continue
-            copy = _extend_rows_cols(T, lam, w, diag)
-            if copy is not None:
-                return copy
-    return None
+    def diagonals(w, pool, chosen):
+        # pool: the idempotents after chosen[-1] orthogonal to all of chosen;
+        # a prefix is dropped once fewer remain than it still needs
+        if len(chosen) == lam:
+            yield chosen
+            return
+        for k, e in enumerate(pool):
+            rest = [f for f in pool[k + 1 :] if t[e][f] == w and t[f][e] == w]
+            if len(rest) >= lam - len(chosen) - 1:
+                yield from diagonals(w, rest, chosen + (e,))
 
-
-def _extend_rows_cols(T, lam, w, diag) -> Optional[MatrixUnitCopy]:
-    t = T.table
-    n = T.order
-    f0 = diag[0]
-    # candidate (a, b) pairs per column j: a plays unit (0,j), b plays (j,0)
-    options = []
-    for j in range(1, lam):
-        fj = diag[j]
-        pairs = []
-        for a in range(n):
-            if a == w or t[f0][a] != a or t[a][fj] != a:
-                continue
-            for b in range(n):
-                if b == w or t[fj][b] != b or t[b][f0] != b:
-                    continue
-                if t[a][b] == f0 and t[b][a] == fj:
-                    pairs.append((a, b))
-        if not pairs:
-            return None
-        options.append(pairs)
-
-    for choice in itertools.product(*options):
-        row0 = [f0] + [a for a, _ in choice]
-        col0 = [f0] + [b for _, b in choice]
-        units = [
-            [t[col0[i]][row0[j]] if i or j else f0 for j in range(lam)]
-            for i in range(lam)
-        ]
-        for j in range(lam):
-            units[0][j] = row0[j]
-            units[j][0] = col0[j]
-        units = tuple(tuple(r) for r in units)
-        if _verify_copy(T, lam, w, units):
-            return MatrixUnitCopy(lam=lam, zero_image=w, unit_images=units)
+    for w in (T.zero,) if anchor_zero else idem:
+        pool = [e for e in idem if e != w and t[e][w] == w and t[w][e] == w]
+        for diag in diagonals(w, pool, ()):
+            f0 = diag[0]
+            options = []
+            for fj in diag[1:]:
+                pairs = [
+                    (a, b)
+                    for a in range(n)
+                    if a != w and t[f0][a] == a and t[a][fj] == a
+                    for b in range(n)
+                    if b != w and t[fj][b] == b and t[b][f0] == b
+                    and t[a][b] == f0 and t[b][a] == fj
+                ]
+                if not pairs:
+                    break
+                options.append(pairs)
+            else:
+                for choice in itertools.product(*options):
+                    row = (f0,) + tuple(a for a, _ in choice)
+                    col = (f0,) + tuple(b for _, b in choice)
+                    mapping = [w] + [t[c][r] for c in col for r in row]
+                    if len(set(mapping)) == len(mapping):
+                        try:
+                            return check_homomorphism(mapping, matrix_units(lam), T)
+                        except NotHomomorphism:
+                            pass
     return None
 
 

@@ -104,6 +104,8 @@ def parse_sgp(text: str) -> FiniteSemigroup:
             rows.append(row)
             row_line = lineno
         elif key in ("zero", "identity"):
+            if (zero if key == "zero" else identity) is not None:
+                raise ParseError(f"second {key} line", lineno)
             if len(words) != 2 or not _is_index(words[1]):
                 raise ParseError(f"expected '{key} <index>'", lineno)
             v = int(words[1])

@@ -1,13 +1,19 @@
-"""Kernels as they were before their Cayley-edge rewrites, kept as oracles.
+"""Searches as they were before their rewrites, kept as oracles.
 
 ``reference_search_maps`` is the oracle for ``homs._search_maps``: it closes
 each assignment under the products with every assigned element, on both
 sides.  ``reference_congruence_closure`` is the oracle for
 ``search.congruence_closure``: it translates each merged pair by every
-element, on both sides.
+element, on both sides.  ``reference_find_matrix_unit_copy`` is the oracle
+for ``search.find_matrix_unit_copy``: it filters every combination of
+diagonal idempotents and checks the matrix-unit product law by hand.
 """
 
-from brandt.core import BudgetExceeded, FiniteSemigroup
+import itertools
+from dataclasses import dataclass
+from typing import Optional
+
+from brandt.core import BudgetExceeded, FiniteSemigroup, NoZero, ShapeError
 from brandt.homs import DEFAULT_BUDGET
 from brandt.search import _normalize_partition
 
@@ -119,3 +125,113 @@ def reference_congruence_closure(S: FiniteSemigroup, pairs) -> tuple[int, ...]:
             if find(ax) != find(bx):
                 work.append((ax, bx))
     return _normalize_partition(find, n)
+
+
+@dataclass(frozen=True)
+class MatrixUnitCopy:
+    """An embedded copy of the matrix-unit semigroup of a given rank.
+
+    ``unit_images[i][j]`` is the ambient element playing the (i+1,j+1) unit;
+    ``zero_image`` plays the copy's zero and need not be the ambient zero.
+    """
+
+    lam: int
+    zero_image: int
+    unit_images: tuple[tuple[int, ...], ...]
+
+
+def _verify_copy(T: FiniteSemigroup, lam, w, units) -> bool:
+    t = T.table
+    elems = {w}
+    for row in units:
+        elems.update(row)
+    if len(elems) != lam * lam + 1:
+        return False
+    if t[w][w] != w:
+        return False
+    for i in range(lam):
+        for j in range(lam):
+            x = units[i][j]
+            if t[x][w] != w or t[w][x] != w:
+                return False
+            for k in range(lam):
+                for l in range(lam):
+                    y = units[k][l]
+                    want = units[i][l] if j == k else w
+                    if t[x][y] != want:
+                        return False
+    return True
+
+
+def reference_find_matrix_unit_copy(
+    T: FiniteSemigroup, lam: int, anchor_zero: bool = False
+) -> Optional[MatrixUnitCopy]:
+    """Search T for a subsemigroup isomorphic to the rank-lam matrix units.
+
+    Backtracks over the diagonal idempotent images first, then the first row
+    and column; the remaining units are forced as products.  With
+    ``anchor_zero`` the copy's zero must be T's own zero.
+    """
+    if lam < 2:
+        raise ShapeError("matrix-unit rank must be at least 2")
+    n = T.order
+    if lam * lam + 1 > n:
+        return None
+    if anchor_zero and T.zero is None:
+        raise NoZero("anchored search needs a zero")
+    t = T.table
+    idem = T.idempotents
+    zero_candidates = (T.zero,) if anchor_zero else idem
+
+    for w in zero_candidates:
+        diag_pool = [
+            e for e in idem if e != w and t[e][w] == w and t[w][e] == w
+        ]
+        for diag in itertools.combinations(diag_pool, lam):
+            if any(
+                t[diag[i]][diag[j]] != w or t[diag[j]][diag[i]] != w
+                for i in range(lam)
+                for j in range(i + 1, lam)
+            ):
+                continue
+            copy = _extend_rows_cols(T, lam, w, diag)
+            if copy is not None:
+                return copy
+    return None
+
+
+def _extend_rows_cols(T, lam, w, diag) -> Optional[MatrixUnitCopy]:
+    t = T.table
+    n = T.order
+    f0 = diag[0]
+    # candidate (a, b) pairs per column j: a plays unit (0,j), b plays (j,0)
+    options = []
+    for j in range(1, lam):
+        fj = diag[j]
+        pairs = []
+        for a in range(n):
+            if a == w or t[f0][a] != a or t[a][fj] != a:
+                continue
+            for b in range(n):
+                if b == w or t[fj][b] != b or t[b][f0] != b:
+                    continue
+                if t[a][b] == f0 and t[b][a] == fj:
+                    pairs.append((a, b))
+        if not pairs:
+            return None
+        options.append(pairs)
+
+    for choice in itertools.product(*options):
+        row0 = [f0] + [a for a, _ in choice]
+        col0 = [f0] + [b for _, b in choice]
+        units = [
+            [t[col0[i]][row0[j]] if i or j else f0 for j in range(lam)]
+            for i in range(lam)
+        ]
+        for j in range(lam):
+            units[0][j] = row0[j]
+            units[j][0] = col0[j]
+        units = tuple(tuple(r) for r in units)
+        if _verify_copy(T, lam, w, units):
+            return MatrixUnitCopy(lam=lam, zero_image=w, unit_images=units)
+    return None

@@ -121,6 +121,10 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("sgp 1\nn 2\nrow 0 \u00b2\nrow 1 1\n", encoding="utf-8")
     assert main(["props", str(bad)]) == 2
     assert "line 3" in capsys.readouterr().err
+    # a false zero declaration followed by a true one
+    bad.write_text("sgp 1\nn 2\nrow 0 1\nrow 1 1\nzero 0\nzero 1\n")
+    assert main(["props", str(bad)]) == 2
+    assert "line 6" in capsys.readouterr().err
 
 
 def test_output_is_deterministic(tmp_path, e_file, capsys):

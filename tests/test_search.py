@@ -26,6 +26,7 @@ from brandt.construct import brandt_extension, matrix_units
 from brandt.core import _magma_generators
 from brandt.corpus import (
     acceptance_corpus,
+    b2_with_identity,
     chain,
     cyclic_group_with_zero,
     example_e,
@@ -39,7 +40,10 @@ from brandt.search import (
     identity_partition,
     universal_partition,
 )
-from reference_kernel import reference_congruence_closure
+from reference_kernel import (
+    reference_congruence_closure,
+    reference_find_matrix_unit_copy,
+)
 from test_homs import associative_tables, mulclose
 
 
@@ -213,15 +217,15 @@ def test_b2_embeds_in_itself_anchored():
     b2 = matrix_units(2)
     copy = find_matrix_unit_copy(b2, 2, anchor_zero=True)
     assert copy is not None
-    assert copy.zero_image == b2.zero
+    assert copy.mapping[0] == b2.zero
     images = {
-        (i, j): copy.unit_images[i][j] for i in range(2) for j in range(2)
+        (i, j): copy.mapping[1 + 2 * i + j] for i in range(2) for j in range(2)
     }
     # verify the product relations directly
     t = b2.table
     for (i, j), x in images.items():
         for (k, l), y in images.items():
-            expect = images[(i, l)] if j == k else copy.zero_image
+            expect = images[(i, l)] if j == k else copy.mapping[0]
             assert t[x][y] == expect
 
 
@@ -239,7 +243,7 @@ def test_no_copy_in_commutative_semigroup():
 def test_unanchored_copy_with_displaced_zero():
     T = matrix_units_with_identity_and_new_zero(2)
     copy = find_matrix_unit_copy(T, 2, anchor_zero=False)
-    assert copy is not None and copy.zero_image != T.zero
+    assert copy is not None and copy.mapping[0] != T.zero
     assert find_matrix_unit_copy(T, 2, anchor_zero=True) is None
     assert not excludes_b2(T)
     assert not matrix_unit_exclusion(T, 2)
@@ -263,6 +267,61 @@ def test_exclusion_needs_zero():
 
 def build_semigroup_no_zero():
     return build_semigroup([[0, 1], [1, 0]])  # the 2-element group
+
+
+def matrix_unit_targets():
+    """Bases that do and do not hold matrix units, with their extensions
+    at rank <= 3."""
+    bases = [
+        *acceptance_corpus().values(),
+        chain(4),
+        cyclic_group_with_zero(3),
+        cyclic_group_with_zero(8),
+        rect_band_with_unit_and_zero(),
+        b2_with_identity(),
+        matrix_units_with_identity_and_new_zero(2),
+        matrix_units_with_identity_and_new_zero(3),
+        matrix_units(2),
+        matrix_units(3),
+    ]
+    return bases + [brandt_extension(S, lam).carrier for S in bases for lam in (1, 2, 3)]
+
+
+def test_copy_search_matches_reference_and_definition(relabeled):
+    rng = random.Random(23)
+    targets = matrix_unit_targets()
+    targets += [relabeled(T, rng) for T in targets]
+    found = missing = 0
+    for T in targets:
+        for lam, anchor_zero in itertools.product((2, 3, 4), (False, True)):
+            copy = find_matrix_unit_copy(T, lam, anchor_zero)
+            ref = reference_find_matrix_unit_copy(T, lam, anchor_zero)
+            if ref is None:
+                assert copy is None
+                missing += 1
+            else:
+                units = itertools.chain.from_iterable(ref.unit_images)
+                assert copy.mapping == (ref.zero_image, *units)
+                assert copy.source == matrix_units(lam) and copy.target == T
+                found += 1
+            if T.order <= 10:
+                # a copy is, by definition, an injective map respecting products
+                domains = [range(T.order)] * (lam * lam + 1)
+                if anchor_zero:
+                    domains[0] = (T.zero,)
+                maps = _search_maps(
+                    matrix_units(lam), T, range(lam * lam + 1), domains, injective=True
+                )
+                assert (next(maps, None) is not None) == (copy is not None)
+    assert found and missing
+
+
+def test_no_rank6_copy_in_the_rank5_extension_of_rect():
+    # the 25 non-zero idempotents (a, e, a) are orthogonal only across
+    # distinct a, so no 6 of them are; the search must see that without
+    # trying the C(25, 6) diagonal combinations at the zero alone
+    T = brandt_extension(rect_band_with_unit_and_zero(), 5).carrier
+    assert find_matrix_unit_copy(T, 6) is None
 
 
 def test_iso_transpose_witness():

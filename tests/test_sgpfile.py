@@ -99,6 +99,22 @@ def test_bad_zero_declaration():
         parse_sgp("sgp 1\nn 2\nrow 0 1\nrow 1 1\nzero 0\n")
 
 
+@pytest.mark.parametrize(
+    "tail, line",
+    [
+        ("zero 0\nzero 1\n", 6),  # a false declaration before a true one
+        ("zero 1\nzero 1\n", 6),
+        ("identity 1\nidentity 0\n", 6),
+        ("zero 1\nidentity 0\nzero 1\n", 7),
+    ],
+    ids=["false-then-true", "same-zero-twice", "identity-twice", "interleaved"],
+)
+def test_repeated_declaration_rejected(tail, line):
+    with pytest.raises(ParseError, match="second") as exc:
+        parse_sgp("sgp 1\nn 2\nrow 0 1\nrow 1 1\n" + tail)
+    assert exc.value.line == line
+
+
 def test_unknown_directive():
     with pytest.raises(ParseError):
         parse_sgp("sgp 1\nn 1\nrow 0\nfoo 1\n")
