@@ -35,6 +35,7 @@ from .core import (
     Mismatch,
     NotHomomorphism,
     TrivialInput,
+    _memoized,
     maximal_subgroup,
     require_monoid_with_zero,
     subsemigroup,
@@ -400,6 +401,8 @@ def image_decomposition(
     from the extension of T0 onto the image subsemigroup.  The witness is
     assembled directly from the coordinate transport maps of the image, so a
     failure here contradicts the guaranteed image structure and aborts loudly.
+    T0 and the image are memoized subsemigroups of the target, and the
+    extension of T0 is memoized on T0; the witness is verified on every call.
     """
     if sigma.is_trivial:
         raise TrivialInput("a constant map has no extension structure")
@@ -426,7 +429,7 @@ def image_decomposition(
     if T0.identity is None:
         raise ConformanceError("diagonal block image is not a monoid")
 
-    ext0 = brandt_extension(T0, lam)
+    ext0 = _memoized(T0, ("brandt_extension", lam), lambda: brandt_extension(T0, lam))
     image_globals = sorted(set(sigma.mapping))
     if ext0.carrier.order != len(image_globals):
         raise ConformanceError(

@@ -1,8 +1,12 @@
 """Finite semigroups as Cayley tables, plus the structural basics built on them.
 
 Elements are integer indices into a square multiplication table; labels are
-display-only.  All objects are immutable after construction and safe to share
-across threads.
+display-only.  All objects are immutable after construction.  A
+FiniteSemigroup also memoizes what is derived from it (subsemigroups, maximal
+subgroups, matrix-unit flags) in a per-instance dict outside its fields, so
+equality, hashing and repr ignore it.  The memo holds only immutable values
+and never a failed call, so sharing a semigroup across threads is safe: two
+threads that race on one entry compute it twice and one result is kept.
 
 Every table is checked for associativity by Light's test: (x*a)*y = x*(a*y)
 is checked only for a in a set A that generates the table as a magma, which
@@ -120,8 +124,16 @@ class FiniteSemigroup:
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """The generating set of ``_magma_generators``, computed once."""
-        return tuple(_magma_generators(self.table))
+        """The generating set of ``_magma_generators``, computed once.
+
+        ``build_semigroup`` fills it with the set it ran Light's test over.
+        """
+        return _magma_generators(self.table)
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Derived structures by (kind, argument) key; see ``_memoized``."""
+        return {}
 
     def __repr__(self) -> str:
         bits = [f"order={self.order}"]
@@ -188,7 +200,7 @@ def _grow_closure(table, members: list, x: int) -> list:
     return members
 
 
-def _magma_generators(table) -> list[int]:
+def _magma_generators(table) -> tuple[int, ...]:
     """A set generating the table under its product, found in index order.
 
     Walks the elements in ascending order; one that is not yet in the
@@ -201,7 +213,19 @@ def _magma_generators(table) -> list[int]:
         if x not in inside:
             gens.append(x)
             inside.update(_grow_closure(table, members, x))
-    return gens
+    return tuple(gens)
+
+
+def _memoized(S: FiniteSemigroup, key, compute: Callable):
+    """``S._memo[key]``, calling ``compute()`` to fill it on first use.
+
+    A call that raises stores nothing, so it raises again next time.
+    """
+    memo = S._memo
+    try:
+        return memo[key]
+    except KeyError:
+        return memo.setdefault(key, compute())
 
 
 def _detect_zero(table) -> Optional[int]:
@@ -261,8 +285,9 @@ def build_semigroup(
     # (x*a)*y = x*(a*y) for all y says that row x*a is row a read through
     # row x.  itemgetter of one index returns a bare value rather than a
     # tuple, so the 1x1 table, which can only be [[0]], skips the check.
+    gens = _magma_generators(tab)
     if n > 1:
-        for a in _magma_generators(tab):
+        for a in gens:
             through_a = itemgetter(*tab[a])
             for tx in tab:
                 if tab[tx[a]] != through_a(tx):
@@ -284,22 +309,31 @@ def build_semigroup(
     else:
         identity = _detect_identity(tab)
 
-    return FiniteSemigroup(order=n, table=tab, labels=labels, zero=zero, identity=identity)
+    S = FiniteSemigroup(order=n, table=tab, labels=labels, zero=zero, identity=identity)
+    S.__dict__["generators"] = gens  # fills the cached property
+    return S
 
 
 def subsemigroup(S: FiniteSemigroup, members: Iterable[int]) -> FiniteSemigroup:
-    """Restrict S to a product-closed subset, reindexed in ascending order."""
-    members = sorted(set(members))
-    pos = {x: i for i, x in enumerate(members)}
-    for x in members:
-        for y in members:
-            if S.table[x][y] not in pos:
-                raise AlgebraError(
-                    f"subset not closed: {S.labels[x]}*{S.labels[y]} escapes"
-                )
-    table = tuple(tuple(pos[S.table[x][y]] for y in members) for x in members)
-    labels = tuple(S.labels[x] for x in members)
-    return build_semigroup(table, labels)
+    """Restrict S to a product-closed subset, reindexed in ascending order.
+
+    Built and validated once per subset of S; later calls return that object.
+    """
+    members = tuple(sorted(set(members)))
+
+    def build():
+        pos = {x: i for i, x in enumerate(members)}
+        for x in members:
+            for y in members:
+                if S.table[x][y] not in pos:
+                    raise AlgebraError(
+                        f"subset not closed: {S.labels[x]}*{S.labels[y]} escapes"
+                    )
+        table = tuple(tuple(pos[S.table[x][y]] for y in members) for x in members)
+        labels = tuple(S.labels[x] for x in members)
+        return build_semigroup(table, labels)
+
+    return _memoized(S, ("subsemigroup", members), build)
 
 
 def with_adjoined_identity(S: FiniteSemigroup, label: str = "1") -> FiniteSemigroup:
@@ -376,12 +410,16 @@ class MaximalSubgroup:
 
 
 def maximal_subgroup(S: FiniteSemigroup, e: int) -> MaximalSubgroup:
-    """H(e) computed as the group of units of the local monoid eSe."""
+    """H(e) computed as the group of units of the local monoid eSe, once per e."""
     t = S.table
-    if t[e][e] != e:
-        raise NotIdempotent(f"element {S.labels[e]!r} is not idempotent")
-    local = sorted({t[t[e][x]][e] for x in range(S.order)})
-    members = tuple(
-        x for x in local if any(t[x][y] == e and t[y][x] == e for y in local)
-    )
-    return MaximalSubgroup(identity=e, members=members)
+
+    def build():
+        if t[e][e] != e:
+            raise NotIdempotent(f"element {S.labels[e]!r} is not idempotent")
+        local = sorted({t[t[e][x]][e] for x in range(S.order)})
+        members = tuple(
+            x for x in local if any(t[x][y] == e and t[y][x] == e for y in local)
+        )
+        return MaximalSubgroup(identity=e, members=members)
+
+    return _memoized(S, ("maximal_subgroup", e), build)

@@ -24,7 +24,14 @@ from collections import Counter
 from typing import Optional
 
 from .construct import matrix_units
-from .core import FiniteSemigroup, NotHomomorphism, NoZero, ShapeError, TooLarge
+from .core import (
+    FiniteSemigroup,
+    NotHomomorphism,
+    NoZero,
+    ShapeError,
+    TooLarge,
+    _memoized,
+)
 from .homs import DEFAULT_BUDGET, Homomorphism, _search_maps, check_homomorphism
 
 DEFAULT_CONGRUENCE_BOUND = 40
@@ -236,16 +243,22 @@ def find_matrix_unit_copy(
 
 
 def matrix_unit_exclusion(T: FiniteSemigroup, lam: int) -> bool:
-    """No rank-lam copy anywhere in T and no rank-2 copy at T's zero.
+    """No rank-2 copy at T's zero and no rank-lam copy anywhere in T.
 
     This is the rank-dependent exclusion; ``excludes_b2`` is the plain
-    membership test used for classifiable targets.
+    membership test used for classifiable targets.  The anchored rank-2
+    search runs first: it settles every extension of rank 2 or more, which
+    holds such a copy.  The flag is computed once per T and lam.
     """
     if T.zero is None:
         raise NoZero("the rank-dependent exclusion needs a zero")
-    return (
-        find_matrix_unit_copy(T, lam, anchor_zero=False) is None
-        and find_matrix_unit_copy(T, 2, anchor_zero=True) is None
+    if lam < 2:
+        raise ShapeError("matrix-unit rank must be at least 2")
+    return _memoized(
+        T,
+        ("matrix_unit_exclusion", lam),
+        lambda: find_matrix_unit_copy(T, 2, anchor_zero=True) is None
+        and find_matrix_unit_copy(T, lam) is None,
     )
 
 

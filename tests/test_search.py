@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from brandt import (
     BudgetExceeded,
     NoZero,
+    ShapeError,
     TooLarge,
     build_semigroup,
     congruence_lattice,
@@ -265,6 +266,16 @@ def test_exclusion_needs_zero():
         matrix_unit_exclusion(band_free, 2)
 
 
+def test_exclusion_below_rank_two_raises_on_a_target_with_an_anchored_copy():
+    # the anchored rank-2 search, which runs first, finds a copy in both
+    # targets; a rank below 2 must still be refused, not answered
+    for T in (matrix_units(2), brandt_extension(two_element(), 3).carrier):
+        assert find_matrix_unit_copy(T, 2, anchor_zero=True) is not None
+        for lam in (0, 1):
+            with pytest.raises(ShapeError):
+                matrix_unit_exclusion(T, lam)
+
+
 def build_semigroup_no_zero():
     return build_semigroup([[0, 1], [1, 0]])  # the 2-element group
 
@@ -314,6 +325,16 @@ def test_copy_search_matches_reference_and_definition(relabeled):
                 )
                 assert (next(maps, None) is not None) == (copy is not None)
     assert found and missing
+
+
+def test_exclusion_matches_reference_copy_searches():
+    for T in matrix_unit_targets():
+        if T.zero is None:
+            continue
+        anchored = reference_find_matrix_unit_copy(T, 2, anchor_zero=True)
+        for lam in (2, 3, 4):
+            unanchored = reference_find_matrix_unit_copy(T, lam, anchor_zero=False)
+            assert matrix_unit_exclusion(T, lam) == (anchored is None and unanchored is None)
 
 
 def test_no_rank6_copy_in_the_rank5_extension_of_rect():
