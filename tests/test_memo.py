@@ -30,7 +30,7 @@ from brandt import (
 from brandt import construct, core
 from brandt.construct import brandt_extension
 from brandt.corpus import acceptance_corpus, chain, cyclic_group_with_zero
-from test_homs import associative_tables
+from test_homs import associative_tables, mulclose
 
 
 def fresh(S):
@@ -52,22 +52,13 @@ def assert_raises_unmemoized(exc, call, S, *args):
     assert set(S._memo) == keys
 
 
-def closure(S, members):
-    members = set(members)
-    while True:
-        grown = members | {S.table[x][y] for x in members for y in members}
-        if grown == members:
-            return members
-        members = grown
-
-
 def check_memoized_structures(S):
     """Every subsemigroup generated by at most two elements, every maximal
     subgroup, the exclusion flags at rank 2 and 3, and their failures."""
     for pair in itertools.combinations_with_replacement(range(S.order), 2):
-        closed = closure(S, pair)
+        closed = mulclose(S.table, pair)
         assert_memo_hit_matches_fresh(subsemigroup, S, closed)
-        if closure(S, set(pair)) != set(pair):
+        if closed != set(pair):
             assert_raises_unmemoized(AlgebraError, subsemigroup, S, pair)
     for e in range(S.order):
         if S.table[e][e] == e:
@@ -155,12 +146,12 @@ def test_threads_racing_on_one_memo_keep_one_entry_per_key():
     # a race may compute an entry twice; every thread still gets a value
     # equal to the fresh one, and the memo ends with one entry per key
     S = brandt_extension(cyclic_group_with_zero(2), 3).carrier
-    keys = [(e,) for e in S.idempotents] + [(sorted({0, x}),) for x in S.idempotents]
+    arguments = [(e,) for e in S.idempotents] + [(sorted({0, x}),) for x in S.idempotents]
     calls = [maximal_subgroup] * len(S.idempotents) + [subsemigroup] * len(S.idempotents)
     results = [None] * 8
 
     def work(i):
-        results[i] = [call(S, *args) for call, args in zip(calls, keys)]
+        results[i] = [call(S, *args) for call, args in zip(calls, arguments)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -174,5 +165,5 @@ def test_threads_racing_on_one_memo_keep_one_entry_per_key():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     U = fresh(S)
-    assert results == [[call(U, *args) for call, args in zip(calls, keys)]] * 8
-    assert len(S._memo) == len(keys)
+    assert results == [[call(U, *args) for call, args in zip(calls, arguments)]] * 8
+    assert len(S._memo) == len(arguments)
