@@ -2,12 +2,13 @@
 """Census of homomorphisms between corpus extensions.
 
 For every ordered pair of corpus monoids and every index-size pair, counts
-the non-trivial homomorphisms found by brute force, the ones the triple
-parametrization generates, and the zero-moving maps built from base
-homomorphisms by enumerate_zero_moving (rank-one sources only; none exist at
-rank two).  The closing line reports whether the brute-force set equals the
-disjoint union of the triple-induced and the zero-moving maps at every grid
-point, the decomposition the thm2-10 fixture asserts.
+the non-trivial homomorphisms found by brute force, and the triple-induced
+and the zero-moving maps that extension_homs builds from one search for the
+base homomorphisms (zero-moving maps exist at rank-one sources only; the
+list is empty at rank two).  The closing line reports whether the
+brute-force set equals the disjoint union of the triple-induced and the
+zero-moving maps at every grid point, the decomposition the thm2-10 fixture
+asserts.
 """
 
 import argparse

@@ -59,12 +59,10 @@ from .construct import (
     orthogonal_sum,
 )
 from .homs import (
-    HomInvariants,
     Homomorphism,
     check_homomorphism,
     compose_homs,
     enumerate_homs,
-    hom_invariants,
 )
 from .category import (
     MorphismTriple,
@@ -73,7 +71,7 @@ from .category import (
     compose_and_check,
     compose_triples,
     enumerate_triples,
-    enumerate_zero_moving,
+    extension_homs,
     identity_triple,
     image_decomposition,
     induced_hom,

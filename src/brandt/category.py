@@ -8,17 +8,21 @@ a homomorphism between the extensions by
     (a, s, b)  |->  (phi(a), u(a) * h(s) * u(b)^-1, phi(b))
 
 with everything whose middle would vanish sent to the zero.  Induced maps
-always fix the zero.  At a rank-one source there is one more class, the maps
-that move the zero: a base homomorphism h with h(0) != 0 placed on a single
-diagonal block (enumerate_zero_moving).  For targets whose base monoid has
-central idempotents and no embedded rank-2 matrix units, every non-trivial
-homomorphism between extensions is either induced by a triple, and then
-recovered from its values on the unit blocks, or, at a rank-one source, one
-of the zero-moving maps; the two classes are disjoint.
+always fix the zero.  For c in H(e) the triples (h, u, phi) and
+(c*h*c^-1, u*c^-1, phi) induce the same map, and no other two triples do, so
+the canonical triples, those with u(0) = e, induce each map exactly once.
+At a rank-one source there is one more class, the maps that move the zero: a
+base homomorphism h with h(0) != 0 placed on a single diagonal block.
+extension_homs builds both classes from one search for the base
+homomorphisms.  For targets whose base monoid has central idempotents and
+no embedded rank-2 matrix units, every non-trivial homomorphism between
+extensions is either induced by a triple, and then recovered from its values
+on the unit blocks, or, at a rank-one source, one of the zero-moving maps;
+the two classes are disjoint.
 
-induced_hom, recover_triple, enumerate_zero_moving and the checks on
-extension homomorphisms take the source and target extensions the caller
-already holds; none of them rebuilds an extension it is handed.
+induced_hom, recover_triple, extension_homs and the checks on extension
+homomorphisms take the source and target extensions the caller already
+holds; none of them rebuilds an extension it is handed.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .core import (
     IllFormedTriple,
     Mismatch,
     NotHomomorphism,
+    ShapeError,
     TrivialInput,
     _memoized,
     maximal_subgroup,
@@ -291,8 +296,10 @@ def enumerate_triples(
 
     Weights range over the full maximal subgroup at the realized idempotent,
     index maps over all injections; distinct triples may induce the same
-    extension homomorphism.
+    extension homomorphism.  extension_homs yields each induced map once.
     """
+    if lam1 < 1:
+        raise ShapeError(f"lambda must be positive, got {lam1}")
     require_monoid_with_zero(S)
     require_monoid_with_zero(T)
     if lam1 > lam2:
@@ -316,43 +323,55 @@ def enumerate_triples(
     return out
 
 
-def enumerate_zero_moving(
+def extension_homs(
     source_ext: BrandtExtension,
     target_ext: BrandtExtension,
-) -> list[Homomorphism]:
-    """The non-trivial homomorphisms from a rank-one extension of S into an
-    extension of T that move the zero.
+) -> tuple[list[Homomorphism], list[Homomorphism]]:
+    """The non-trivial homomorphisms built from the base homomorphisms,
+    as (induced, zero_moving), each sorted by map table.
 
-    The non-zero image of the zero is an idempotent (a, f, a) absorbing every
-    image on both sides, so the whole map lives on the diagonal block (a, a):
-    (0, s, 0) |-> (a, h(s), a), the extension zero going to (a, h(0_S), a),
-    for a non-constant base homomorphism h with h(0_S) != 0_T.  Every such h
-    and index a give one map; output is sorted by map table.  Sources of
-    rank two or more have no such maps: there the units, and with them every
-    element, would be sent to the image of the zero; they raise Mismatch.
+    One search finds the non-constant base homomorphisms h: S -> T.  A
+    zero-preserving h induces a map from each canonical triple (h, u, phi),
+    u(0) = e = h(1_S): the other weights range over H(e), phi over all
+    injections, and every triple-induced map appears exactly once.  At a
+    rank-one source, an h with h(0_S) != 0_T gives one zero-moving map per
+    target index a, living on the diagonal block (a, a):
+    (0, s, 0) |-> (a, h(s), a), the extension zero going to (a, h(0_S), a).
+    The image of a moved zero is an idempotent absorbing every image on
+    both sides, so at rank two or more the units, and with them every
+    element, would be sent to it; there zero_moving is empty.
     """
-    if source_ext.lam != 1:
-        raise Mismatch("zero-moving maps start at a rank-one extension")
     S, T = source_ext.base, target_ext.base
     require_monoid_with_zero(S)
     require_monoid_with_zero(T)
+    lam1, lam2 = source_ext.lam, target_ext.lam
+    if lam1 > lam2:
+        raise Mismatch("source index set larger than the target one")
+    injections = list(itertools.permutations(range(lam2), lam1))
     middles = [S.zero] + [
         source_ext.decode(idx)[1] for idx in range(1, source_ext.carrier.order)
     ]
-    out = []
+    induced, zero_moving = [], []
     for h in enumerate_homs(S, T, nontrivial_only=True):
         if h.mapping[S.zero] == T.zero:
-            continue
-        for a in range(target_ext.lam):
-            mapping = [target_ext.encode(a, h.mapping[s], a) for s in middles]
-            try:
-                out.append(
-                    check_homomorphism(mapping, source_ext.carrier, target_ext.carrier)
-                )
-            except NotHomomorphism as exc:  # pragma: no cover - guarded by construction
-                raise ConformanceError(f"zero-moving map failed verification: {exc}") from exc
-    out.sort(key=lambda sigma: sigma.mapping)
-    return out
+            e = h.mapping[S.identity]
+            members = maximal_subgroup(T, e).members
+            for w in itertools.product(members, repeat=lam1 - 1):
+                for phi in injections:
+                    triple = make_triple(h, (e, *w), phi, lam2)
+                    induced.append(induced_hom(triple, source_ext, target_ext))
+        elif lam1 == 1:
+            for a in range(lam2):
+                mapping = [target_ext.encode(a, h.mapping[s], a) for s in middles]
+                try:
+                    zero_moving.append(
+                        check_homomorphism(mapping, source_ext.carrier, target_ext.carrier)
+                    )
+                except NotHomomorphism as exc:  # pragma: no cover - guarded by construction
+                    raise ConformanceError(f"zero-moving map failed verification: {exc}") from exc
+    induced.sort(key=lambda sigma: sigma.mapping)
+    zero_moving.sort(key=lambda sigma: sigma.mapping)
+    return induced, zero_moving
 
 
 def compose_and_check(

@@ -15,7 +15,7 @@ from .category import (
     compose_and_check,
     compose_triples,
     enumerate_triples,
-    enumerate_zero_moving,
+    extension_homs,
     identity_triple,
     induced_hom,
     make_triple,
@@ -303,27 +303,22 @@ def completeness_rows(lam_pairs=((1, 1), (1, 2), (2, 2))):
     monoids and every index-size pair in ``lam_pairs``.
 
     Returns rows (source, target, l1, l2, brute, from_triples, zero_moving):
-    the non-trivial extension homomorphisms found by brute force, the
-    triple-induced ones, and, at rank-one sources, the zero-moving ones built
-    by ``enumerate_zero_moving``, each as a set of map tables.
+    the non-trivial extension homomorphisms found by brute force, and the
+    triple-induced and, at rank-one sources, zero-moving ones that
+    ``extension_homs`` builds from one base search, each as a set of map
+    tables.
     """
     corpus = acceptance_corpus()
     rows = []
-    for s_name, S in corpus.items():
-        for t_name, T in corpus.items():
+    for s_name in corpus:
+        for t_name in corpus:
             for l1, l2 in lam_pairs:
                 src, dst, homs = _homs_between_extensions(s_name, t_name, l1, l2)
-                from_triples = {
-                    induced_hom(t, src, dst).mapping
-                    for t in enumerate_triples(S, T, l1, l2)
-                }
-                zero_moving = (
-                    {h.mapping for h in enumerate_zero_moving(src, dst)}
-                    if l1 == 1
-                    else set()
+                brute, induced, zero_moving = (
+                    {h.mapping for h in maps}
+                    for maps in (homs, *extension_homs(src, dst))
                 )
-                brute = {h.mapping for h in homs}
-                rows.append((s_name, t_name, l1, l2, brute, from_triples, zero_moving))
+                rows.append((s_name, t_name, l1, l2, brute, induced, zero_moving))
     return rows
 
 

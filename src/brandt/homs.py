@@ -25,8 +25,6 @@ from .core import (
     NotHomomorphism,
     ShapeError,
     _grow_closure,
-    maximal_subgroup,
-    require_monoid_with_zero,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -262,26 +260,3 @@ def enumerate_homs(
     if nontrivial_only:
         maps = [f for f in maps if len(set(f)) > 1]
     return [Homomorphism(source=S, target=T, mapping=f) for f in maps]
-
-
-@dataclass(frozen=True)
-class HomInvariants:
-    """Zero-preserving homomorphisms with the idempotents and subgroups they hit."""
-
-    hom0: tuple
-    e1: tuple
-    h1: dict
-
-
-def hom_invariants(S: FiniteSemigroup, T: FiniteSemigroup) -> HomInvariants:
-    """Hom0(S,T) with the realized identity images and their maximal subgroups."""
-    require_monoid_with_zero(S, "source")
-    require_monoid_with_zero(T, "target")
-    hom0 = tuple(
-        h
-        for h in enumerate_homs(S, T)
-        if h.mapping[S.zero] == T.zero
-    )
-    e1 = tuple(sorted({h.mapping[S.identity] for h in hom0}))
-    h1 = {e: maximal_subgroup(T, e) for e in e1}
-    return HomInvariants(hom0=hom0, e1=e1, h1=h1)

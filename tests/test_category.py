@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -7,6 +8,7 @@ from brandt import (
     HypothesisUnmet,
     IllFormedTriple,
     Mismatch,
+    ShapeError,
     TrivialInput,
     check_block_separation,
     check_homomorphism,
@@ -15,13 +17,15 @@ from brandt import (
     compose_triples,
     enumerate_homs,
     enumerate_triples,
-    enumerate_zero_moving,
+    extension_homs,
     identity_triple,
     image_decomposition,
     induced_hom,
     make_triple,
+    maximal_subgroup,
     recover_triple,
 )
+from brandt import category
 from brandt.category import NotClassifiable
 from brandt.classify import classify
 from brandt.construct import brandt_extension, matrix_units_extension
@@ -32,7 +36,13 @@ from brandt.corpus import (
     example_e,
     two_element,
 )
-from brandt.fixtures import ex2_13_data, ex2_14_triple, ex2_5_data, ex2_6_data
+from brandt.fixtures import (
+    completeness_rows,
+    ex2_13_data,
+    ex2_14_triple,
+    ex2_5_data,
+    ex2_6_data,
+)
 from brandt.homs import Homomorphism
 
 
@@ -143,7 +153,8 @@ def test_rank_one_sources_split_along_zero_preservation():
                 assert generated <= {h.mapping for h in brute}
                 outside += sum(1 for h in brute if h.mapping[0] != 0)
 
-                moving = enumerate_zero_moving(src, dst)
+                induced, moving = extension_homs(src, dst)
+                assert {h.mapping for h in induced} == preserving
                 assert {h.mapping for h in brute if h.mapping[0] != 0} == {
                     h.mapping for h in moving
                 }
@@ -170,9 +181,118 @@ def test_rank_one_sources_split_along_zero_preservation():
 def test_zero_moving_needs_rank_one_source():
     S = example_e()
     ext2 = brandt_extension(S, 2)
-    with pytest.raises(Mismatch):
-        enumerate_zero_moving(ext2, ext2)
-    assert enumerate_zero_moving(brandt_extension(S, 1), ext2) != []
+    induced, moving = extension_homs(ext2, ext2)
+    assert induced and moving == []
+    assert extension_homs(brandt_extension(S, 1), ext2)[1] != []
+
+
+def realized_idempotents(induced, source_ext, target_ext):
+    """The middle coordinate of each map's image of the unit (0, 1, 0)."""
+    return {
+        target_ext.decode(sigma.mapping[source_ext.unit_index(0, 0)])[1]
+        for sigma in induced
+    }
+
+
+def test_extension_homs_two_element():
+    S = two_element()
+    ext = brandt_extension(S, 1)
+    induced, _ = extension_homs(ext, ext)
+    # the identity; the constant-to-zero map is trivial and not returned
+    assert len(induced) == 1
+    assert induced[0].mapping == tuple(range(ext.carrier.order))
+    assert realized_idempotents(induced, ext, ext) == {S.identity}
+    assert set(maximal_subgroup(S, S.identity).members) == {S.identity}
+
+
+def test_extension_homs_realize_middle_idempotent():
+    E = example_e()
+    a, b = E.index_of("a"), E.index_of("b")
+    ext = brandt_extension(E, 1)
+    induced, _ = extension_homs(ext, ext)
+    assert b in realized_idempotents(induced, ext, ext)
+    # the base map a->b, b->c, c->c sends (0, a, 0) to (0, b, 0), all else to 0
+    expected = [0] * ext.carrier.order
+    expected[ext.encode(0, a, 0)] = ext.encode(0, b, 0)
+    sigma = next(h for h in induced if h.mapping == tuple(expected))
+    assert recover_triple(sigma, ext, ext).base.mapping == (1, 2, 2)
+
+
+def test_extension_homs_group_target():
+    S = example_e()
+    G = cyclic_group_with_zero(2)
+    src = brandt_extension(S, 1)
+    dst = brandt_extension(G, 1)
+    induced, _ = extension_homs(src, dst)
+    assert induced
+    assert realized_idempotents(induced, src, dst) == {G.identity}
+
+
+def test_extension_homs_against_triples_brute_force_and_closed_form():
+    """Over the corpus at lam1 <= lam2 <= 3, the induced maps are distinct
+    and are exactly the maps of all triples, the zero-moving ones are exactly
+    the brute-force maps that move the zero, and the brute-force count is
+
+        lam2!/(lam2-lam1)! * sum_h |H(h(1))|^(lam1-1)
+          + [lam1 = 1] * lam2 * #{non-constant h : h(0) != 0},
+
+    h running over the non-constant zero-preserving base homomorphisms."""
+    corpus = acceptance_corpus()
+    points = 0
+    for S in corpus.values():
+        for T in corpus.values():
+            bases = enumerate_homs(S, T, nontrivial_only=True)
+            preserving = [h for h in bases if h.mapping[S.zero] == T.zero]
+            moving_bases = len(bases) - len(preserving)
+            for l1, l2 in itertools.combinations_with_replacement((1, 2, 3), 2):
+                src = brandt_extension(S, l1)
+                dst = brandt_extension(T, l2)
+                induced, moving = extension_homs(src, dst)
+                brute = {
+                    h.mapping
+                    for h in enumerate_homs(src.carrier, dst.carrier, nontrivial_only=True)
+                }
+                tables = [h.mapping for h in induced]
+                assert len(set(tables)) == len(tables)
+                assert tables == sorted(tables)
+                assert set(tables) == {
+                    induced_hom(t, src, dst).mapping
+                    for t in enumerate_triples(S, T, l1, l2)
+                }
+                assert {h.mapping for h in moving} == {m for m in brute if m[0] != 0}
+                assert set(tables) | {h.mapping for h in moving} == brute
+                count = math.perm(l2, l1) * sum(
+                    len(maximal_subgroup(T, h.mapping[S.identity]).members) ** (l1 - 1)
+                    for h in preserving
+                )
+                if l1 == 1:
+                    count += l2 * moving_bases
+                assert len(brute) == count
+                points += 1
+    assert points == 96
+
+
+def test_completeness_rows_search_each_base_pair_once(monkeypatch):
+    """One completeness_rows() pass runs one base-hom search per grid point;
+    the brute-force searches on the extensions are not counted."""
+    calls = []
+    search = category.enumerate_homs
+
+    def counting(S, T, *args, **kwargs):
+        calls.append((S, T))
+        return search(S, T, *args, **kwargs)
+
+    monkeypatch.setattr(category, "enumerate_homs", counting)
+    rows = completeness_rows()
+    assert len(rows) == 48
+    assert len(calls) == 48
+
+
+@pytest.mark.parametrize("lam1", [-1, 0])
+def test_enumerate_triples_rejects_rank_below_one(lam1):
+    S = example_e()
+    with pytest.raises(ShapeError):
+        enumerate_triples(S, S, lam1, 2)
 
 
 def test_recover_rejects_band_target():

@@ -12,7 +12,6 @@ from brandt import (
     check_homomorphism,
     compose_homs,
     enumerate_homs,
-    hom_invariants,
 )
 from brandt.construct import (
     bicyclic_with_zero,
@@ -311,31 +310,6 @@ def test_chain4_rank3_endomorphisms_step_count():
     with pytest.raises(BudgetExceeded):
         enumerate_homs(B3, B3, budget=34533)
     assert len(enumerate_homs(B3, B3, budget=34534)) == 124
-
-
-def test_hom_invariants_two_element():
-    S = two_element()
-    inv = hom_invariants(S, S)
-    assert len(inv.hom0) == 2  # identity and constant-to-zero
-    assert set(inv.e1) == {0, 1}
-    assert set(inv.h1[S.identity].members) == {S.identity}
-
-
-def test_hom_invariants_realize_middle_idempotent():
-    E = example_e()
-    inv = hom_invariants(E, E)
-    assert 1 in inv.e1  # the map a->b, b->c, c->c realizes b
-    assert (1, 2, 2) in {h.mapping for h in inv.hom0}
-
-
-def test_hom_invariants_group_target():
-    S = example_e()
-    G = cyclic_group_with_zero(2)
-    inv = hom_invariants(S, G)
-    for h in inv.hom0:
-        if not h.is_trivial:
-            assert h.mapping[S.identity] == G.identity
-    assert set(inv.e1) <= {G.identity, G.zero}
 
 
 def test_compose_homs():
