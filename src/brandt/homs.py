@@ -6,9 +6,14 @@ source, which the caller passes and which must generate it, and propagates
 along the right Cayley edges only: it checks h(x·g) = h(x)·h(g) for each
 assigned x and assigned generator g (Froidure and Pin, "Algorithms for
 computing finite semigroups", 1997), which at a full assignment makes h a
-homomorphism by induction on word length.  ``enumerate_homs`` runs it over
-``generating_set(S)``, and ``search.iso_search`` runs it injectively over
-profile-compatible candidates with every element a generator.
+homomorphism by induction on word length.  Before it branches on a
+generator it drops the candidates that clash on an edge whose ends are
+already decided (forward checking: Haralick and Elliott, "Increasing tree
+search efficiency for constraint satisfaction problems", 1980).  A step
+of the budget is one forced pair popped or one such edge filter.
+``enumerate_homs`` runs it over ``generating_set(S)``, and
+``search.iso_search`` runs it injectively over profile-compatible
+candidates with every element a generator.
 """
 
 from __future__ import annotations
@@ -145,8 +150,12 @@ def _search_maps(
     """Yield every product-respecting total map A -> B the search reaches.
 
     The elements of ``branch_order`` are the generators, and they must
-    generate A.  The search branches on the generators not yet forced,
-    trying ``domains[x]`` in order, and propagates each assignment along the
+    generate A.  The search branches on the generators not yet forced.  For
+    such a generator x it first narrows ``domains[x]``, keeping the order:
+    for each assigned generator g with h(x·g) decided it keeps the y with
+    y·h(g) = h(x·g), for each assigned c with h(c·x) decided the y with
+    h(c)·y = h(c·x), and it prunes the branch once no y is left.  It tries
+    the survivors in order and propagates each assignment along the
     right Cayley edges (x, g), g a generator: when x gets an image, every
     edge (x, g) to an assigned generator g is checked, and when x is itself
     a generator, so is every edge (c, x) from an assigned c.  An edge whose
@@ -156,8 +165,8 @@ def _search_maps(
     element is assigned and h(x·g) = h(x)·h(g) holds for every x and
     generator g, so h is a homomorphism by induction on word length.  The
     maps come out as tuples, in the order the branches are tried.  Counts
-    one step per popped pair and raises BudgetExceeded past ``budget``
-    steps.
+    one step per popped pair and one per edge filter, and raises
+    BudgetExceeded past ``budget`` steps.
     """
     ta, tb = A.table, B.table
     order = list(branch_order)
@@ -225,6 +234,34 @@ def _search_maps(
         undo(mark)
         return False
 
+    def candidates(x):
+        # forward checking: drop the y that clash on a decided edge (x, g)
+        # or (c, x), one order-preserving filter per edge, one step each
+        nonlocal steps
+        ys = domains[x]
+        rx = ta[x]
+        for g in gens:
+            p = fwd[rx[g]]
+            if p is not None:
+                steps += 1
+                if steps > budget:
+                    raise BudgetExceeded(f"search exceeded {budget} steps")
+                hg = fwd[g]
+                ys = [y for y in ys if tb[y][hg] == p]
+                if not ys:
+                    return ys
+        for c in assigned:
+            p = fwd[ta[c][x]]
+            if p is not None:
+                steps += 1
+                if steps > budget:
+                    raise BudgetExceeded(f"search exceeded {budget} steps")
+                rc = tb[fwd[c]]
+                ys = [y for y in ys if rc[y] == p]
+                if not ys:
+                    return ys
+        return ys
+
     def search(i):
         while i < len(order) and fwd[order[i]] is not None:
             i += 1
@@ -232,7 +269,7 @@ def _search_maps(
             yield tuple(fwd)
             return
         x = order[i]
-        for y in domains[x]:
+        for y in candidates(x):
             mark = len(assigned)
             if assign(x, y):
                 yield from search(i + 1)
@@ -252,8 +289,10 @@ def enumerate_homs(
     The generators are ``generating_set(S)``.  As the search goes, each
     assigned element x forces the image of x·g for every assigned generator
     g, and an edge whose image is already set and disagrees prunes the
-    branch.  Output is sorted by map table.  Raises BudgetExceeded past
-    ``budget`` propagation steps, a step being one forced pair popped.
+    branch; a generator is offered only the images that agree with its
+    decided edges.  Output is sorted by map table.  Raises BudgetExceeded
+    past ``budget`` steps, a step being one forced pair popped or one
+    candidate filter by a decided edge.
     """
     domains = [range(T.order)] * S.order
     maps = sorted(_search_maps(S, T, generating_set(S), domains, budget=budget))

@@ -303,9 +303,10 @@ def iso_search(A: FiniteSemigroup, B: FiniteSemigroup, budget: int = DEFAULT_BUD
     """Find an isomorphism A -> B, or None.
 
     Prunes by order and per-element invariants, then runs the injective
-    hom-search kernel in index order with ascending candidates, so the
-    returned map is the lexicographically smallest witness.  Returns the map
-    as a tuple.  Raises BudgetExceeded past ``budget`` propagation steps.
+    hom-search kernel in index order with ascending candidates; its edge
+    filters keep their order, so the returned map is the lexicographically
+    smallest witness.  Returns the map as a tuple.  Raises BudgetExceeded
+    past ``budget`` steps of the kernel (forced pairs and edge filters).
     """
     if A.order != B.order:
         return None

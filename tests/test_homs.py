@@ -30,7 +30,7 @@ from brandt.corpus import (
 )
 from brandt.fixtures import ex2_5_data, EX2_12_ENTRIES
 from brandt.construct import matrix_units_extension
-from brandt.homs import generating_set
+from brandt.homs import _search_maps, generating_set
 from reference_kernel import reference_search_maps
 
 
@@ -246,6 +246,21 @@ def test_cayley_edge_kernel_matches_oracles_on_random_tables(s_table, t_table):
     assert set(got) == brute_force_homs(S, T)
 
 
+@given(associative_tables(), associative_tables(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_forward_checking_keeps_sub_domain_order(s_table, t_table, data):
+    # enumerate_homs passes full ranges; ascending sub-domains reach the
+    # filtered, order-preserving candidate lists that iso_search relies on
+    S, T = build_semigroup(s_table), build_semigroup(t_table)
+    subsets = st.lists(st.sampled_from(range(T.order)), unique=True).map(sorted)
+    domains = [data.draw(subsets) for _ in range(S.order)]
+    for injective in (False, True):
+        for order in (generating_set(S), range(S.order)):
+            got = list(_search_maps(S, T, order, domains, injective=injective))
+            want = list(reference_search_maps(S, T, order, domains, injective=injective))
+            assert got == want
+
+
 def test_matrix_unit_endomorphisms():
     b2 = matrix_units(2)
     homs = enumerate_homs(b2, b2, nontrivial_only=True)
@@ -298,18 +313,18 @@ def test_budget_exceeded():
     ext = brandt_extension(E, 2)
     with pytest.raises(BudgetExceeded):
         enumerate_homs(ext.carrier, ext.carrier, budget=3)
-    # the whole search takes exactly 383 propagation steps
+    # the whole search takes exactly 378 steps
     with pytest.raises(BudgetExceeded):
-        enumerate_homs(ext.carrier, ext.carrier, budget=382)
-    assert len(enumerate_homs(ext.carrier, ext.carrier, budget=383)) == 15
+        enumerate_homs(ext.carrier, ext.carrier, budget=377)
+    assert len(enumerate_homs(ext.carrier, ext.carrier, budget=378)) == 15
 
 
 def test_chain4_rank3_endomorphisms_step_count():
     B3 = brandt_extension(chain(4), 3).carrier
-    # the whole search takes exactly 34534 propagation steps (order 28)
+    # the whole search takes exactly 28210 steps (order 28)
     with pytest.raises(BudgetExceeded):
-        enumerate_homs(B3, B3, budget=34533)
-    assert len(enumerate_homs(B3, B3, budget=34534)) == 124
+        enumerate_homs(B3, B3, budget=28209)
+    assert len(enumerate_homs(B3, B3, budget=28210)) == 124
 
 
 def test_compose_homs():

@@ -44,8 +44,9 @@ from brandt.search import (
 from reference_kernel import (
     reference_congruence_closure,
     reference_find_matrix_unit_copy,
+    reference_search_maps,
 )
-from test_homs import associative_tables, mulclose
+from test_homs import associative_tables, mulclose, oracle_carriers
 
 
 def class_ids(keys):
@@ -404,6 +405,35 @@ def test_iso_witness_matches_permutation_oracle(relabeled):
     ]
     for A, B in pairs:
         assert iso_search(A, B) == first_isomorphism(A, B)
+
+
+def test_iso_witness_matches_reference_kernel_on_oracle_carriers(relabeled):
+    # orders up to 28, where forward checking narrows most candidate lists;
+    # over full domains the reference's first map is the smallest witness
+    rng = random.Random(17)
+    carriers = oracle_carriers()
+    pairs = [(relabeled(C, rng), relabeled(C, rng)) for C in carriers for _ in range(3)]
+    pairs += [
+        (relabeled(X, rng), relabeled(Y, rng))
+        for X in carriers
+        for Y in carriers
+        if X is not Y and X.order == Y.order
+    ]
+    for A, B in pairs:
+        n = A.order
+        domains = [range(n)] * n
+        first = next(reference_search_maps(A, B, range(n), domains, injective=True), None)
+        assert iso_search(A, B) == first
+
+
+def test_iso_search_step_count(relabeled):
+    rng = random.Random(3)
+    B3 = brandt_extension(chain(4), 3).carrier
+    A, B = relabeled(B3, rng), relabeled(B3, rng)
+    # the whole search takes exactly 425 steps (order 28)
+    with pytest.raises(BudgetExceeded):
+        iso_search(A, B, budget=424)
+    assert iso_search(A, B, budget=425) is not None
 
 
 def test_injective_search_obeys_budget(relabeled):
