@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 failed verification or absent witness, 2 usage or
 input errors, 3 exhausted search resources.  The only environment variable
 read is BRANDT_SEARCH_BUDGET, an override for the step budget of the
-homomorphism and isomorphism searches; it must be a positive integer.
+homomorphism and isomorphism searches; it must be a positive integer in
+ASCII digits, the rule ``.sgp`` indices follow.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .core import (
 from .fixtures import FIXTURES
 from .homs import DEFAULT_BUDGET, enumerate_homs
 from .search import iso_search
-from .sgpfile import parse_sgp, read_extension, write_extension
+from .sgpfile import _is_index, parse_sgp, read_extension, write_extension
 
 
 def _load(path: str):
@@ -180,8 +181,8 @@ def main(argv=None) -> int:
     raw = os.environ.get("BRANDT_SEARCH_BUDGET")
     if raw:
         try:
-            budget = int(raw)
-        except ValueError:
+            budget = int(raw) if _is_index(raw) else 0
+        except ValueError:  # more digits than int() converts
             budget = 0
         if budget < 1:
             print(f"bad BRANDT_SEARCH_BUDGET value {raw!r}", file=sys.stderr)

@@ -2,18 +2,20 @@
 
 ``_search_maps`` enumerates product-respecting maps between table-backed
 semigroups with a step budget.  It branches on a set of generators of the
-source, which the caller passes and which must generate it, and propagates
-along the right Cayley edges only: it checks h(x·g) = h(x)·h(g) for each
-assigned x and assigned generator g (Froidure and Pin, "Algorithms for
-computing finite semigroups", 1997), which at a full assignment makes h a
-homomorphism by induction on word length.  Before it branches on a
-generator it drops the candidates that clash on an edge whose ends are
-already decided (forward checking: Haralick and Elliott, "Increasing tree
-search efficiency for constraint satisfaction problems", 1980).  A step
-of the budget is one forced pair popped or one such edge filter.
-``enumerate_homs`` runs it over ``generating_set(S)``, and
-``search.iso_search`` runs it injectively over profile-compatible
-candidates with every element a generator.
+source, which the caller passes and which must generate it, and checks
+only the right Cayley edges: h(a·g) = h(a)·h(g) for each element a and
+generator g (Froidure and Pin, "Algorithms for computing finite
+semigroups", 1997), which at a full assignment makes h a homomorphism by
+induction on word length.  The branch order is fixed, so before searching
+``_compile`` decides, for each generator, which elements its image
+decides and which edges it must check, as a straight-line program.
+Before it branches on a generator the search drops the candidates that
+clash on an edge whose ends are already decided (forward checking:
+Haralick and Elliott, "Increasing tree search efficiency for constraint
+satisfaction problems", 1980).  A step of the budget is one program op
+run or one such edge filter.  ``enumerate_homs`` runs it over
+``generating_set(S)``, and ``search.iso_search`` runs it injectively over
+profile-compatible candidates with every element a generator.
 """
 
 from __future__ import annotations
@@ -139,6 +141,49 @@ def generating_set(S: FiniteSemigroup) -> list[int]:
     return gens
 
 
+def _compile(A: FiniteSemigroup, branch_order) -> list:
+    """One level ``(x, filters, prog)`` per generator x that the earlier
+    ones do not generate.
+
+    D_k, the elements decided after the k-th level, is the subsemigroup the
+    first k generators generate.  ``filters`` holds the edges (x, g) and
+    (c, x), g an earlier generator and c in D_(k-1), whose product is in
+    D_(k-1): each narrows x's candidates.  ``prog`` lists the other right
+    Cayley edges (a, g) inside D_k, g a generator of D_k, that lie outside
+    D_(k-1), breadth first from x, as ops ``(a, g, p, defines, ran)``: the
+    first edge to reach p defines h(p) = h(a)·h(g), every other one checks
+    it, and ``ran`` is the op's position counted from 1.
+    """
+    ta = A.table
+    known = [False] * A.order
+    done: list = []  # the decided elements, in definition order
+    gens: list = []
+    levels = []
+    for x in branch_order:
+        if known[x]:
+            continue
+        rx = ta[x]
+        filters = [(x, g, rx[g]) for g in gens if known[rx[g]]]
+        filters += [(c, x, ta[c][x]) for c in done if known[ta[c][x]]]
+        edges = [(c, x) for c in done if not known[ta[c][x]]]
+        edges += [(x, g) for g in gens if not known[rx[g]]]
+        edges.append((x, x))
+        gens.append(x)
+        known[x] = True
+        done.append(x)
+        prog = []
+        for a, g in edges:  # grows as new elements are defined
+            p = ta[a][g]
+            defines = not known[p]
+            if defines:
+                known[p] = True
+                done.append(p)
+                edges += [(p, h) for h in gens]
+            prog.append((a, g, p, defines, len(prog) + 1))
+        levels.append((x, filters, prog))
+    return levels
+
+
 def _search_maps(
     A: FiniteSemigroup,
     B: FiniteSemigroup,
@@ -150,130 +195,77 @@ def _search_maps(
     """Yield every product-respecting total map A -> B the search reaches.
 
     The elements of ``branch_order`` are the generators, and they must
-    generate A.  The search branches on the generators not yet forced.  For
-    such a generator x it first narrows ``domains[x]``, keeping the order:
-    for each assigned generator g with h(x·g) decided it keeps the y with
-    y·h(g) = h(x·g), for each assigned c with h(c·x) decided the y with
-    h(c)·y = h(c·x), and it prunes the branch once no y is left.  It tries
-    the survivors in order and propagates each assignment along the
-    right Cayley edges (x, g), g a generator: when x gets an image, every
-    edge (x, g) to an assigned generator g is checked, and when x is itself
-    a generator, so is every edge (c, x) from an assigned c.  An edge whose
-    product already has an image is compared at once; otherwise the forced
-    pair x·g -> h(x)·h(g) is pushed.  A contradiction (or, with
-    ``injective``, a repeated image) prunes the branch.  At a leaf every
-    element is assigned and h(x·g) = h(x)·h(g) holds for every x and
-    generator g, so h is a homomorphism by induction on word length.  The
-    maps come out as tuples, in the order the branches are tried.  Counts
-    one step per popped pair and one per edge filter, and raises
-    BudgetExceeded past ``budget`` steps.
+    generate A.  The search branches, level by level of ``_compile``, on
+    the generators not already generated by earlier ones.  At the level of
+    x it first narrows ``domains[x]`` by the level's filters, keeping the
+    order: for (x, g) it keeps the y with y·h(g) = h(x·g), for (c, x) the
+    y with h(c)·y = h(c·x), and it prunes the branch once no y is left.
+    Then it sets h(x) = y for each survivor in turn and runs the level's
+    program straight through, stopping at the first failed check (or, with
+    ``injective``, the first repeated image).  A level writes only its own
+    elements' images, so no image is undone on backtrack; with
+    ``injective`` the images it took are released.  At a leaf
+    h(a·g) = h(a)·h(g) holds for every a and generator g, so h is a
+    homomorphism by induction on word length.  The maps come out as
+    tuples, in the order the branches are tried.  Counts one step per
+    filter and per program op run, and raises BudgetExceeded past
+    ``budget`` steps.
     """
-    ta, tb = A.table, B.table
-    order = list(branch_order)
-    is_gen = [False] * A.order
-    for g in order:
-        is_gen[g] = True
+    tb = B.table
+    levels = _compile(A, branch_order)
     fwd: list = [None] * A.order
     used = [False] * B.order  # read only when injective: one preimage each
-    assigned: list = []
-    gens: list = []  # the assigned generators, in assignment order
     steps = 0
 
-    def undo(mark):
-        while len(assigned) > mark:
-            a = assigned.pop()
-            if is_gen[a]:
-                gens.pop()
-            used[fwd[a]] = False
-            fwd[a] = None
-
-    def assign(x, y):
+    def search(k):
         nonlocal steps
-        mark = len(assigned)
-        stack = [(x, y)]
-        while stack:
-            steps += 1
-            if steps > budget:
-                raise BudgetExceeded(f"search exceeded {budget} steps")
-            a, b = stack.pop()
-            cur = fwd[a]
-            if cur is not None:
-                if cur != b:
-                    break
-                continue
-            if injective and used[b]:
-                break
-            fwd[a] = b
-            used[b] = True
-            assigned.append(a)
-            ra, rb = ta[a], tb[b]
-            clash = False
-            for g in gens:  # the edges (a, g)
-                p, q = ra[g], rb[fwd[g]]
-                cur = fwd[p]
-                if cur is None:
-                    stack.append((p, q))
-                elif cur != q:
-                    clash = True
-                    break
-            if is_gen[a]:
-                gens.append(a)
-                if not clash:
-                    for c in assigned:  # the edges (c, a)
-                        p, q = ta[c][a], tb[fwd[c]][b]
-                        cur = fwd[p]
-                        if cur is None:
-                            stack.append((p, q))
-                        elif cur != q:
-                            clash = True
-                            break
-            if clash:
-                break
-        else:
-            return True
-        undo(mark)
-        return False
-
-    def candidates(x):
-        # forward checking: drop the y that clash on a decided edge (x, g)
-        # or (c, x), one order-preserving filter per edge, one step each
-        nonlocal steps
-        ys = domains[x]
-        rx = ta[x]
-        for g in gens:
-            p = fwd[rx[g]]
-            if p is not None:
-                steps += 1
-                if steps > budget:
-                    raise BudgetExceeded(f"search exceeded {budget} steps")
-                hg = fwd[g]
-                ys = [y for y in ys if tb[y][hg] == p]
-                if not ys:
-                    return ys
-        for c in assigned:
-            p = fwd[ta[c][x]]
-            if p is not None:
-                steps += 1
-                if steps > budget:
-                    raise BudgetExceeded(f"search exceeded {budget} steps")
-                rc = tb[fwd[c]]
-                ys = [y for y in ys if rc[y] == p]
-                if not ys:
-                    return ys
-        return ys
-
-    def search(i):
-        while i < len(order) and fwd[order[i]] is not None:
-            i += 1
-        if i == len(order):
+        if k == len(levels):
             yield tuple(fwd)
             return
-        x = order[i]
-        for y in candidates(x):
-            mark = len(assigned)
-            if assign(x, y):
-                yield from search(i + 1)
-                undo(mark)
+        x, filters, prog = levels[k]
+        ys = domains[x]
+        for a, g, p in filters:
+            steps += 1
+            want = fwd[p]
+            if a == x:
+                hg = fwd[g]
+                ys = [y for y in ys if tb[y][hg] == want]
+            else:
+                row = tb[fwd[a]]
+                ys = [y for y in ys if row[y] == want]
+            if not ys:
+                break
+        if steps > budget:
+            raise BudgetExceeded(f"search exceeded {budget} steps")
+        for y in ys:
+            if injective:
+                if used[y]:
+                    continue
+                used[y] = True
+                taken = [y]
+            fwd[x] = y
+            ok = False
+            for a, g, p, defines, ran in prog:
+                q = tb[fwd[a]][fwd[g]]
+                if defines:
+                    if injective:
+                        if used[q]:
+                            break
+                        used[q] = True
+                        taken.append(q)
+                    fwd[p] = q
+                elif fwd[p] != q:
+                    break
+            else:
+                ok = True
+            steps += ran
+            if steps > budget:
+                raise BudgetExceeded(f"search exceeded {budget} steps")
+            if ok:
+                yield from search(k + 1)
+            if injective:
+                for q in taken:
+                    used[q] = False
 
     return search(0)
 
@@ -286,13 +278,13 @@ def enumerate_homs(
 ) -> list[Homomorphism]:
     """Every homomorphism S -> T, by backtracking over generator images.
 
-    The generators are ``generating_set(S)``.  As the search goes, each
-    assigned element x forces the image of x·g for every assigned generator
-    g, and an edge whose image is already set and disagrees prunes the
-    branch; a generator is offered only the images that agree with its
-    decided edges.  Output is sorted by map table.  Raises BudgetExceeded
-    past ``budget`` steps, a step being one forced pair popped or one
-    candidate filter by a decided edge.
+    The generators are ``generating_set(S)``.  A generator is offered only
+    the images that agree with its decided edges; each image it takes then
+    defines the images of the elements it newly generates, h(a·g) =
+    h(a)·h(g) along the first Cayley edge to reach each, and a later edge
+    that disagrees prunes the branch.  Output is sorted by map table.
+    Raises BudgetExceeded past ``budget`` steps, a step being one such
+    edge defined or checked, or one candidate filter by a decided edge.
     """
     domains = [range(T.order)] * S.order
     maps = sorted(_search_maps(S, T, generating_set(S), domains, budget=budget))

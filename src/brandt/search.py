@@ -306,7 +306,9 @@ def iso_search(A: FiniteSemigroup, B: FiniteSemigroup, budget: int = DEFAULT_BUD
     hom-search kernel in index order with ascending candidates; its edge
     filters keep their order, so the returned map is the lexicographically
     smallest witness.  Returns the map as a tuple.  Raises BudgetExceeded
-    past ``budget`` steps of the kernel (forced pairs and edge filters).
+    past ``budget`` steps of the kernel (Cayley edges defined or checked,
+    and edge filters); every element is a generator, so an element the
+    earlier ones generate is never branched on.
     """
     if A.order != B.order:
         return None

@@ -148,7 +148,9 @@ def test_budget_override(tmp_path, e_file, monkeypatch, capsys):
     monkeypatch.setenv("BRANDT_SEARCH_BUDGET", "3")
     assert main(["homs", out_ext, out_ext]) == 3
     assert main(["iso", out_ext, out_ext]) == 3
-    for bad in ("junk", "-5", "0"):
+    # ASCII digits only, as in .sgp indices: int() would take all three of
+    # the last values
+    for bad in ("junk", "-5", "0", "\u0663", "1_000", " 7"):
         monkeypatch.setenv("BRANDT_SEARCH_BUDGET", bad)
         assert main(["homs", out_ext, out_ext]) == 2
         assert f"bad BRANDT_SEARCH_BUDGET value {bad!r}" in capsys.readouterr().err

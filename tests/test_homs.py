@@ -30,7 +30,8 @@ from brandt.corpus import (
 )
 from brandt.fixtures import ex2_5_data, EX2_12_ENTRIES
 from brandt.construct import matrix_units_extension
-from brandt.homs import _search_maps, generating_set
+from brandt.core import _grow_closure
+from brandt.homs import _compile, _search_maps, generating_set
 from reference_kernel import reference_search_maps
 
 
@@ -203,6 +204,42 @@ def test_cayley_edge_kernel_matches_reference_kernel_on_relabelings(relabeled):
             assert edge_kernel_homs(S, T) == oracle_homs(S, T)
 
 
+def test_compiled_levels_take_each_cayley_edge_once():
+    # every right Cayley edge (a, g), g a branch generator, belongs to the
+    # level where both its ends are first decided, as exactly one filter,
+    # check or defining op; the program runs straight through, each operand
+    # decided before it is read; every element is defined exactly once
+    rng = random.Random(29)
+    for S in oracle_carriers():
+        t = S.table
+        shuffled = list(range(S.order))
+        rng.shuffle(shuffled)
+        for order in (generating_set(S), range(S.order), shuffled):
+            levels = _compile(S, order)
+            gens = [x for x, _, _ in levels]
+            level_of = {}
+            seen = []
+            for k, (x, filters, prog) in enumerate(levels):
+                assert x not in level_of
+                before = set(level_of)
+                for a, g, p in filters:
+                    assert x in (a, g) and {a, g, p} - {x} <= before
+                    assert p == t[a][g]
+                    seen.append((a, g, k))
+                level_of[x] = k
+                for i, (a, g, p, defines, ran) in enumerate(prog, 1):
+                    assert ran == i and p == t[a][g]
+                    assert a in level_of and g in level_of
+                    assert (p not in level_of) == defines
+                    level_of.setdefault(p, k)
+                    seen.append((a, g, k))
+            assert sorted(level_of) == list(range(S.order))
+            edges = [
+                (a, g, max(level_of[a], level_of[g])) for a in range(S.order) for g in gens
+            ]
+            assert sorted(seen) == sorted(edges)
+
+
 @st.composite
 def associative_tables(draw):
     """A table of order <= 4, each cell drawn from the values that keep the
@@ -246,16 +283,36 @@ def test_cayley_edge_kernel_matches_oracles_on_random_tables(s_table, t_table):
     assert set(got) == brute_force_homs(S, T)
 
 
+def generating_prefix(S, order):
+    """The shortest prefix of ``order``, which must generate S, that does."""
+    closed = []
+    for i, x in enumerate(order):
+        if x not in closed:
+            _grow_closure(S.table, closed, x)
+        if len(closed) == S.order:
+            return order[: i + 1]
+
+
 @given(associative_tables(), associative_tables(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_forward_checking_keeps_sub_domain_order(s_table, t_table, data):
     # enumerate_homs passes full ranges; ascending sub-domains reach the
-    # filtered, order-preserving candidate lists that iso_search relies on
+    # filtered, order-preserving candidate lists that iso_search relies on.
+    # The compiled levels depend on the branch order, so shuffled ones that
+    # still generate S are tried too.
     S, T = build_semigroup(s_table), build_semigroup(t_table)
     subsets = st.lists(st.sampled_from(range(T.order)), unique=True).map(sorted)
     domains = [data.draw(subsets) for _ in range(S.order)]
+    shuffled = data.draw(st.permutations(range(S.order)))
+    orders = (
+        generating_set(S),
+        range(S.order),
+        shuffled,
+        generating_prefix(S, shuffled),
+        data.draw(st.permutations(generating_set(S))),
+    )
     for injective in (False, True):
-        for order in (generating_set(S), range(S.order)):
+        for order in orders:
             got = list(_search_maps(S, T, order, domains, injective=injective))
             want = list(reference_search_maps(S, T, order, domains, injective=injective))
             assert got == want
@@ -313,18 +370,18 @@ def test_budget_exceeded():
     ext = brandt_extension(E, 2)
     with pytest.raises(BudgetExceeded):
         enumerate_homs(ext.carrier, ext.carrier, budget=3)
-    # the whole search takes exactly 378 steps
+    # the whole search takes exactly 753 steps
     with pytest.raises(BudgetExceeded):
-        enumerate_homs(ext.carrier, ext.carrier, budget=377)
-    assert len(enumerate_homs(ext.carrier, ext.carrier, budget=378)) == 15
+        enumerate_homs(ext.carrier, ext.carrier, budget=752)
+    assert len(enumerate_homs(ext.carrier, ext.carrier, budget=753)) == 15
 
 
 def test_chain4_rank3_endomorphisms_step_count():
     B3 = brandt_extension(chain(4), 3).carrier
-    # the whole search takes exactly 28210 steps (order 28)
+    # the whole search takes exactly 91130 steps (order 28)
     with pytest.raises(BudgetExceeded):
-        enumerate_homs(B3, B3, budget=28209)
-    assert len(enumerate_homs(B3, B3, budget=28210)) == 124
+        enumerate_homs(B3, B3, budget=91129)
+    assert len(enumerate_homs(B3, B3, budget=91130)) == 124
 
 
 def test_compose_homs():
