@@ -24,7 +24,7 @@ from .core import (
 from .fixtures import FIXTURES
 from .homs import DEFAULT_BUDGET, enumerate_homs
 from .search import iso_search
-from .sgpfile import _is_index, parse_sgp, read_extension, write_extension
+from .sgpfile import _number, parse_sgp, read_extension, write_extension
 
 
 def _load(path: str):
@@ -180,11 +180,8 @@ def main(argv=None) -> int:
     budget = DEFAULT_BUDGET
     raw = os.environ.get("BRANDT_SEARCH_BUDGET")
     if raw:
-        try:
-            budget = int(raw) if _is_index(raw) else 0
-        except ValueError:  # more digits than int() converts
-            budget = 0
-        if budget < 1:
+        budget = _number(raw)
+        if not budget:
             print(f"bad BRANDT_SEARCH_BUDGET value {raw!r}", file=sys.stderr)
             return 2
     try:

@@ -122,20 +122,29 @@ def compose_homs(first: Homomorphism, then: Homomorphism) -> Homomorphism:
 
 
 def generating_set(S: FiniteSemigroup) -> list[int]:
-    """Greedy generators: repeatedly add the element whose closure grows most."""
+    """Greedy generators: repeatedly add the element whose closure grows most.
+
+    Ties go to the smallest index.  Within a round an element inside the
+    closure of an earlier candidate is skipped, since its own closure lies
+    in that one and cannot be strictly larger, and a closure of every
+    element ends the round.
+    """
     n = S.order
     t = S.table
     gens: list[int] = []
     closed: list[int] = []
     while len(closed) < n:
-        inside = set(closed)
-        best, best_closure = None, None
+        covered = set(closed)
+        best, best_closure = None, []
         for e in range(n):
-            if e in inside:
+            if e in covered:
                 continue
             clo = _grow_closure(t, list(closed), e)
-            if best_closure is None or len(clo) > len(best_closure):
+            covered.update(clo)
+            if len(clo) > len(best_closure):
                 best, best_closure = e, clo
+                if len(clo) == n:
+                    break
         gens.append(best)
         closed = best_closure
     return gens

@@ -13,8 +13,13 @@ without a copy is dismissed without trying every combination.
 Congruences are closed along the Cayley graph, as in Freese, "Computing
 congruences efficiently" (Algebra Universalis 59, 2008): a merged pair is
 translated by the generators of ``FiniteSemigroup.generators`` only, on
-both sides, and the closure stops as soon as one class is left.  The lattice
-is the join closure of the principal congruences.
+both sides, and the closure stops as soon as one class is left.  The
+principal congruences of one call share their work: if the closure of
+θ(a, b) merges a pair (c, d) whose θ(c, d) is already known, then
+θ(c, d) ⊆ θ(a, b), so its classes are unioned whole and untranslated, and
+a universal θ(c, d) settles θ(a, b) at once.  The lattice is the join
+closure of the principal congruences, and two congruences join as
+equivalences, since that join is a congruence already.
 """
 
 from __future__ import annotations
@@ -48,17 +53,33 @@ def _normalize_partition(find, n) -> tuple[int, ...]:
     return tuple(out)
 
 
-def congruence_closure(S: FiniteSemigroup, pairs) -> tuple[int, ...]:
-    """Smallest congruence containing the given pairs, as a partition tuple.
+def _find(parent: list, x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
-    Pair-closure along generator translations (Freese, "Computing
-    congruences efficiently", Algebra Universalis 59, 2008): whenever a pair
-    (a, b) merges, (a*g, b*g) and (g*a, g*b) are queued for every generator g
-    of ``S.generators``.  That suffices: the merged pairs generate the
-    partition as an equivalence, so it is closed under translation by each
-    generator, and every element is a product of generators, so it is closed
-    under every translation one factor at a time.  Stops as soon as a
-    single class is left.
+
+def _union_classes(parent: list, partition) -> int:
+    """Union each class of ``partition`` in the forest ``parent``, without
+    translations; returns the number of merges."""
+    merges = 0
+    first: dict = {}
+    for i, c in enumerate(partition):
+        ri, rj = _find(parent, i), _find(parent, first.setdefault(c, i))
+        if ri != rj:
+            parent[ri] = rj
+            merges += 1
+    return merges
+
+
+def _close(S: FiniteSemigroup, pairs, known: list) -> tuple[int, ...]:
+    """``congruence_closure``, given the principal congruences ``known``.
+
+    ``known[c * n + d]``, c < d, is θ(c, d) or None.  A merging pair (c, d)
+    with θ(c, d) known has it inside the closure, so its classes are
+    unioned whole; they are closed under translation already, so no
+    translations are queued.  A universal θ(c, d) ends the closure at once.
     """
     n = S.order
     t = S.table
@@ -66,17 +87,17 @@ def congruence_closure(S: FiniteSemigroup, pairs) -> tuple[int, ...]:
     parent = list(range(n))
     classes = n
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     work = list(pairs)
     while work and classes > 1:
         a, b = work.pop()
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra == rb:
+            continue
+        theta = known[a * n + b if a < b else b * n + a]
+        if theta is not None:
+            if not any(theta):  # universal
+                return theta
+            classes -= _union_classes(parent, theta)
             continue
         parent[rb] = ra
         classes -= 1
@@ -89,7 +110,58 @@ def congruence_closure(S: FiniteSemigroup, pairs) -> tuple[int, ...]:
             x, y = tg[a], tg[b]
             if x != y:
                 work.append((x, y))
-    return _normalize_partition(find, n)
+    return _normalize_partition(lambda x: _find(parent, x), n)
+
+
+def congruence_closure(S: FiniteSemigroup, pairs) -> tuple[int, ...]:
+    """Smallest congruence containing the given pairs, as a partition tuple.
+
+    Pair-closure along generator translations (Freese, "Computing
+    congruences efficiently", Algebra Universalis 59, 2008): whenever a pair
+    (a, b) merges, (a*g, b*g) and (g*a, g*b) are queued for every generator g
+    of ``S.generators``.  That suffices: the merged pairs generate the
+    partition as an equivalence, so it is closed under translation by each
+    generator, and every element is a product of generators, so it is closed
+    under every translation one factor at a time.  Stops as soon as a
+    single class is left.  The same loop, given the principal congruences
+    already known, computes those of ``congruence_lattice`` and
+    ``is_congruence_free`` (``_principal_congruences``); here nothing is
+    known.
+    """
+    return _close(S, pairs, [None] * (S.order * S.order))
+
+
+def _principal_congruences(S: FiniteSemigroup):
+    """Yield θ(a, b) for every pair a < b, in lexicographic order.
+
+    Each closure reuses the earlier ones: if it merges a pair (c, d) whose
+    θ(c, d) is known, then θ(c, d) ⊆ θ(a, b), so θ(c, d)'s classes join
+    whole and untranslated, and a universal θ(c, d) settles θ(a, b).  What
+    is merged stays inside θ(a, b), and each merged pair either had its
+    translates queued or lies in a congruence, so the result is θ(a, b).
+    The known congruences live only as long as the generator; equal ones
+    share one tuple.
+    """
+    n = S.order
+    known: list = [None] * (n * n)
+    distinct: dict = {}
+    for a, b in itertools.combinations(range(n), 2):
+        theta = _close(S, [(a, b)], known)
+        theta = known[a * n + b] = distinct.setdefault(theta, theta)
+        yield theta
+
+
+def _join(p, q) -> tuple[int, ...]:
+    """The join of two congruences as equivalences, which is a congruence.
+
+    Two elements of the join are linked by a chain whose steps lie in p or
+    in q; translating the chain keeps each step in p or in q.  So the
+    classes of both are unioned, with no translations.
+    """
+    parent = list(range(len(p)))
+    _union_classes(parent, p)
+    _union_classes(parent, q)
+    return _normalize_partition(lambda x: _find(parent, x), len(p))
 
 
 def principal_congruence(S: FiniteSemigroup, a: int, b: int) -> tuple[int, ...]:
@@ -125,33 +197,23 @@ def is_congruence(S: FiniteSemigroup, partition) -> bool:
 def congruence_lattice(S: FiniteSemigroup) -> list[tuple[int, ...]]:
     """All congruences of S, as the join closure of the principal ones.
 
+    The principal congruences come from ``_principal_congruences``: a
+    closure that merges a pair (c, d) of an earlier one contains θ(c, d),
+    and unions its classes untranslated.  Two congruences join as
+    equivalences (``_join``): a chain whose steps lie in either translates
+    step by step, so the join is a congruence and needs no translations.
     Refuses orders above the congruence bound rather than degrade silently.
     """
     n = S.order
     if n > DEFAULT_CONGRUENCE_BOUND:
         raise TooLarge(f"order {n} exceeds the congruence bound {DEFAULT_CONGRUENCE_BOUND}")
-    found = {identity_partition(n)}
-    for a in range(n):
-        for b in range(a + 1, n):
-            found.add(principal_congruence(S, a, b))
-
-    def join(p, q):
-        pairs = []
-        for part in (p, q):
-            seen = {}
-            for i, c in enumerate(part):
-                if c in seen:
-                    pairs.append((seen[c], i))
-                else:
-                    seen[c] = i
-        return congruence_closure(S, pairs)
-
+    found = {identity_partition(n), *_principal_congruences(S)}
     frontier = list(found)
     while frontier:
         fresh = []
         for p in frontier:
             for q in list(found):
-                j = join(p, q)
+                j = _join(p, q)
                 if j not in found:
                     found.add(j)
                     fresh.append(j)
@@ -163,19 +225,17 @@ def is_congruence_free(S: FiniteSemigroup) -> bool:
     """Exactly two congruences exist: the identity and the universal one.
 
     Equivalent to every principal congruence of a distinct pair being
-    universal, which avoids building the whole lattice.
+    universal, which avoids building the whole lattice.  The principal
+    congruences come in lexicographic order from ``_principal_congruences``.
+    Until the first one that is not universal, where the scan stops, every
+    known θ(c, d) is universal, so a closure ends at its first merged pair
+    (c, d) of an earlier closure: θ(a, b) contains θ(c, d).
     """
     n = S.order
     if n > DEFAULT_CONGRUENCE_BOUND:
         raise TooLarge(f"order {n} exceeds the congruence bound {DEFAULT_CONGRUENCE_BOUND}")
-    if n < 2:
-        return False
     universal = universal_partition(n)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if principal_congruence(S, a, b) != universal:
-                return False
-    return True
+    return n >= 2 and all(theta == universal for theta in _principal_congruences(S))
 
 
 def find_matrix_unit_copy(

@@ -3,8 +3,9 @@
 Layout, in order: a `sgp 1` header, `n <order>`, an optional `labels` line
 (space-separated tokens, defaulting to e0..e{n-1}), n `row` lines of 0-based
 indices, then optional `zero <index>` and `identity <index>` lines.  Numbers
-are ASCII digits only, and `#` starts a comment, so a label is a non-empty
-token without whitespace or `#`; write_sgp refuses any other.  Writing is
+are ASCII digits only, with no more significant digits than ``int()``
+converts, and `#` starts a comment, so a label is a non-empty token without
+whitespace or `#`; write_sgp refuses any other.  Writing is
 canonical (single spaces, labels always present, newline-terminated), and
 parse(write(S)) reproduces S exactly.
 """
@@ -37,6 +38,21 @@ def _is_index(word: str) -> bool:
     return word.isascii() and word.isdigit()
 
 
+def _number(word: str) -> Optional[int]:
+    """The value of a word of ASCII digits, or None for any other word.
+
+    Leading zeros are dropped first, so None for a word of digits means it
+    has more significant digits than ``int()`` converts (4,300 by default):
+    a value above every order that converted.
+    """
+    if not _is_index(word):
+        return None
+    try:
+        return int(word.lstrip("0") or "0")
+    except ValueError:
+        return None
+
+
 def _tokenize(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -65,7 +81,9 @@ def parse_sgp(text: str) -> FiniteSemigroup:
     lineno, words = take()
     if len(words) != 2 or words[0] != "n" or not _is_index(words[1]):
         raise ParseError("expected 'n <order>'", lineno)
-    n = int(words[1])
+    n = _number(words[1])
+    if n is None:
+        raise ParseError("order too large", lineno)
     if n < 1:
         raise ParseError("order must be positive", lineno)
 
@@ -96,11 +114,18 @@ def parse_sgp(text: str) -> FiniteSemigroup:
                 raise ParseError(
                     f"row {len(rows)} has {len(entries)} entries, expected {n}", lineno
                 )
-            row = []
-            for w in entries:
-                if not _is_index(w) or not (0 <= int(w) < n):
-                    raise ParseError(f"index {w!r} out of range 0..{n - 1}", lineno)
-                row.append(int(w))
+            try:
+                row = list(map(int, entries)) if _is_index("".join(entries)) else None
+            except ValueError:  # a word longer than int() converts
+                row = None
+            if row is None or max(row) >= n:
+                # name the first offending word; a long word may still fit
+                row = []
+                for w in entries:
+                    v = _number(w)
+                    if v is None or v >= n:
+                        raise ParseError(f"index {w!r} out of range 0..{n - 1}", lineno)
+                    row.append(v)
             rows.append(row)
             row_line = lineno
         elif key in ("zero", "identity"):
@@ -108,9 +133,9 @@ def parse_sgp(text: str) -> FiniteSemigroup:
                 raise ParseError(f"second {key} line", lineno)
             if len(words) != 2 or not _is_index(words[1]):
                 raise ParseError(f"expected '{key} <index>'", lineno)
-            v = int(words[1])
-            if not (0 <= v < n):
-                raise ParseError(f"{key} index {v} out of range", lineno)
+            v = _number(words[1])
+            if v is None or v >= n:
+                raise ParseError(f"{key} index {words[1]} out of range", lineno)
             if key == "zero":
                 zero = v
             else:
@@ -153,9 +178,9 @@ def read_extension(text: str) -> Optional[BrandtExtension]:
     m = _LAMBDA_RE.search(text)
     if not m:
         return None
-    lam = int(m.group(1))
+    lam = _number(m.group(1))
     carrier = parse_sgp(text)
-    if lam < 1 or (carrier.order - 1) % (lam * lam) != 0:
+    if not lam or (carrier.order - 1) % (lam * lam) != 0:
         raise ParseError("legend size does not divide the carrier")
     if carrier.zero != 0:
         raise ParseError("extension carriers keep their zero at index 0")

@@ -4,18 +4,38 @@
 each assignment under the products with every assigned element, on both
 sides.  ``reference_congruence_closure`` is the oracle for
 ``search.congruence_closure``: it translates each merged pair by every
-element, on both sides.  ``reference_find_matrix_unit_copy`` is the oracle
-for ``search.find_matrix_unit_copy``: it filters every combination of
-diagonal idempotents and checks the matrix-unit product law by hand.
+element, on both sides.  ``reference_congruence_lattice`` and
+``reference_is_congruence_free`` are the oracles for their namesakes in
+``search``: they compute a fresh closure per pair and join two
+congruences by closing their pairs.  ``reference_find_matrix_unit_copy`` is
+the oracle for ``search.find_matrix_unit_copy``: it filters every
+combination of diagonal idempotents and checks the matrix-unit product law
+by hand.  ``reference_generating_set`` is the oracle for
+``homs.generating_set``: it grows a closure for every element outside the
+chosen set in every round.
 """
 
 import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from brandt.core import BudgetExceeded, FiniteSemigroup, NoZero, ShapeError
+from brandt.core import (
+    BudgetExceeded,
+    FiniteSemigroup,
+    NoZero,
+    ShapeError,
+    TooLarge,
+    _grow_closure,
+)
 from brandt.homs import DEFAULT_BUDGET
-from brandt.search import _normalize_partition
+from brandt.search import (
+    DEFAULT_CONGRUENCE_BOUND,
+    _normalize_partition,
+    congruence_closure,
+    identity_partition,
+    principal_congruence,
+    universal_partition,
+)
 
 
 def reference_search_maps(
@@ -125,6 +145,82 @@ def reference_congruence_closure(S: FiniteSemigroup, pairs) -> tuple[int, ...]:
             if find(ax) != find(bx):
                 work.append((ax, bx))
     return _normalize_partition(find, n)
+
+
+def reference_congruence_lattice(S: FiniteSemigroup) -> list[tuple[int, ...]]:
+    """All congruences of S, as the join closure of the principal ones.
+
+    Refuses orders above the congruence bound rather than degrade silently.
+    """
+    n = S.order
+    if n > DEFAULT_CONGRUENCE_BOUND:
+        raise TooLarge(f"order {n} exceeds the congruence bound {DEFAULT_CONGRUENCE_BOUND}")
+    found = {identity_partition(n)}
+    for a in range(n):
+        for b in range(a + 1, n):
+            found.add(principal_congruence(S, a, b))
+
+    def join(p, q):
+        pairs = []
+        for part in (p, q):
+            seen = {}
+            for i, c in enumerate(part):
+                if c in seen:
+                    pairs.append((seen[c], i))
+                else:
+                    seen[c] = i
+        return congruence_closure(S, pairs)
+
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for q in list(found):
+                j = join(p, q)
+                if j not in found:
+                    found.add(j)
+                    fresh.append(j)
+        frontier = fresh
+    return sorted(found)
+
+
+def reference_is_congruence_free(S: FiniteSemigroup) -> bool:
+    """Exactly two congruences exist: the identity and the universal one.
+
+    Equivalent to every principal congruence of a distinct pair being
+    universal, which avoids building the whole lattice.
+    """
+    n = S.order
+    if n > DEFAULT_CONGRUENCE_BOUND:
+        raise TooLarge(f"order {n} exceeds the congruence bound {DEFAULT_CONGRUENCE_BOUND}")
+    if n < 2:
+        return False
+    universal = universal_partition(n)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if principal_congruence(S, a, b) != universal:
+                return False
+    return True
+
+
+def reference_generating_set(S: FiniteSemigroup) -> list[int]:
+    """Greedy generators: repeatedly add the element whose closure grows most."""
+    n = S.order
+    t = S.table
+    gens: list[int] = []
+    closed: list[int] = []
+    while len(closed) < n:
+        inside = set(closed)
+        best, best_closure = None, None
+        for e in range(n):
+            if e in inside:
+                continue
+            clo = _grow_closure(t, list(closed), e)
+            if best_closure is None or len(clo) > len(best_closure):
+                best, best_closure = e, clo
+        gens.append(best)
+        closed = best_closure
+    return gens
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("sgp 1\nn 2\nrow 0 1\nrow 1 1\nzero 0\nzero 1\n")
     assert main(["props", str(bad)]) == 2
     assert "line 6" in capsys.readouterr().err
+    # more digits than int() converts, in each of the four directives
+    huge = "1" * 5000
+    for text, line in [
+        (f"sgp 1\nn {huge}\nrow 0\n", 2),
+        (f"sgp 1\nn 2\nrow 0 {huge}\nrow 1 1\n", 3),
+        (f"sgp 1\nn 2\nrow 0 1\nrow 1 1\nzero {huge}\n", 5),
+        (f"sgp 1\nn 2\nrow 0 1\nrow 1 1\nidentity {huge}\n", 5),
+    ]:
+        bad.write_text(text)
+        assert main(["props", str(bad)]) == 2
+        assert f"line {line}:" in capsys.readouterr().err
 
 
 def test_output_is_deterministic(tmp_path, e_file, capsys):
@@ -148,9 +159,9 @@ def test_budget_override(tmp_path, e_file, monkeypatch, capsys):
     monkeypatch.setenv("BRANDT_SEARCH_BUDGET", "3")
     assert main(["homs", out_ext, out_ext]) == 3
     assert main(["iso", out_ext, out_ext]) == 3
-    # ASCII digits only, as in .sgp indices: int() would take all three of
-    # the last values
-    for bad in ("junk", "-5", "0", "\u0663", "1_000", " 7"):
+    # ASCII digits only, as in .sgp indices: int() would take the three
+    # values after "0", and the last one has more digits than it converts
+    for bad in ("junk", "-5", "0", "\u0663", "1_000", " 7", "9" * 5000):
         monkeypatch.setenv("BRANDT_SEARCH_BUDGET", bad)
         assert main(["homs", out_ext, out_ext]) == 2
         assert f"bad BRANDT_SEARCH_BUDGET value {bad!r}" in capsys.readouterr().err

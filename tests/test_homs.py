@@ -32,7 +32,7 @@ from brandt.fixtures import ex2_5_data, EX2_12_ENTRIES
 from brandt.construct import matrix_units_extension
 from brandt.core import _grow_closure
 from brandt.homs import _compile, _search_maps, generating_set
-from reference_kernel import reference_search_maps
+from reference_kernel import reference_generating_set, reference_search_maps
 
 
 def brute_force_homs(S, T):
@@ -281,6 +281,22 @@ def test_cayley_edge_kernel_matches_oracles_on_random_tables(s_table, t_table):
     got = edge_kernel_homs(S, T)
     assert got == oracle_homs(S, T)
     assert set(got) == brute_force_homs(S, T)
+
+
+def test_generating_set_matches_reference_on_oracle_carriers(relabeled):
+    # skipping covered candidates and stopping at a full closure keep the
+    # greedy choice; relabelings change the ties and the skipped elements
+    rng = random.Random(31)
+    for C in oracle_carriers():
+        for S in (C, relabeled(C, rng), relabeled(C, rng)):
+            assert generating_set(S) == reference_generating_set(S)
+
+
+@given(associative_tables())
+@settings(max_examples=200, deadline=None)
+def test_generating_set_matches_reference_on_random_tables(table):
+    S = build_semigroup(table)
+    assert generating_set(S) == reference_generating_set(S)
 
 
 def generating_prefix(S, order):

@@ -1,7 +1,6 @@
 import functools
 import itertools
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +21,6 @@ from brandt import (
     matrix_unit_exclusion,
     principal_congruence,
 )
-from brandt import search
 from brandt.construct import brandt_extension, matrix_units
 from brandt.core import _magma_generators
 from brandt.corpus import (
@@ -38,12 +36,15 @@ from brandt.corpus import (
 from brandt.homs import _search_maps, check_homomorphism
 from brandt.search import (
     DEFAULT_CONGRUENCE_BOUND,
+    _principal_congruences,
     identity_partition,
     universal_partition,
 )
 from reference_kernel import (
     reference_congruence_closure,
+    reference_congruence_lattice,
     reference_find_matrix_unit_copy,
+    reference_is_congruence_free,
     reference_search_maps,
 )
 from test_homs import associative_tables, mulclose, oracle_carriers
@@ -184,13 +185,14 @@ def congruence_carriers():
 def assert_congruences_match_reference(S):
     assert S.generators == tuple(_magma_generators(S.table))
     assert mulclose(S.table, S.generators) == set(range(S.order))
-    for a, b in itertools.combinations(range(S.order), 2):
-        assert principal_congruence(S, a, b) == reference_congruence_closure(S, [(a, b)])
-    lattice, free = congruence_lattice(S), is_congruence_free(S)
-    # the same computations, run on the all-translations closure
-    with mock.patch.object(search, "congruence_closure", reference_congruence_closure):
-        assert lattice == congruence_lattice(S)
-        assert free == is_congruence_free(S)
+    pairs = list(itertools.combinations(range(S.order), 2))
+    expected = [reference_congruence_closure(S, [pair]) for pair in pairs]
+    assert [principal_congruence(S, a, b) for a, b in pairs] == expected
+    # each closure reusing the earlier ones
+    assert list(_principal_congruences(S)) == expected
+    # a fresh closure per pair, and joins by closure
+    assert congruence_lattice(S) == reference_congruence_lattice(S)
+    assert is_congruence_free(S) == reference_is_congruence_free(S)
 
 
 def test_generator_closure_matches_reference_closure():

@@ -76,6 +76,46 @@ def test_non_ascii_digits_rejected(text, line):
     assert exc.value.line == line
 
 
+# more digits than int() converts by default (4,300)
+HUGE = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (f"sgp 1\nn {HUGE}\nrow 0\n", 2, "order too large"),
+        (f"sgp 1\nn 2\nrow 0 {HUGE}\nrow 1 1\n", 3, "out of range 0..1"),
+        (f"sgp 1\nn 2\nrow 0 1\nrow 1 1\nzero {HUGE}\n", 5, "zero index"),
+        (f"sgp 1\nn 2\nrow 0 1\nrow 1 1\nidentity {HUGE}\n", 5, "identity index"),
+    ],
+    ids=["order", "row", "zero", "identity"],
+)
+def test_numbers_longer_than_int_converts_rejected(text, line, message):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_sgp(text)
+    assert exc.value.line == line
+
+
+def test_long_numbers_with_leading_zeros_parse():
+    pad = "0" * 5000
+    S = parse_sgp(f"sgp 1\nn {pad}2\nrow 0 {pad}1\nrow 1 1\nzero {pad}1\n")
+    assert S.order == 2 and S.table == ((0, 1), (1, 1)) and S.zero == 1
+
+
+def test_row_errors_name_the_first_offending_word():
+    # the row converts in one pass; a bad row is rescanned word by word
+    for row, word in [("0 1 3", "'3'"), ("0 x 9", "'x'"), (f"{HUGE} 1 1", f"'{HUGE}'")]:
+        with pytest.raises(ParseError) as exc:
+            parse_sgp(f"sgp 1\nn 3\nrow 0 1 2\nrow {row}\n")
+        assert str(exc.value) == f"line 4: index {word} out of range 0..2"
+
+
+def test_legend_size_longer_than_int_converts_rejected():
+    text = write_extension(matrix_units_extension(2)).replace("lambda 2", f"lambda {HUGE}")
+    with pytest.raises(ParseError, match="legend size"):
+        read_extension(text)
+
+
 @pytest.mark.parametrize("label", ["a#b", "", "a b"], ids=["hash", "empty", "space"])
 def test_unreadable_labels_not_written(label):
     S = build_semigroup([[0, 0], [0, 1]], [label, "c"])
