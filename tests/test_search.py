@@ -195,6 +195,14 @@ def assert_congruences_match_reference(S):
     assert is_congruence_free(S) == reference_is_congruence_free(S)
 
 
+def test_lattice_joins_beyond_the_principal_congruences():
+    # every equivalence of a left-zero band is a congruence, and those with
+    # more than one merged pair are joins; no fixed carrier has such a one
+    S = build_semigroup([[x] * 4 for x in range(4)])
+    assert len(congruence_lattice(S)) == 15
+    assert_congruences_match_reference(S)
+
+
 def test_generator_closure_matches_reference_closure():
     carriers = congruence_carriers()
     assert sorted(C.order for C in carriers) == [
