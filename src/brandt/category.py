@@ -13,12 +13,14 @@ always fix the zero.  For c in H(e) the triples (h, u, phi) and
 the canonical triples, those with u(0) = e, induce each map exactly once.
 At a rank-one source there is one more class, the maps that move the zero: a
 base homomorphism h with h(0) != 0 placed on a single diagonal block.
-extension_homs builds both classes from one search for the base
-homomorphisms.  For targets whose base monoid has central idempotents and
-no embedded rank-2 matrix units, every non-trivial homomorphism between
-extensions is either induced by a triple, and then recovered from its values
-on the unit blocks, or, at a rank-one source, one of the zero-moving maps;
-the two classes are disjoint.
+enumerate_triples and extension_homs take their triples from one generator
+over one search for the base homomorphisms.  H(0) = {0}, so the constant-zero
+base is an ordinary triple, with zero weights, inducing the zero map.  For
+targets whose base monoid has central idempotents and no embedded rank-2
+matrix units, every non-trivial homomorphism between extensions is either
+induced by a triple, and then recovered from its values on the unit blocks,
+or, at a rank-one source, one of the zero-moving maps; the two classes are
+disjoint.
 
 induced_hom, recover_triple, extension_homs and the checks on extension
 homomorphisms take the source and target extensions the caller already
@@ -59,8 +61,8 @@ from .search import matrix_unit_exclusion
 class MorphismTriple:
     """Validated (base, weights, index_map) data.
 
-    A trivial base (the constant-zero map) is represented uniformly: its
-    anchor idempotent is the target zero and the weights all equal it.
+    A trivial base (the constant-zero map) is an ordinary triple: its anchor
+    idempotent is the target zero, and H(0) = {0} holds every weight.
     """
 
     base: Homomorphism
@@ -93,7 +95,8 @@ def make_triple(
     index_map,
     index_codomain: int,
 ) -> MorphismTriple:
-    """Validate triple data; raises IllFormedTriple on any violation."""
+    """Validate triple data, weights in H(h(1_S)) (all zero at the constant-zero
+    base, as H(0) = {0}); raises IllFormedTriple on any violation."""
     S, T = base.source, base.target
     require_monoid_with_zero(S, "triple source")
     require_monoid_with_zero(T, "triple target")
@@ -108,18 +111,14 @@ def make_triple(
     if any(not (0 <= v < index_codomain) for v in index_map):
         raise IllFormedTriple("index map leaves the target index set")
     e = base.mapping[S.identity]
-    if e == T.zero:
-        if not base.is_trivial:
-            raise IllFormedTriple("identity collapses to zero but the map is not constant")
-        if any(w != T.zero for w in weights):
-            raise IllFormedTriple("weights of a trivial base must equal the zero")
-    else:
-        members = set(maximal_subgroup(T, e).members)
-        bad = [w for w in weights if w not in members]
-        if bad:
-            raise IllFormedTriple(
-                f"weight {T.labels[bad[0]]!r} outside the maximal subgroup at {T.labels[e]!r}"
-            )
+    if e == T.zero and not base.is_trivial:
+        raise IllFormedTriple("identity collapses to zero but the map is not constant")
+    members = set(maximal_subgroup(T, e).members)
+    bad = [w for w in weights if w not in members]
+    if bad:
+        raise IllFormedTriple(
+            f"weight {T.labels[bad[0]]!r} outside the maximal subgroup at {T.labels[e]!r}"
+        )
     return MorphismTriple(
         base=base,
         weights=weights,
@@ -158,23 +157,22 @@ def induced_hom(
 
     n = source_ext.carrier.order
     mapping = [0] * n
-    if not triple.is_trivial:
-        h = triple.base.mapping
-        tz = T.zero
-        tt = T.table
-        H = maximal_subgroup(T, triple.idempotent)
-        inv = {x: H.inverse(T, x) for x in H.members}
-        u = triple.weights
-        phi = triple.index_map
-        for idx in range(1, n):
-            a, s, b = source_ext.decode(idx)
-            hs = h[s]
-            if hs == tz:
-                continue
-            middle = tt[tt[u[a]][hs]][inv[u[b]]]
-            if middle == tz:
-                raise ConformanceError("induced middle vanished on a nonzero image")
-            mapping[idx] = target_ext.encode(phi[a], middle, phi[b])
+    h = triple.base.mapping
+    tz = T.zero
+    tt = T.table
+    H = maximal_subgroup(T, triple.idempotent)
+    inv = {x: H.inverse(T, x) for x in H.members}
+    u = triple.weights
+    phi = triple.index_map
+    for idx in range(1, n):
+        a, s, b = source_ext.decode(idx)
+        hs = h[s]
+        if hs == tz:
+            continue
+        middle = tt[tt[u[a]][hs]][inv[u[b]]]
+        if middle == tz:
+            raise ConformanceError("induced middle vanished on a nonzero image")
+        mapping[idx] = target_ext.encode(phi[a], middle, phi[b])
     try:
         return check_homomorphism(mapping, source_ext.carrier, target_ext.carrier)
     except NotHomomorphism as exc:  # pragma: no cover - guarded by construction
@@ -285,6 +283,29 @@ def compose_triples(t1: MorphismTriple, t2: MorphismTriple) -> MorphismTriple:
     return make_triple(base, weights, index_map, t2.index_codomain)
 
 
+def _check_ranks(S: FiniteSemigroup, T: FiniteSemigroup, lam1: int, lam2: int):
+    if lam1 < 1:
+        raise ShapeError(f"lambda must be positive, got {lam1}")
+    require_monoid_with_zero(S)
+    require_monoid_with_zero(T)
+    if lam1 > lam2:
+        raise Mismatch("source index set larger than the target one")
+
+
+def _triples(homs, lam1: int, lam2: int):
+    """The triples over the zero-preserving maps in ``homs``, in list order:
+    weights over H(h(1_S))^lam1 in product order, then all injections."""
+    injections = list(itertools.permutations(range(lam2), lam1))
+    for h in homs:
+        S, T = h.source, h.target
+        if h.mapping[S.zero] != T.zero:
+            continue
+        members = maximal_subgroup(T, h.mapping[S.identity]).members
+        for w in itertools.product(members, repeat=lam1):
+            for phi in injections:
+                yield make_triple(h, w, phi, lam2)
+
+
 def enumerate_triples(
     S: FiniteSemigroup,
     T: FiniteSemigroup,
@@ -295,32 +316,13 @@ def enumerate_triples(
     """All well-formed triples for the given bases and index sizes.
 
     Weights range over the full maximal subgroup at the realized idempotent,
-    index maps over all injections; distinct triples may induce the same
-    extension homomorphism.  extension_homs yields each induced map once.
+    {0} at the constant-zero base, and index maps over all injections, so
+    distinct triples may induce the same extension homomorphism.
+    extension_homs draws on the same generator and yields each map once.
     """
-    if lam1 < 1:
-        raise ShapeError(f"lambda must be positive, got {lam1}")
-    require_monoid_with_zero(S)
-    require_monoid_with_zero(T)
-    if lam1 > lam2:
-        raise Mismatch("source index set larger than the target one")
-    injections = list(itertools.permutations(range(lam2), lam1))
-    out = []
-    for h in enumerate_homs(S, T):
-        if h.mapping[S.zero] != T.zero:
-            continue
-        if h.is_trivial:
-            if nontrivial_only:
-                continue
-            weight_choices = [(T.zero,) * lam1]
-        else:
-            e = h.mapping[S.identity]
-            members = maximal_subgroup(T, e).members
-            weight_choices = itertools.product(members, repeat=lam1)
-        for w in weight_choices:
-            for phi in injections:
-                out.append(make_triple(h, tuple(w), phi, lam2))
-    return out
+    _check_ranks(S, T, lam1, lam2)
+    homs = enumerate_homs(S, T, nontrivial_only=nontrivial_only)
+    return list(_triples(homs, lam1, lam2))
 
 
 def extension_homs(
@@ -332,43 +334,34 @@ def extension_homs(
 
     One search finds the non-constant base homomorphisms h: S -> T.  A
     zero-preserving h induces a map from each canonical triple (h, u, phi),
-    u(0) = e = h(1_S): the other weights range over H(e), phi over all
-    injections, and every triple-induced map appears exactly once.  At a
-    rank-one source, an h with h(0_S) != 0_T gives one zero-moving map per
-    target index a, living on the diagonal block (a, a):
+    u(0) = e = h(1_S), taken from the generator behind enumerate_triples,
+    and every triple-induced map appears exactly once.  At a rank-one
+    source, an h with h(0_S) != 0_T gives one zero-moving map per target
+    index a, living on the diagonal block (a, a):
     (0, s, 0) |-> (a, h(s), a), the extension zero going to (a, h(0_S), a).
     The image of a moved zero is an idempotent absorbing every image on
     both sides, so at rank two or more the units, and with them every
     element, would be sent to it; there zero_moving is empty.
     """
     S, T = source_ext.base, target_ext.base
-    require_monoid_with_zero(S)
-    require_monoid_with_zero(T)
     lam1, lam2 = source_ext.lam, target_ext.lam
-    if lam1 > lam2:
-        raise Mismatch("source index set larger than the target one")
-    injections = list(itertools.permutations(range(lam2), lam1))
-    middles = [S.zero] + [
-        source_ext.decode(idx)[1] for idx in range(1, source_ext.carrier.order)
-    ]
+    _check_ranks(S, T, lam1, lam2)
+    homs = enumerate_homs(S, T, nontrivial_only=True)
     induced, zero_moving = [], []
-    for h in enumerate_homs(S, T, nontrivial_only=True):
-        if h.mapping[S.zero] == T.zero:
-            e = h.mapping[S.identity]
-            members = maximal_subgroup(T, e).members
-            for w in itertools.product(members, repeat=lam1 - 1):
-                for phi in injections:
-                    triple = make_triple(h, (e, *w), phi, lam2)
-                    induced.append(induced_hom(triple, source_ext, target_ext))
-        elif lam1 == 1:
-            for a in range(lam2):
-                mapping = [target_ext.encode(a, h.mapping[s], a) for s in middles]
-                try:
-                    zero_moving.append(
-                        check_homomorphism(mapping, source_ext.carrier, target_ext.carrier)
-                    )
-                except NotHomomorphism as exc:  # pragma: no cover - guarded by construction
-                    raise ConformanceError(f"zero-moving map failed verification: {exc}") from exc
+    for t in _triples(homs, lam1, lam2):
+        if t.weights[0] == t.idempotent:
+            induced.append(induced_hom(t, source_ext, target_ext))
+    moving = [h for h in homs if h.mapping[S.zero] != T.zero] if lam1 == 1 else []
+    middles = [S.zero] + [source_ext.decode(i)[1] for i in range(1, source_ext.carrier.order)]
+    for h in moving:
+        for a in range(lam2):
+            mapping = [target_ext.encode(a, h.mapping[s], a) for s in middles]
+            try:
+                zero_moving.append(
+                    check_homomorphism(mapping, source_ext.carrier, target_ext.carrier)
+                )
+            except NotHomomorphism as exc:  # pragma: no cover - guarded by construction
+                raise ConformanceError(f"zero-moving map failed verification: {exc}") from exc
     induced.sort(key=lambda sigma: sigma.mapping)
     zero_moving.sort(key=lambda sigma: sigma.mapping)
     return induced, zero_moving
@@ -517,26 +510,18 @@ def check_block_separation(
     if len(set(unit_blocks.values())) != lam1 * lam1:
         raise ConformanceError("distinct units share a coordinate block")
 
-    for (a, b), block in unit_blocks.items():
-        for s in source_ext.nonzero_base:
+    labels = source_ext.base.labels
+    for s in source_ext.nonzero_base:
+        vanish = set()
+        for (a, b), block in unit_blocks.items():
             img = sigma.mapping[source_ext.encode(a, s, b)]
+            vanish.add(img == 0)
             if img == 0:
                 continue
             mu, _, nu = target_ext.decode(img)
             if (mu, nu) != block:
-                raise ConformanceError(
-                    f"image of ({a},{source_ext.base.labels[s]},{b}) leaves its block"
-                )
-
-    for s in source_ext.nonzero_base:
-        vanish = {
-            sigma.mapping[source_ext.encode(a, s, b)] == 0
-            for a in range(lam1)
-            for b in range(lam1)
-        }
+                raise ConformanceError(f"image of ({a},{labels[s]},{b}) leaves its block")
         if len(vanish) != 1:
-            raise ConformanceError(
-                f"vanishing pattern of {source_ext.base.labels[s]} is not uniform"
-            )
+            raise ConformanceError(f"vanishing pattern of {labels[s]} is not uniform")
 
     return tuple(sorted(unit_blocks.items()))

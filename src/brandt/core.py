@@ -228,20 +228,12 @@ def _memoized(S: FiniteSemigroup, key, compute: Callable):
         return memo.setdefault(key, compute())
 
 
-def _detect_zero(table) -> Optional[int]:
-    n = len(table)
-    for z in range(n):
-        if all(table[z][i] == z and table[i][z] == z for i in range(n)):
-            return z
-    return None
+def _is_zero(table, z: int) -> bool:
+    return table[z].count(z) == len(table) and all(row[z] == z for row in table)
 
 
-def _detect_identity(table) -> Optional[int]:
-    n = len(table)
-    for e in range(n):
-        if all(table[e][i] == i and table[i][e] == i for i in range(n)):
-            return e
-    return None
+def _is_identity(table, e: int) -> bool:
+    return table[e] == tuple(range(len(table))) and all(row[e] == i for i, row in enumerate(table))
 
 
 def build_semigroup(
@@ -293,21 +285,19 @@ def build_semigroup(
                 if tab[tx[a]] != through_a(tx):
                     raise NonAssociative(*_find_associativity_witness(tab))
 
-    if zero is not None:
-        if not (0 <= zero < n):
-            raise BadZero(f"zero index {zero} out of range")
-        if any(tab[zero][i] != zero or tab[i][zero] != zero for i in range(n)):
-            raise BadZero(f"element {labels[zero]!r} is not absorbing")
-    else:
-        zero = _detect_zero(tab)
+    if zero is None:
+        zero = next((z for z in range(n) if _is_zero(tab, z)), None)
+    elif not (0 <= zero < n):
+        raise BadZero(f"zero index {zero} out of range")
+    elif not _is_zero(tab, zero):
+        raise BadZero(f"element {labels[zero]!r} is not absorbing")
 
-    if identity is not None:
-        if not (0 <= identity < n):
-            raise BadIdentity(f"identity index {identity} out of range")
-        if any(tab[identity][i] != i or tab[i][identity] != i for i in range(n)):
-            raise BadIdentity(f"element {labels[identity]!r} is not an identity")
-    else:
-        identity = _detect_identity(tab)
+    if identity is None:
+        identity = next((e for e in range(n) if _is_identity(tab, e)), None)
+    elif not (0 <= identity < n):
+        raise BadIdentity(f"identity index {identity} out of range")
+    elif not _is_identity(tab, identity):
+        raise BadIdentity(f"element {labels[identity]!r} is not an identity")
 
     S = FiniteSemigroup(order=n, table=tab, labels=labels, zero=zero, identity=identity)
     S.__dict__["generators"] = gens  # fills the cached property

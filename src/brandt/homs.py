@@ -218,7 +218,8 @@ def _search_maps(
     homomorphism by induction on word length.  The maps come out as
     tuples, in the order the branches are tried.  Counts one step per
     filter and per program op run, and raises BudgetExceeded past
-    ``budget`` steps.
+    ``budget`` steps, or once its nesting, one level per generator it
+    branches on, passes the interpreter's recursion limit.
     """
     tb = B.table
     levels = _compile(A, branch_order)
@@ -276,7 +277,12 @@ def _search_maps(
                 for q in taken:
                     used[q] = False
 
-    return search(0)
+    try:
+        yield from search(0)
+    except RecursionError:
+        raise BudgetExceeded(
+            f"search depth {len(levels)} exceeds the interpreter's recursion limit"
+        ) from None
 
 
 def enumerate_homs(

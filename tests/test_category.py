@@ -76,6 +76,31 @@ def test_triple_validation():
     bad_base = check_homomorphism((0, 0, 0), E, E)  # sends zero to a
     with pytest.raises(IllFormedTriple):
         make_triple(bad_base, (0, 0), (0, 1), 2)
+    # the constant-zero base is an ordinary triple: H(c) = {c}
+    zero_base = check_homomorphism((2, 2, 2), E, E)
+    t = make_triple(zero_base, (2, 2), (0, 1), 2)
+    assert t.is_trivial and t.idempotent == E.zero
+    with pytest.raises(IllFormedTriple, match="outside the maximal subgroup"):
+        make_triple(zero_base, (2, 1), (0, 1), 2)
+
+
+def test_constant_zero_triples_induce_the_zero_map():
+    """Listing the constant-zero base adds one triple per injection and
+    leaves the others in order; each of the added ones induces the zero map."""
+    corpus = acceptance_corpus()
+    for S in corpus.values():
+        for T in corpus.values():
+            for l1, l2 in itertools.combinations_with_replacement((1, 2, 3), 2):
+                src = brandt_extension(S, l1)
+                dst = brandt_extension(T, l2)
+                default = enumerate_triples(S, T, l1, l2)
+                every = enumerate_triples(S, T, l1, l2, nontrivial_only=False)
+                zero = [t for t in every if t.is_trivial]
+                assert [t for t in every if not t.is_trivial] == default
+                assert len(zero) == len(every) - len(default) == math.perm(l2, l1)
+                for t in zero:
+                    assert t.weights == (T.zero,) * l1
+                    assert induced_hom(t, src, dst).mapping == (0,) * src.carrier.order
 
 
 def test_group_weights_conjugate():
@@ -483,6 +508,38 @@ def test_block_separation_hypothesis_gate():
     h = induced_hom(ex2_14_triple_rank1(), one, one)
     with pytest.raises(HypothesisUnmet):
         check_block_separation(h, one, one)
+
+
+@pytest.mark.parametrize(
+    "plant, message",
+    [
+        (lambda ext: (0, ext.unit_index(0, 0)), "zero image is not the zero"),
+        (lambda ext: (ext.unit_index(0, 1), 0), r"unit \(0,1,1\) maps to zero"),
+        (
+            lambda ext: (ext.unit_index(0, 1), ext.unit_index(0, 0)),
+            "distinct units share a coordinate block",
+        ),
+        (
+            lambda ext: (ext.encode(0, 1, 1), ext.encode(1, 1, 1)),
+            r"image of \(0,x1,1\) leaves its block",
+        ),
+        (lambda ext: (ext.encode(0, 1, 1), 0), "vanishing pattern of x1 is not uniform"),
+    ],
+)
+def test_block_separation_reports_each_planted_defect(plant, message):
+    """One image of the identity on the rank-2 extension of chain(3)
+    (x0 > x1 > x2, x1 at index 1), replaced as ``plant`` says, trips its
+    own check."""
+    ext = brandt_extension(chain(3), 2)
+    identity = tuple(range(ext.carrier.order))
+    sigma = Homomorphism(source=ext.carrier, target=ext.carrier, mapping=identity)
+    assert len(check_block_separation(sigma, ext, ext)) == 4
+    mapping = list(identity)
+    where, image = plant(ext)
+    mapping[where] = image
+    sigma = Homomorphism(source=ext.carrier, target=ext.carrier, mapping=tuple(mapping))
+    with pytest.raises(ConformanceError, match=message):
+        check_block_separation(sigma, ext, ext)
 
 
 def ex2_14_triple_rank1():

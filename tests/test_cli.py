@@ -1,8 +1,10 @@
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
+from brandt import BudgetExceeded, build_semigroup, iso_search
 from brandt.cli import main
 from brandt.corpus import example_e, two_element
 from brandt.fixtures import FIXTURES
@@ -165,3 +167,23 @@ def test_budget_override(tmp_path, e_file, monkeypatch, capsys):
         monkeypatch.setenv("BRANDT_SEARCH_BUDGET", bad)
         assert main(["homs", out_ext, out_ext]) == 2
         assert f"bad BRANDT_SEARCH_BUDGET value {bad!r}" in capsys.readouterr().err
+
+
+def test_search_deeper_than_the_stack_exits_3(tmp_path, capsys):
+    """On a null semigroup every element is a generator, so the search
+    nests one level per element; past the recursion limit it stops with
+    BudgetExceeded (exit 3), not RecursionError (exit 1)."""
+    n = 300
+    S = build_semigroup([[0] * n for _ in range(n)])
+    path = tmp_path / "null.sgp"
+    path.write_text(write_sgp(S))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        with pytest.raises(BudgetExceeded, match="recursion limit"):
+            iso_search(S, S)
+        assert main(["iso", str(path), str(path)]) == 3
+    finally:
+        sys.setrecursionlimit(limit)
+    assert "search depth 300 exceeds" in capsys.readouterr().err
+    assert iso_search(S, S) == tuple(range(n))
