@@ -144,8 +144,8 @@ def induced_hom(
     """The extension homomorphism induced by a triple (the functor's action).
 
     A trivial base induces the constant-to-zero map.  The result is verified
-    against the full product law before being returned; a verification
-    failure cannot happen for well-formed input and aborts loudly.
+    by check_homomorphism before being returned; a verification failure
+    cannot happen for well-formed input and aborts loudly.
     """
     S, T = triple.base.source, triple.base.target
     if source_ext.base != S or source_ext.lam != triple.lam:
@@ -292,16 +292,19 @@ def _check_ranks(S: FiniteSemigroup, T: FiniteSemigroup, lam1: int, lam2: int):
         raise Mismatch("source index set larger than the target one")
 
 
-def _triples(homs, lam1: int, lam2: int):
+def _triples(homs, lam1: int, lam2: int, canonical: bool = False):
     """The triples over the zero-preserving maps in ``homs``, in list order:
-    weights over H(h(1_S))^lam1 in product order, then all injections."""
+    weights over H(h(1_S))^lam1 in product order, then all injections.
+    With ``canonical`` only those with u(0) = h(1_S), one per induced map."""
     injections = list(itertools.permutations(range(lam2), lam1))
     for h in homs:
         S, T = h.source, h.target
         if h.mapping[S.zero] != T.zero:
             continue
-        members = maximal_subgroup(T, h.mapping[S.identity]).members
-        for w in itertools.product(members, repeat=lam1):
+        e = h.mapping[S.identity]
+        members = maximal_subgroup(T, e).members
+        first = (e,) if canonical else members
+        for w in itertools.product(first, *[members] * (lam1 - 1)):
             for phi in injections:
                 yield make_triple(h, w, phi, lam2)
 
@@ -334,8 +337,8 @@ def extension_homs(
 
     One search finds the non-constant base homomorphisms h: S -> T.  A
     zero-preserving h induces a map from each canonical triple (h, u, phi),
-    u(0) = e = h(1_S), taken from the generator behind enumerate_triples,
-    and every triple-induced map appears exactly once.  At a rank-one
+    u(0) = e = h(1_S), which the generator behind enumerate_triples builds
+    directly, and every triple-induced map appears exactly once.  At a rank-one
     source, an h with h(0_S) != 0_T gives one zero-moving map per target
     index a, living on the diagonal block (a, a):
     (0, s, 0) |-> (a, h(s), a), the extension zero going to (a, h(0_S), a).
@@ -347,10 +350,11 @@ def extension_homs(
     lam1, lam2 = source_ext.lam, target_ext.lam
     _check_ranks(S, T, lam1, lam2)
     homs = enumerate_homs(S, T, nontrivial_only=True)
-    induced, zero_moving = [], []
-    for t in _triples(homs, lam1, lam2):
-        if t.weights[0] == t.idempotent:
-            induced.append(induced_hom(t, source_ext, target_ext))
+    induced = [
+        induced_hom(t, source_ext, target_ext)
+        for t in _triples(homs, lam1, lam2, canonical=True)
+    ]
+    zero_moving = []
     moving = [h for h in homs if h.mapping[S.zero] != T.zero] if lam1 == 1 else []
     middles = [S.zero] + [source_ext.decode(i)[1] for i in range(1, source_ext.carrier.order)]
     for h in moving:

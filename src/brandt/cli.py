@@ -76,13 +76,16 @@ def cmd_extend(args, budget):
 
 def cmd_homs(args, budget):
     src_text, dst_text = _load(args.source), _load(args.target)
-    S, T = parse_sgp(src_text), parse_sgp(dst_text)
-    homs = enumerate_homs(S, T, nontrivial_only=args.nontrivial, budget=budget)
     src_ext = dst_ext = None
     legend_missing = None
     if args.classify:
+        # a legend-carrying file is read once, through its legend
         src_ext = read_extension(src_text)
         dst_ext = read_extension(dst_text)
+    S = src_ext.carrier if src_ext else parse_sgp(src_text)
+    T = dst_ext.carrier if dst_ext else parse_sgp(dst_text)
+    homs = enumerate_homs(S, T, nontrivial_only=args.nontrivial, budget=budget)
+    if args.classify:
         if src_ext is None:
             legend_missing = f"no extension coordinates in {args.source}"
         elif dst_ext is None:

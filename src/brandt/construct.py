@@ -19,6 +19,7 @@ from .core import (
     NoIdentity,
     NoZero,
     ShapeError,
+    _trusted_semigroup,
     build_semigroup,
 )
 from .homs import Homomorphism, check_homomorphism
@@ -100,7 +101,9 @@ def brandt_extension(S: FiniteSemigroup, lam: int, carrier_labels=None) -> Brand
 
     The base need not be a monoid (orthogonal sums of monoids are not), so
     only the zero is required here; operations that need 1_S check for it
-    themselves.
+    themselves.  The carrier table is associative because the base is, so
+    it is wrapped without Light's test; ``carrier_labels`` are still
+    checked for count and duplicates.
     """
     if S.zero is None:
         raise NoZero("Brandt extensions need a base zero")
@@ -112,7 +115,7 @@ def brandt_extension(S: FiniteSemigroup, lam: int, carrier_labels=None) -> Brand
             f"({a},{S.labels[s]},{b})"
             for a in range(lam) for b in range(lam) for s in nonzero
         ]
-    carrier = build_semigroup(_extension_table(S, lam), carrier_labels, zero=0)
+    carrier = _trusted_semigroup(_extension_table(S, lam), carrier_labels, zero=0)
     return BrandtExtension(base=S, lam=lam, carrier=carrier)
 
 

@@ -8,12 +8,21 @@ equality, hashing and repr ignore it.  The memo holds only immutable values
 and never a failed call, so sharing a semigroup across threads is safe: two
 threads that race on one entry compute it twice and one result is kept.
 
-Every table is checked for associativity by Light's test: (x*a)*y = x*(a*y)
-is checked only for a in a set A that generates the table as a magma, which
-costs O(n^2 * |A|) instead of O(n^3).  The test is exact, because the
-elements a that pass it are closed under the product.  Only when it fails is
-the full scan run, so that the reported witness is the first failing triple
-(i, j, k) in index order.
+Every table from outside is checked for associativity by Light's test:
+(x*a)*y = x*(a*y) is checked only for a in a set A that generates the table
+as a magma, which costs O(n^2 * |A|) instead of O(n^3).  The test is exact,
+because the elements a that pass it are closed under the product.  Only when
+it fails is the full scan run, so that the reported witness is the first
+failing triple (i, j, k) in index order.
+
+Tables that are associative by construction from a validated input skip the
+test and go through ``_trusted_semigroup``: a closed subset of a semigroup
+(``subsemigroup``), the Brandt extension table of a semigroup with zero
+(``construct.brandt_extension``), and a legend-carrying file whose table
+equals the extension of its validated (0, 0) block
+(``sgpfile.read_extension``).  A product-closed subset inherits
+associativity, and the extension product is associative whenever the base
+product is, so checking these tables again could never fail.
 """
 
 from __future__ import annotations
@@ -126,7 +135,8 @@ class FiniteSemigroup:
     def generators(self) -> tuple[int, ...]:
         """The generating set of ``_magma_generators``, computed once.
 
-        ``build_semigroup`` fills it with the set it ran Light's test over.
+        ``build_semigroup`` fills it with the set it ran Light's test over;
+        ``check_homomorphism`` checks the Cayley edges to these elements.
         """
         return _magma_generators(self.table)
 
@@ -236,6 +246,49 @@ def _is_identity(table, e: int) -> bool:
     return table[e] == tuple(range(len(table))) and all(row[e] == i for i, row in enumerate(table))
 
 
+def _trusted_semigroup(
+    table: tuple[tuple[int, ...], ...],
+    labels: Optional[Sequence[str]] = None,
+    zero: Optional[int] = None,
+    identity: Optional[int] = None,
+) -> FiniteSemigroup:
+    """Wrap a square tuple-of-tuples table known to be associative.
+
+    The cells are not scanned and Light's test is not run; callers pass
+    only tables in range and associative by construction (see the module
+    docstring), and ``build_semigroup`` passes the tables it validated.
+    Labels are checked for count and duplicates.  Zero and identity are
+    verified when declared and auto-detected when not; both are unique
+    whenever they exist, so detection is unambiguous.  ``generators`` is
+    computed on first use.
+    """
+    n = len(table)
+    if labels is None:
+        labels = tuple(f"e{i}" for i in range(n))
+    else:
+        labels = tuple(str(x) for x in labels)
+        if len(labels) != n:
+            raise ShapeError(f"{len(labels)} labels for {n} elements")
+        if len(set(labels)) != n:
+            raise ShapeError("duplicate labels")
+
+    if zero is None:
+        zero = next((z for z in range(n) if _is_zero(table, z)), None)
+    elif not (0 <= zero < n):
+        raise BadZero(f"zero index {zero} out of range")
+    elif not _is_zero(table, zero):
+        raise BadZero(f"element {labels[zero]!r} is not absorbing")
+
+    if identity is None:
+        identity = next((e for e in range(n) if _is_identity(table, e)), None)
+    elif not (0 <= identity < n):
+        raise BadIdentity(f"identity index {identity} out of range")
+    elif not _is_identity(table, identity):
+        raise BadIdentity(f"element {labels[identity]!r} is not an identity")
+
+    return FiniteSemigroup(order=n, table=table, labels=labels, zero=zero, identity=identity)
+
+
 def build_semigroup(
     table: Sequence[Sequence[int]],
     labels: Optional[Sequence[str]] = None,
@@ -247,9 +300,8 @@ def build_semigroup(
     Associativity is checked by Light's test over the magma generators of
     ``_magma_generators``, in O(n^2 * |A|) for |A| generators; when it fails,
     NonAssociative carries the first triple (i, j, k) in index order with
-    (i*j)*k != i*(j*k).  Zero and identity are verified when declared and
-    auto-detected when not; both are unique whenever they exist, so detection
-    is unambiguous.
+    (i*j)*k != i*(j*k).  Labels, zero and identity are then checked as in
+    ``_trusted_semigroup``.
     """
     n = len(table)
     if n == 0:
@@ -265,15 +317,6 @@ def build_semigroup(
         rows.append(row)
     tab = tuple(rows)
 
-    if labels is None:
-        labels = tuple(f"e{i}" for i in range(n))
-    else:
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != n:
-            raise ShapeError(f"{len(labels)} labels for {n} elements")
-        if len(set(labels)) != n:
-            raise ShapeError("duplicate labels")
-
     # (x*a)*y = x*(a*y) for all y says that row x*a is row a read through
     # row x.  itemgetter of one index returns a bare value rather than a
     # tuple, so the 1x1 table, which can only be [[0]], skips the check.
@@ -285,21 +328,7 @@ def build_semigroup(
                 if tab[tx[a]] != through_a(tx):
                     raise NonAssociative(*_find_associativity_witness(tab))
 
-    if zero is None:
-        zero = next((z for z in range(n) if _is_zero(tab, z)), None)
-    elif not (0 <= zero < n):
-        raise BadZero(f"zero index {zero} out of range")
-    elif not _is_zero(tab, zero):
-        raise BadZero(f"element {labels[zero]!r} is not absorbing")
-
-    if identity is None:
-        identity = next((e for e in range(n) if _is_identity(tab, e)), None)
-    elif not (0 <= identity < n):
-        raise BadIdentity(f"identity index {identity} out of range")
-    elif not _is_identity(tab, identity):
-        raise BadIdentity(f"element {labels[identity]!r} is not an identity")
-
-    S = FiniteSemigroup(order=n, table=tab, labels=labels, zero=zero, identity=identity)
+    S = _trusted_semigroup(tab, labels, zero=zero, identity=identity)
     S.__dict__["generators"] = gens  # fills the cached property
     return S
 
@@ -307,7 +336,9 @@ def build_semigroup(
 def subsemigroup(S: FiniteSemigroup, members: Iterable[int]) -> FiniteSemigroup:
     """Restrict S to a product-closed subset, reindexed in ascending order.
 
-    Built and validated once per subset of S; later calls return that object.
+    Closure is checked; associativity is inherited from S, so the table is
+    not validated again.  Built once per subset of S; later calls return
+    that object.
     """
     members = tuple(sorted(set(members)))
 
@@ -321,7 +352,7 @@ def subsemigroup(S: FiniteSemigroup, members: Iterable[int]) -> FiniteSemigroup:
                     )
         table = tuple(tuple(pos[S.table[x][y]] for y in members) for x in members)
         labels = tuple(S.labels[x] for x in members)
-        return build_semigroup(table, labels)
+        return _trusted_semigroup(table, labels)
 
     return _memoized(S, ("subsemigroup", members), build)
 

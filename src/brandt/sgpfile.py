@@ -15,7 +15,13 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .core import FiniteSemigroup, ParseError, ShapeError, build_semigroup, subsemigroup
+from .core import (
+    FiniteSemigroup,
+    ParseError,
+    ShapeError,
+    _trusted_semigroup,
+    build_semigroup,
+)
 from .construct import BrandtExtension, _extension_table
 
 FORMAT_VERSION = 1
@@ -60,8 +66,9 @@ def _tokenize(text: str):
             yield lineno, line.split()
 
 
-def parse_sgp(text: str) -> FiniteSemigroup:
-    """Parse a .sgp document; errors carry the offending line number."""
+def _parse_fields(text: str):
+    """The rows, labels, zero and identity of a .sgp document, unvalidated
+    beyond the layout, the row lengths and the index ranges."""
     tokens = list(_tokenize(text))
     if not tokens:
         raise ParseError("empty document")
@@ -88,7 +95,7 @@ def parse_sgp(text: str) -> FiniteSemigroup:
         raise ParseError("order must be positive", lineno)
 
     labels: Optional[list[str]] = None
-    rows: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
     zero: Optional[int] = None
     identity: Optional[int] = None
     row_line = None
@@ -126,7 +133,7 @@ def parse_sgp(text: str) -> FiniteSemigroup:
                     if v is None or v >= n:
                         raise ParseError(f"index {w!r} out of range 0..{n - 1}", lineno)
                     row.append(v)
-            rows.append(row)
+            rows.append(tuple(row))
             row_line = lineno
         elif key in ("zero", "identity"):
             if (zero if key == "zero" else identity) is not None:
@@ -147,6 +154,12 @@ def parse_sgp(text: str) -> FiniteSemigroup:
         raise ParseError(
             f"expected {n} rows, found {len(rows)}", row_line if row_line else lineno
         )
+    return rows, labels, zero, identity
+
+
+def parse_sgp(text: str) -> FiniteSemigroup:
+    """Parse a .sgp document; errors carry the offending line number."""
+    rows, labels, zero, identity = _parse_fields(text)
     return build_semigroup(rows, labels, zero=zero, identity=identity)
 
 
@@ -172,20 +185,28 @@ def read_extension(text: str) -> Optional[BrandtExtension]:
     """Rebuild extension coordinates from a legend-carrying document.
 
     Returns None when no legend is present.  The diagonal block at index pair
-    (0, 0), together with the carrier zero, recovers the base; the extension
-    table rebuilt from that base must equal the parsed table.
+    (0, 0), together with the carrier zero, recovers the base, which is
+    validated in full; the extension table rebuilt from that base must equal
+    the parsed table.  The carrier is then associative by construction, so
+    it is not validated again; its declared zero and identity are verified.
     """
     m = _LAMBDA_RE.search(text)
     if not m:
         return None
     lam = _number(m.group(1))
-    carrier = parse_sgp(text)
-    if not lam or (carrier.order - 1) % (lam * lam) != 0:
+    rows, labels, zero, identity = _parse_fields(text)
+    n = len(rows)
+    if not lam or (n - 1) % (lam * lam) != 0:
         raise ParseError("legend size does not divide the carrier")
-    if carrier.zero != 0:
-        raise ParseError("extension carriers keep their zero at index 0")
-    block = (carrier.order - 1) // (lam * lam)
-    base = subsemigroup(carrier, range(block + 1))
-    if carrier.table != _extension_table(base, lam):
+    size = (n - 1) // (lam * lam) + 1
+    corner = [row[:size] for row in rows[:size]]
+    if any(v >= size for row in corner for v in row):
         raise ParseError("legend is inconsistent with the table")
+    base = build_semigroup(corner, labels and labels[:size])
+    if base.zero != 0:
+        raise ParseError("extension carriers keep their zero at index 0")
+    table = tuple(rows)
+    if table != _extension_table(base, lam):
+        raise ParseError("legend is inconsistent with the table")
+    carrier = _trusted_semigroup(table, labels, zero=zero, identity=identity)
     return BrandtExtension(base=base, lam=lam, carrier=carrier)

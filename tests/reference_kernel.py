@@ -12,7 +12,9 @@ the oracle for ``search.find_matrix_unit_copy``: it filters every
 combination of diagonal idempotents and checks the matrix-unit product law
 by hand.  ``reference_generating_set`` is the oracle for
 ``homs.generating_set``: it grows a closure for every element outside the
-chosen set in every round.
+chosen set in every round.  ``reference_check_homomorphism`` is the oracle
+for ``homs.check_homomorphism``: it tests the product law on all n^2 pairs
+instead of the n*|G| Cayley edges.
 """
 
 import itertools
@@ -22,12 +24,13 @@ from typing import Optional
 from brandt.core import (
     BudgetExceeded,
     FiniteSemigroup,
+    NotHomomorphism,
     NoZero,
     ShapeError,
     TooLarge,
     _grow_closure,
 )
-from brandt.homs import DEFAULT_BUDGET
+from brandt.homs import DEFAULT_BUDGET, Homomorphism
 from brandt.search import (
     DEFAULT_CONGRUENCE_BOUND,
     _normalize_partition,
@@ -112,6 +115,35 @@ def reference_search_maps(
                 undo(mark)
 
     return search(0)
+
+
+def reference_check_homomorphism(mapping, source: FiniteSemigroup, target) -> Homomorphism:
+    """Verify the product law over every source pair and wrap the map.
+
+    NotHomomorphism carries the first failing pair (i, j) in index order.
+    """
+    mapping = tuple(mapping)
+    if len(mapping) != source.order:
+        raise ShapeError(
+            f"map covers {len(mapping)} elements, source has {source.order}"
+        )
+    finite = isinstance(target, FiniteSemigroup)
+    if finite:
+        for v in mapping:
+            if not isinstance(v, int) or not (0 <= v < target.order):
+                raise ShapeError(f"image {v!r} outside the target")
+    n = source.order
+    st = source.table
+    for i in range(n):
+        for j in range(n):
+            got = (
+                target.table[mapping[i]][mapping[j]]
+                if finite
+                else target.multiply(mapping[i], mapping[j])
+            )
+            if got != mapping[st[i][j]]:
+                raise NotHomomorphism(i, j)
+    return Homomorphism(source=source, target=target, mapping=mapping)
 
 
 def reference_congruence_closure(S: FiniteSemigroup, pairs) -> tuple[int, ...]:

@@ -44,6 +44,7 @@ from brandt.fixtures import (
     ex2_6_data,
 )
 from brandt.homs import Homomorphism
+from test_construct import assert_matches_validated
 
 
 def test_identity_triple_induces_identity():
@@ -313,6 +314,22 @@ def test_completeness_rows_search_each_base_pair_once(monkeypatch):
     assert len(calls) == 48
 
 
+def test_completeness_rows_build_one_triple_per_induced_map(monkeypatch):
+    """extension_homs builds only the canonical triples, u(0) = h(1_S), so
+    one completeness_rows() pass validates one triple per induced map."""
+    calls = []
+    make = category.make_triple
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(category, "make_triple", counting)
+    rows = completeness_rows()
+    induced = sum(len(from_triples) for *_, from_triples, _ in rows)
+    assert (len(calls), induced) == (219, 219)
+
+
 @pytest.mark.parametrize("lam1", [-1, 0])
 def test_enumerate_triples_rejects_rank_below_one(lam1):
     S = example_e()
@@ -476,6 +493,21 @@ def test_image_decomposition_sweep_with_group_bases():
             )
         ]
         assert set(units) == set(range(T0.order)) - {T0.zero}
+
+
+def test_image_decomposition_structures_match_their_validated_builds():
+    # T0, its extension and the image are wrapped without Light's test
+    corpus = list(acceptance_corpus().values())
+    built = 0
+    for S, T in itertools.product(corpus, repeat=2):
+        for l1, l2 in ((1, 1), (1, 2), (2, 2), (2, 3)):
+            src, dst = brandt_extension(S, l1), brandt_extension(T, l2)
+            for sigma in enumerate_homs(src.carrier, dst.carrier, nontrivial_only=True):
+                T0, witness = image_decomposition(sigma, src)
+                for C in (T0, witness.source, witness.target):
+                    assert_matches_validated(C)
+                    built += 1
+    assert built > 1000
 
 
 def test_image_decomposition_rejects_trivial():

@@ -116,6 +116,35 @@ def test_product_law_and_coordinates(relabeled):
                     assert t[i][j] == want
 
 
+def assert_matches_validated(C, zero=None):
+    """C, built without Light's test, equals the validated build of its
+    table and labels in every field, its generators included."""
+    V = build_semigroup(C.table, C.labels, zero=zero)
+    fields = ("order", "table", "labels", "zero", "identity", "generators")
+    assert [getattr(C, f) for f in fields] == [getattr(V, f) for f in fields]
+
+
+def test_extension_carriers_match_their_validated_builds():
+    bases = list(acceptance_corpus().values()) + [
+        chain(4),
+        cyclic_group_with_zero(3),
+        rect_band_with_unit_and_zero(),
+        b2_with_identity(),
+    ]
+    for S in bases:
+        for lam in (1, 2, 3):
+            assert_matches_validated(brandt_extension(S, lam).carrier, zero=0)
+
+
+def test_extension_labels_are_still_checked():
+    S = chain(3)  # the rank-2 carrier has 9 elements
+    good = ["0"] + [f"x{i}" for i in range(8)]
+    assert brandt_extension(S, 2, carrier_labels=good).carrier.labels == tuple(good)
+    for labels in (good[:-1], good + ["x8"], good[:-1] + ["x0"]):
+        with pytest.raises(ShapeError):
+            brandt_extension(S, 2, carrier_labels=labels)
+
+
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_encode_decode_roundtrip(data):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from brandt import (
     BudgetExceeded,
+    FiniteSemigroup,
     NotHomomorphism,
     build_semigroup,
     check_homomorphism,
@@ -32,7 +33,11 @@ from brandt.fixtures import ex2_5_data, EX2_12_ENTRIES
 from brandt.construct import matrix_units_extension
 from brandt.core import _grow_closure
 from brandt.homs import _compile, _search_maps, generating_set
-from reference_kernel import reference_generating_set, reference_search_maps
+from reference_kernel import (
+    reference_check_homomorphism,
+    reference_generating_set,
+    reference_search_maps,
+)
 
 
 def brute_force_homs(S, T):
@@ -281,6 +286,93 @@ def test_cayley_edge_kernel_matches_oracles_on_random_tables(s_table, t_table):
     got = edge_kernel_homs(S, T)
     assert got == oracle_homs(S, T)
     assert set(got) == brute_force_homs(S, T)
+
+
+def checks_agree(mapping, S, T) -> bool:
+    """The edge check and the all-pairs oracle accept or reject the map
+    together, and a rejecting edge (i, j) breaks the product law.  Returns
+    whether the map is a homomorphism."""
+    try:
+        want = reference_check_homomorphism(mapping, S, T)
+    except NotHomomorphism:
+        want = None
+    try:
+        got = check_homomorphism(mapping, S, T)
+    except NotHomomorphism as exc:
+        i, j = exc.witness
+        fi, fj = mapping[i], mapping[j]
+        product = T.table[fi][fj] if isinstance(T, FiniteSemigroup) else T.multiply(fi, fj)
+        assert product != mapping[S.table[i][j]]
+        got = None
+    assert got == want
+    return want is not None
+
+
+def checks_agree_around(S, T, rng):
+    """Every map enumerate_homs finds, each with one entry planted wrong,
+    and some random maps.  Returns how many maps were checked and how many
+    of them were rejected."""
+    images = range(T.order)
+    maps = [h.mapping for h in enumerate_homs(S, T)]
+    for mapping in maps:
+        assert checks_agree(mapping, S, T)
+    for mapping in maps[:]:
+        planted = list(mapping)
+        i = rng.randrange(S.order)
+        planted[i] = rng.choice([v for v in images if v != planted[i]] or images)
+        maps.append(planted)
+    maps += [[rng.choice(images) for _ in range(S.order)] for _ in range(10)]
+    accepted = sum(checks_agree(mapping, S, T) for mapping in maps)
+    return len(maps), len(maps) - accepted
+
+
+def test_edge_check_matches_all_pairs_oracle_on_corpus_extensions():
+    rng = random.Random(5)
+    carriers = oracle_carriers()
+    one = build_semigroup([[0]])  # the 1x1 table, as source and as target
+    pairs = [(S, T) for S in carriers for T in carriers]
+    pairs += [(one, C) for C in carriers] + [(C, one) for C in carriers]
+    checked = rejected = 0
+    for S, T in pairs:
+        n, bad = checks_agree_around(S, T, rng)
+        checked += n
+        rejected += bad
+    assert checks_agree([0], one, one)
+    assert rejected > 1000 and checked - rejected > 1000
+
+
+@given(associative_tables(), associative_tables(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_edge_check_matches_all_pairs_oracle_on_random_tables(s_table, t_table, rng):
+    S, T = build_semigroup(s_table), build_semigroup(t_table)
+    checks_agree_around(S, T, rng)
+
+
+def test_edge_check_matches_all_pairs_oracle_into_function_backed_target():
+    # the bicyclic monoid with zero, and its rank-2 extension (Example 2.12)
+    rng = random.Random(8)
+    bicyclic = bicyclic_with_zero()
+    tokens = ["0"] + [(i, j) for i in range(3) for j in range(3)]
+    for S in (two_element(), example_e(), cyclic_group_with_zero(2)):
+        accepted = sum(
+            checks_agree(mapping, S, bicyclic)
+            for mapping in itertools.product(tokens, repeat=S.order)
+        )
+        assert accepted > 0
+    src = matrix_units_extension(2)
+    dst = function_brandt_extension(bicyclic, 2)
+    mapping = ["0"] * 5
+    for (i, j), token in EX2_12_ENTRIES.items():
+        mapping[src.encode(i - 1, 0, j - 1)] = token
+    assert checks_agree(mapping, src.carrier, dst)
+    ext_tokens = ["0"] + [(a, t, b) for a in range(2) for t in tokens[1:4] for b in range(2)]
+    for i in range(5):
+        for token in ext_tokens:
+            planted = list(mapping)
+            planted[i] = token
+            checks_agree(planted, src.carrier, dst)
+    for _ in range(50):
+        checks_agree([rng.choice(ext_tokens) for _ in range(5)], src.carrier, dst)
 
 
 def test_generating_set_matches_reference_on_oracle_carriers(relabeled):

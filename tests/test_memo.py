@@ -109,8 +109,10 @@ def test_image_decomposition_memo_hits_match_fresh_computation():
 
 def test_image_decomposition_builds_each_structure_once(monkeypatch):
     # one corpus pair over its whole rank grid: every target carrier is
-    # fresh, so the sweep validates each T0, each image and each extension
-    # of T0 exactly once (at rank one the image is T0 itself)
+    # fresh, so the sweep builds each T0, each image and each extension of
+    # T0 exactly once (at rank one the image is T0 itself).  Every table,
+    # validated by build_semigroup or trusted by construction, is wrapped by
+    # core._trusted_semigroup, so that is the call counted.
     S, T = chain(3), cyclic_group_with_zero(2)
     grid = []
     for l1, l2 in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)):
@@ -118,14 +120,14 @@ def test_image_decomposition_builds_each_structure_once(monkeypatch):
         grid.append((src, enumerate_homs(src.carrier, dst.carrier, nontrivial_only=True)))
 
     built = []
-    real = core.build_semigroup
+    real = core._trusted_semigroup
 
     def counting(*args, **kwargs):
         built.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(core, "build_semigroup", counting)
-    monkeypatch.setattr(construct, "build_semigroup", counting)
+    monkeypatch.setattr(core, "_trusted_semigroup", counting)
+    monkeypatch.setattr(construct, "_trusted_semigroup", counting)
     expected = calls = 0
     for src, sigmas in grid:
         t0s, images = set(), set()
@@ -137,7 +139,7 @@ def test_image_decomposition_builds_each_structure_once(monkeypatch):
                 image_decomposition(sigma, src)
                 calls += 1
         expected += len(t0s | images) + len(t0s)
-    # unmemoized, each call would validate three tables: 3 * 184 = 552
+    # unmemoized, each call would build three tables: 3 * 184 = 552
     assert len(built) == expected
     assert (expected, calls) == (40, 184)
 

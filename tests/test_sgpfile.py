@@ -1,8 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brandt import (
+    AlgebraError,
+    BadIdentity,
     BadZero,
     NonAssociative,
     ParseError,
@@ -13,6 +17,7 @@ from brandt import (
     write_extension,
     write_sgp,
 )
+from brandt.cli import main
 from brandt.construct import brandt_extension, matrix_units, matrix_units_extension
 from brandt.corpus import (
     chain,
@@ -202,6 +207,71 @@ def test_inconsistent_legend_rejected():
     text = write_sgp(build_semigroup(table)) + "# brandt lambda 2\n"
     with pytest.raises(ParseError, match="legend is inconsistent"):
         read_extension(text)
+
+
+def with_entry(text: str, i: int, j: int, v: int) -> str:
+    """The document with entry (i, j) of its table set to v."""
+    lines = text.split("\n")
+    k = [n for n, line in enumerate(lines) if line.startswith("row ")][i]
+    words = lines[k].split()
+    words[1 + j] = str(v)
+    lines[k] = " ".join(words)
+    return "\n".join(lines)
+
+
+def test_every_single_entry_edit_of_a_legend_file_is_rejected():
+    # the carrier is trusted only once it equals the extension of its
+    # validated (0, 0) block; every edit of one entry of these tables
+    # breaks associativity, and read_extension rejects each one
+    for base in (chain(3), cyclic_group_with_zero(2)):
+        ext = brandt_extension(base, 2)
+        text = write_extension(ext)
+        assert read_extension(text).carrier == ext.carrier
+        n = ext.carrier.order
+        for i, j, v in itertools.product(range(n), repeat=3):
+            if v != ext.carrier.table[i][j]:
+                edited = with_entry(text, i, j, v)
+                with pytest.raises(NonAssociative):
+                    parse_sgp(edited)
+                with pytest.raises(AlgebraError):
+                    read_extension(edited)
+
+
+def false_declarations():
+    """Legend files declaring a zero or an identity that is not one."""
+    rank_two = write_extension(brandt_extension(chain(3), 2))
+    rank_one = write_extension(brandt_extension(chain(3), 1))
+    assert "zero 0\n" in rank_two and "identity 1\n" in rank_one
+    return [
+        (rank_two.replace("zero 0\n", "zero 1\n"), BadZero),
+        (rank_two.replace("zero 0\n", "zero 0\nidentity 1\n"), BadIdentity),
+        (rank_one.replace("identity 1\n", "identity 2\n"), BadIdentity),
+    ]
+
+
+def test_false_declarations_in_legend_files_rejected():
+    for text, error in false_declarations():
+        with pytest.raises(error):
+            read_extension(text)
+
+
+def test_rejected_legend_files_exit_2_through_the_cli(tmp_path, capsys):
+    ext = brandt_extension(chain(3), 2)
+    text = write_extension(ext)
+    broken = [
+        with_entry(text, 1, 1, 0),  # in the (0, 0) block: not associative
+        with_entry(text, 8, 8, 0),  # outside it: not associative
+        write_sgp(build_semigroup([[min(i, j) for j in range(5)] for i in range(5)]))
+        + "# brandt lambda 2\n",  # associative, but not the legend's extension
+    ] + [doc for doc, _ in false_declarations()]
+    path = tmp_path / "ext.sgp"
+    path.write_text(text)
+    assert main(["homs", str(path), str(path), "--classify"]) == 0
+    for doc in broken:
+        path.write_text(doc)
+        capsys.readouterr()
+        assert main(["homs", str(path), str(path), "--classify"]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 @given(st.data())
