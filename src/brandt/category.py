@@ -25,6 +25,14 @@ disjoint.
 induced_hom, recover_triple, extension_homs and the checks on extension
 homomorphisms take the source and target extensions the caller already
 holds; none of them rebuilds an extension it is handed.
+
+Each fact is checked by one function.  make_triple alone validates triple
+data.  _require_map is the precondition of recover_triple,
+image_decomposition, check_block_separation and compose_and_check: a
+non-constant map out of the given extension, whose base is a monoid.
+_check_ranks requires monoids with zero and lam1 <= lam2.  _verified
+verifies the maps built by construction, and core.maximal_subgroup gives
+H(e) with its inverses.
 """
 
 from __future__ import annotations
@@ -95,30 +103,33 @@ def make_triple(
     index_map,
     index_codomain: int,
 ) -> MorphismTriple:
-    """Validate triple data, weights in H(h(1_S)) (all zero at the constant-zero
-    base, as H(0) = {0}); raises IllFormedTriple on any violation."""
+    """Validate triple data; no other function does.  In order: both bases
+    are monoids with zero (NoZero, NoIdentity), then, raising IllFormedTriple,
+    h fixes the zero, h(1_S) is the zero only if h is constant, every weight
+    lies in H(h(1_S)) (H(0) = {0}), and the index map covers the weights'
+    non-empty index set, injectively, into range(index_codomain)."""
     S, T = base.source, base.target
     require_monoid_with_zero(S, "triple source")
     require_monoid_with_zero(T, "triple target")
     if base.preserves_zero is not True:
         raise IllFormedTriple("base map does not send zero to zero")
+    e = base.mapping[S.identity]
+    if e == T.zero and not base.is_trivial:
+        raise IllFormedTriple("identity collapses to zero but the map is not constant")
     weights = tuple(weights)
     index_map = tuple(index_map)
+    group = maximal_subgroup(T, e).inverses
+    bad = [w for w in weights if w not in group]
+    if bad:
+        raise IllFormedTriple(
+            f"weight {T.labels[bad[0]]!r} outside the maximal subgroup at {T.labels[e]!r}"
+        )
     if not weights or len(weights) != len(index_map):
         raise IllFormedTriple("weights and index map must cover the same index set")
     if len(set(index_map)) != len(index_map):
         raise IllFormedTriple("index map is not injective")
     if any(not (0 <= v < index_codomain) for v in index_map):
         raise IllFormedTriple("index map leaves the target index set")
-    e = base.mapping[S.identity]
-    if e == T.zero and not base.is_trivial:
-        raise IllFormedTriple("identity collapses to zero but the map is not constant")
-    members = set(maximal_subgroup(T, e).members)
-    bad = [w for w in weights if w not in members]
-    if bad:
-        raise IllFormedTriple(
-            f"weight {T.labels[bad[0]]!r} outside the maximal subgroup at {T.labels[e]!r}"
-        )
     return MorphismTriple(
         base=base,
         weights=weights,
@@ -129,11 +140,28 @@ def make_triple(
 
 def identity_triple(S: FiniteSemigroup, lam: int) -> MorphismTriple:
     """The neutral morphism: identity base, identity weights and index map."""
-    require_monoid_with_zero(S)
     base = Homomorphism(source=S, target=S, mapping=tuple(range(S.order)))
-    return make_triple(
-        base, (S.identity,) * lam, tuple(range(lam)), lam
-    )
+    return make_triple(base, (S.identity,) * lam, tuple(range(lam)), lam)
+
+
+def _require_map(sigma: Homomorphism, source_ext: BrandtExtension, target=None):
+    """The precondition on a map out of an extension: sigma is not constant
+    (TrivialInput), starts at source_ext and ends at ``target`` when given
+    (Mismatch), and the source base is a monoid with zero (NoIdentity)."""
+    if sigma.is_trivial:
+        raise TrivialInput("expects a non-constant map")
+    if sigma.source != source_ext.carrier or (target is not None and sigma.target != target):
+        raise Mismatch("homomorphism does not connect the given extensions")
+    require_monoid_with_zero(source_ext.base, "source base")
+
+
+def _verified(what: str, mapping, source, target) -> Homomorphism:
+    """check_homomorphism on a map built by construction.  It cannot fail on
+    well-formed input, so a failure is a bug and raises ConformanceError."""
+    try:
+        return check_homomorphism(mapping, source, target)
+    except NotHomomorphism as exc:  # pragma: no cover - guarded by construction
+        raise ConformanceError(f"{what} failed verification: {exc}") from exc
 
 
 def induced_hom(
@@ -143,25 +171,21 @@ def induced_hom(
 ) -> Homomorphism:
     """The extension homomorphism induced by a triple (the functor's action).
 
-    A trivial base induces the constant-to-zero map.  The result is verified
-    by check_homomorphism before being returned; a verification failure
-    cannot happen for well-formed input and aborts loudly.
+    A trivial base induces the constant-to-zero map.  Extensions other than
+    the triple's raise Mismatch.
     """
     S, T = triple.base.source, triple.base.target
     if source_ext.base != S or source_ext.lam != triple.lam:
-        raise IllFormedTriple("source extension does not match the triple")
+        raise Mismatch("source extension does not match the triple")
     if target_ext.base != T or target_ext.lam != triple.index_codomain:
-        raise IllFormedTriple("target extension does not match the triple")
-    if source_ext.lam > target_ext.lam:
-        raise IllFormedTriple("source index set larger than the target one")
+        raise Mismatch("target extension does not match the triple")
 
     n = source_ext.carrier.order
     mapping = [0] * n
     h = triple.base.mapping
     tz = T.zero
     tt = T.table
-    H = maximal_subgroup(T, triple.idempotent)
-    inv = {x: H.inverse(T, x) for x in H.members}
+    inv = maximal_subgroup(T, triple.idempotent).inverses
     u = triple.weights
     phi = triple.index_map
     for idx in range(1, n):
@@ -173,10 +197,7 @@ def induced_hom(
         if middle == tz:
             raise ConformanceError("induced middle vanished on a nonzero image")
         mapping[idx] = target_ext.encode(phi[a], middle, phi[b])
-    try:
-        return check_homomorphism(mapping, source_ext.carrier, target_ext.carrier)
-    except NotHomomorphism as exc:  # pragma: no cover - guarded by construction
-        raise ConformanceError(f"induced map failed verification: {exc}") from exc
+    return _verified("induced map", mapping, source_ext.carrier, target_ext.carrier)
 
 
 @dataclass(frozen=True)
@@ -195,19 +216,14 @@ def recover_triple(
 
     Anchors at source index 0, reads the base map off the (0, s, 0) block and
     the weights off the (b, 1_S, 0) column, then demands that the rebuilt
-    homomorphism reproduce ``sigma`` exactly.
+    homomorphism reproduce ``sigma`` exactly.  The weight at index 0 is read
+    off the anchor unit, so it is h(1_S): the triple is canonical.  Reasons
+    about the triple data, such as a weight outside H(e), are make_triple's.
     """
-    if sigma.is_trivial:
-        raise TrivialInput("cannot classify a constant map")
-    if sigma.source != source_ext.carrier or sigma.target != target_ext.carrier:
-        raise Mismatch("homomorphism does not connect the given extensions")
-    if source_ext.lam > target_ext.lam:
-        raise Mismatch("source index set larger than the target one")
+    _require_map(sigma, source_ext, target_ext.carrier)
     S, T = source_ext.base, target_ext.base
-    require_monoid_with_zero(S, "source base")
-    require_monoid_with_zero(T, "target base")
+    _check_ranks(S, T, source_ext.lam, target_ext.lam)
 
-    lam1 = source_ext.lam
     diag = sigma.mapping[source_ext.unit_index(0, 0)]
     if diag == 0:
         return NotClassifiable("anchor unit maps to zero")
@@ -216,30 +232,20 @@ def recover_triple(
         return NotClassifiable("anchor unit image is off the diagonal")
     if T.table[e][e] != e:
         return NotClassifiable("anchor image middle is not idempotent")
-    members = set(maximal_subgroup(T, e).members)
 
-    phi = []
-    u = []
-    for b in range(lam1):
+    phi, u = [], []
+    for b in range(source_ext.lam):
         img = sigma.mapping[source_ext.unit_index(b, 0)]
         if img == 0:
             return NotClassifiable(f"unit ({b},1,0) maps to zero")
         x, t, y = target_ext.decode(img)
         if y != a_prime:
             return NotClassifiable(f"unit ({b},1,0) image leaves the anchor column")
-        if t not in members:
-            return NotClassifiable(
-                f"weight {T.labels[t]!r} outside the maximal subgroup at {T.labels[e]!r}"
-            )
         phi.append(x)
         u.append(t)
-    if len(set(phi)) != lam1:
-        return NotClassifiable("recovered index map is not injective")
 
     h = [T.zero] * S.order
-    for s in range(S.order):
-        if s == S.zero:
-            continue
+    for s in source_ext.nonzero_base:
         img = sigma.mapping[source_ext.encode(0, s, 0)]
         if img == 0:
             continue
@@ -252,7 +258,7 @@ def recover_triple(
     except NotHomomorphism as exc:
         return NotClassifiable(f"recovered base map fails the product law: {exc}")
     try:
-        triple = make_triple(base, tuple(u), tuple(phi), target_ext.lam)
+        triple = make_triple(base, u, phi, target_ext.lam)
     except IllFormedTriple as exc:
         return NotClassifiable(str(exc))
     rebuilt = induced_hom(triple, source_ext, target_ext)
@@ -360,12 +366,9 @@ def extension_homs(
     for h in moving:
         for a in range(lam2):
             mapping = [target_ext.encode(a, h.mapping[s], a) for s in middles]
-            try:
-                zero_moving.append(
-                    check_homomorphism(mapping, source_ext.carrier, target_ext.carrier)
-                )
-            except NotHomomorphism as exc:  # pragma: no cover - guarded by construction
-                raise ConformanceError(f"zero-moving map failed verification: {exc}") from exc
+            zero_moving.append(
+                _verified("zero-moving map", mapping, source_ext.carrier, target_ext.carrier)
+            )
     induced.sort(key=lambda sigma: sigma.mapping)
     zero_moving.sort(key=lambda sigma: sigma.mapping)
     return induced, zero_moving
@@ -381,16 +384,12 @@ def compose_and_check(
 
     The predicate: some unit-block image under s1 escapes the set of elements
     s2 kills.  It must coincide with the composite being non-trivial; a
-    disagreement aborts loudly.  Returns the composite.
+    disagreement aborts loudly.  Returns the composite.  s2 must not be
+    constant either.
     """
-    if s1.target != s2.source:
-        raise Mismatch("middle semigroups differ")
-    if s1.is_trivial or s2.is_trivial:
-        raise TrivialInput("composition test expects non-trivial maps")
-    if s1.source != source_ext.carrier:
-        raise Mismatch("source extension does not match s1")
-    if not source_ext.base_has_identity:
-        raise Mismatch("source base must be a monoid")
+    _require_map(s1, source_ext, s2.source)
+    if s2.is_trivial:
+        raise TrivialInput("expects a non-constant second map")
     composite = compose_homs(s1, s2)
     zero3 = s2.target.zero
     lam = source_ext.lam
@@ -420,14 +419,9 @@ def image_decomposition(
     T0 and the image are memoized subsemigroups of the target, and the
     extension of T0 is memoized on T0; the witness is verified on every call.
     """
-    if sigma.is_trivial:
-        raise TrivialInput("a constant map has no extension structure")
+    _require_map(sigma, source_ext)
     if not isinstance(sigma.target, FiniteSemigroup):
         raise Mismatch("decomposition needs a table-backed target")
-    if sigma.source != source_ext.carrier:
-        raise Mismatch("homomorphism does not start at the given extension")
-    if not source_ext.base_has_identity:
-        raise Mismatch("source base must be a monoid")
     lam = source_ext.lam
     big = sigma.target
 
@@ -461,10 +455,7 @@ def image_decomposition(
         a, t_local, b = ext0.decode(idx)
         rep = diag_images[t0_globals[t_local]]
         mapping[idx] = loc[sigma.mapping[source_ext.encode(a, rep, b)]]
-    try:
-        witness = check_homomorphism(mapping, ext0.carrier, image_sg)
-    except NotHomomorphism as exc:
-        raise ConformanceError(f"decomposition witness failed: {exc}") from exc
+    witness = _verified("decomposition witness", mapping, ext0.carrier, image_sg)
     if not (witness.is_injective and witness.is_surjective):
         raise ConformanceError("decomposition witness is not bijective")
     return T0, witness
@@ -486,12 +477,7 @@ def check_block_separation(
     base fails the exclusion hypotheses and ConformanceError when a
     guaranteed assertion fails.
     """
-    if sigma.is_trivial:
-        raise TrivialInput("block checks expect a non-trivial map")
-    if sigma.source != source_ext.carrier or sigma.target != target_ext.carrier:
-        raise Mismatch("homomorphism does not connect the given extensions")
-    if not source_ext.base_has_identity:
-        raise Mismatch("source base must be a monoid")
+    _require_map(sigma, source_ext, target_ext.carrier)
     lam1 = source_ext.lam
     if lam1 < 2:
         raise HypothesisUnmet("matrix-unit exclusion is defined for rank >= 2 only")

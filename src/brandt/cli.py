@@ -32,6 +32,14 @@ def _load(path: str):
         return fh.read()
 
 
+def _read_each(paths, parse):
+    """``parse`` of the text of each path; a path given twice is loaded and
+    parsed once.  Every file is loaded before any is parsed."""
+    texts = {p: _load(p) for p in dict.fromkeys(paths)}
+    parsed = {p: parse(text) for p, text in texts.items()}
+    return [parsed[p] for p in paths]
+
+
 def cmd_props(args, budget):
     S = parse_sgp(_load(args.file))
     report = classify(S, lambdas=(args.lam,))
@@ -75,15 +83,13 @@ def cmd_extend(args, budget):
 
 
 def cmd_homs(args, budget):
-    src_text, dst_text = _load(args.source), _load(args.target)
-    src_ext = dst_ext = None
+    def parse(text):
+        # a legend-carrying file is parsed once, through its legend
+        ext = read_extension(text) if args.classify else None
+        return ext, (ext.carrier if ext else parse_sgp(text))
+
+    (src_ext, S), (dst_ext, T) = _read_each((args.source, args.target), parse)
     legend_missing = None
-    if args.classify:
-        # a legend-carrying file is read once, through its legend
-        src_ext = read_extension(src_text)
-        dst_ext = read_extension(dst_text)
-    S = src_ext.carrier if src_ext else parse_sgp(src_text)
-    T = dst_ext.carrier if dst_ext else parse_sgp(dst_text)
     homs = enumerate_homs(S, T, nontrivial_only=args.nontrivial, budget=budget)
     if args.classify:
         if src_ext is None:
@@ -116,8 +122,7 @@ def cmd_homs(args, budget):
 
 
 def cmd_iso(args, budget):
-    A = parse_sgp(_load(args.a))
-    B = parse_sgp(_load(args.b))
+    A, B = _read_each((args.a, args.b), parse_sgp)
     witness = iso_search(A, B, budget=budget)
     if witness is None:
         print("NOT-ISOMORPHIC")

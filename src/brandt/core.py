@@ -27,10 +27,11 @@ product is, so checking these tables again could never fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 
 class AlgebraError(Exception):
@@ -416,18 +417,12 @@ def idempotent_order(S: FiniteSemigroup) -> IdempotentOrder:
 
 @dataclass(frozen=True)
 class MaximalSubgroup:
-    """The largest subgroup of the ambient semigroup with a given identity."""
+    """The largest subgroup of the ambient semigroup with a given identity:
+    its ``members`` in ascending order and the ``inverses`` of each."""
 
     identity: int
     members: tuple[int, ...]
-
-    def inverse(self, S: FiniteSemigroup, x: int) -> int:
-        # exhaustive search; subgroups stay tiny at desk scale
-        e = self.identity
-        for y in self.members:
-            if S.table[x][y] == e and S.table[y][x] == e:
-                return y
-        raise AlgebraError(f"{S.labels[x]} has no inverse in H({S.labels[e]})")
+    inverses: Mapping[int, int] = field(compare=False)
 
 
 def maximal_subgroup(S: FiniteSemigroup, e: int) -> MaximalSubgroup:
@@ -438,9 +433,8 @@ def maximal_subgroup(S: FiniteSemigroup, e: int) -> MaximalSubgroup:
         if t[e][e] != e:
             raise NotIdempotent(f"element {S.labels[e]!r} is not idempotent")
         local = sorted({t[t[e][x]][e] for x in range(S.order)})
-        members = tuple(
-            x for x in local if any(t[x][y] == e and t[y][x] == e for y in local)
-        )
-        return MaximalSubgroup(identity=e, members=members)
+        # a unit of eSe has one inverse there, so no key is written twice
+        inverses = {x: y for x in local for y in local if t[x][y] == e == t[y][x]}
+        return MaximalSubgroup(e, tuple(inverses), MappingProxyType(inverses))
 
     return _memoized(S, ("maximal_subgroup", e), build)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from brandt import (
     HypothesisUnmet,
     IllFormedTriple,
     Mismatch,
+    NoIdentity,
     ShapeError,
     TrivialInput,
     check_block_separation,
@@ -28,9 +30,10 @@ from brandt import (
 from brandt import category
 from brandt.category import NotClassifiable
 from brandt.classify import classify
-from brandt.construct import brandt_extension, matrix_units_extension
+from brandt.construct import brandt_extension, matrix_units_extension, orthogonal_sum
 from brandt.corpus import (
     acceptance_corpus,
+    b2_with_identity,
     chain,
     cyclic_group_with_zero,
     example_e,
@@ -135,6 +138,8 @@ def test_roundtrip_on_corpus():
                         l2,
                         verdict.reason,
                     )
+                    # u(0) is read off the anchor unit: the triple is canonical
+                    assert verdict.weights[0] == verdict.idempotent
                     rebuilt = induced_hom(verdict, src, dst)
                     assert rebuilt.mapping == sig.mapping
 
@@ -357,6 +362,114 @@ def test_recover_requires_nontrivial():
     zero_map = check_homomorphism([0] * 5, b2x.carrier, b2x.carrier)
     with pytest.raises(TrivialInput):
         recover_triple(zero_map, b2x, b2x)
+
+
+@pytest.mark.parametrize(
+    "plant, reason",
+    [
+        (lambda ext: (ext.unit_index(0, 0), 0), "anchor unit maps to zero"),
+        (
+            lambda ext: (ext.unit_index(0, 0), ext.unit_index(0, 1)),
+            "anchor unit image is off the diagonal",
+        ),
+        (
+            lambda ext: (ext.unit_index(0, 0), ext.encode(0, 2, 0)),
+            "anchor image middle is not idempotent",
+        ),
+        (lambda ext: (ext.unit_index(1, 0), 0), r"unit \(1,1,0\) maps to zero"),
+        (
+            lambda ext: (ext.unit_index(1, 0), ext.unit_index(1, 1)),
+            r"unit \(1,1,0\) image leaves the anchor column",
+        ),
+        (
+            lambda ext: (ext.encode(0, 2, 0), ext.encode(1, 2, 1)),
+            "diagonal block image leaks outside the anchor block",
+        ),
+        (
+            lambda ext: (ext.encode(0, 2, 0), ext.encode(0, 1, 0)),
+            "recovered base map fails the product law",
+        ),
+        (
+            lambda ext: (ext.unit_index(1, 0), ext.encode(1, 1, 0)),
+            r"weight '\(1,1\)' outside the maximal subgroup at '1'",
+        ),
+        (
+            lambda ext: (ext.unit_index(1, 0), ext.unit_index(0, 0)),
+            "index map is not injective",
+        ),
+        (lambda ext: (ext.encode(0, 2, 1), 0), "reconstruction differs at carrier index {where}$"),
+    ],
+)
+def test_recover_triple_reports_each_planted_defect(plant, reason):
+    """One image of the identity on the rank-2 extension of B2 with an
+    identity, replaced as ``plant`` says, is reported by its own reason
+    ({where} is the replaced index).  The maps are built by hand and are not
+    homomorphisms."""
+    # base labels 0, (1,1), (1,2), (2,1), (2,2), 1 at indices 0..5; H(1) = {1}
+    ext = brandt_extension(b2_with_identity(), 2)
+    identity = tuple(range(ext.carrier.order))
+    sigma = Homomorphism(source=ext.carrier, target=ext.carrier, mapping=identity)
+    assert recover_triple(sigma, ext, ext) == identity_triple(ext.base, 2)
+    mapping = list(identity)
+    where, image = plant(ext)
+    mapping[where] = image
+    sigma = Homomorphism(source=ext.carrier, target=ext.carrier, mapping=tuple(mapping))
+    verdict = recover_triple(sigma, ext, ext)
+    assert isinstance(verdict, NotClassifiable)
+    assert re.search(reason.format(where=where), verdict.reason), verdict.reason
+
+
+def _defective(defect):
+    """A map and the (source, target) extensions handed with it, one input
+    wrong as ``defect`` says."""
+    b2x = matrix_units_extension(2)
+    identity = Homomorphism(source=b2x.carrier, target=b2x.carrier, mapping=tuple(range(5)))
+    if defect == "trivial map":
+        zero = Homomorphism(source=b2x.carrier, target=b2x.carrier, mapping=(0,) * 5)
+        return zero, b2x, b2x
+    if defect == "foreign extension":
+        return identity, brandt_extension(chain(3), 2), b2x
+    ext = brandt_extension(orthogonal_sum([two_element(), two_element()])[0], 2)
+    sigma = Homomorphism(
+        source=ext.carrier, target=ext.carrier, mapping=tuple(range(ext.carrier.order))
+    )
+    return sigma, ext, ext
+
+
+@pytest.mark.parametrize(
+    "defect, expected",
+    [
+        ("trivial map", TrivialInput),
+        ("foreign extension", Mismatch),
+        ("source base without identity", NoIdentity),
+    ],
+)
+def test_each_precondition_defect_raises_one_type(defect, expected):
+    """The four checks on a map out of an extension agree on the exception
+    each input defect raises.  induced_hom takes a triple instead: handed a
+    foreign extension it raises Mismatch, and no triple over a source base
+    without identity can be made (identity_triple raises NoIdentity); the
+    constant-zero triple is an ordinary triple, so a trivial map is no
+    defect there."""
+    sigma, src, dst = _defective(defect)
+    calls = {
+        "recover_triple": lambda: recover_triple(sigma, src, dst),
+        "image_decomposition": lambda: image_decomposition(sigma, src),
+        "check_block_separation": lambda: check_block_separation(sigma, src, dst),
+        "compose_and_check": lambda: compose_and_check(sigma, sigma, src),
+    }
+    if defect == "foreign extension":
+        calls["induced_hom"] = lambda: induced_hom(identity_triple(two_element(), 2), src, dst)
+    elif defect == "source base without identity":
+        calls["induced_hom"] = lambda: induced_hom(identity_triple(src.base, 2), src, dst)
+    raised = {}
+    for name, call in calls.items():
+        try:
+            call()
+            raised[name] = None
+        except Exception as exc:
+            raised[name] = type(exc)
+    assert raised == dict.fromkeys(calls, expected)
 
 
 def test_compose_triples_neutrality_and_associativity():

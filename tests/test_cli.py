@@ -4,11 +4,19 @@ from pathlib import Path
 
 import pytest
 
-from brandt import BudgetExceeded, build_semigroup, iso_search
+from brandt import BudgetExceeded, build_semigroup, iso_search, sgpfile
 from brandt.cli import main
-from brandt.corpus import example_e, two_element
+from brandt.construct import brandt_extension, matrix_units_extension
+from brandt.corpus import (
+    b2_with_identity,
+    chain,
+    cyclic_group_with_zero,
+    example_e,
+    rect_band_with_unit_and_zero,
+    two_element,
+)
 from brandt.fixtures import FIXTURES
-from brandt.sgpfile import write_sgp
+from brandt.sgpfile import write_extension, write_sgp
 
 
 @pytest.fixture
@@ -81,6 +89,55 @@ def test_homs_classified(tmp_path, capsys):
     hom_lines = [l for l in out if not l.startswith("#")]
     assert len(hom_lines) == 2
     assert all("triple" in l for l in hom_lines)
+
+
+def test_homs_classify_matches_golden(tmp_path, capsys):
+    """Recovered triples next to each NotClassifiable reason a real
+    homomorphism can get (a weight outside H(e), a reconstruction that
+    differs), over four legend-carrying pairs; the concatenated stdout must
+    match the checked-in transcript byte for byte."""
+    b2x = matrix_units_extension(2)
+    rect = brandt_extension(rect_band_with_unit_and_zero(), 2)
+    chain3 = brandt_extension(chain(3), 2)
+    pairs = [
+        (b2x, rect),
+        (b2x, brandt_extension(b2_with_identity(), 2)),
+        (brandt_extension(cyclic_group_with_zero(2), 1), chain3),
+        (chain3, rect),
+    ]
+    outs = []
+    for k, exts in enumerate(pairs):
+        paths = []
+        for side, ext in zip("st", exts):
+            path = tmp_path / f"{k}{side}.sgp"
+            path.write_text(write_extension(ext))
+            paths.append(str(path))
+        assert main(["homs", "--classify", "--nontrivial", *paths]) == 0
+        outs.append(capsys.readouterr().out)
+    golden = Path(__file__).parent / "data" / "homs_classify.txt"
+    assert "".join(outs) == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["iso"], ["homs"], ["homs", "--classify"]],
+    ids=["iso", "homs", "homs-classify"],
+)
+def test_a_path_given_twice_is_parsed_once(tmp_path, monkeypatch, argv):
+    """Parsing validates the (0, 0) block of a legend-carrying file and the
+    whole table of any other file with build_semigroup, once per file."""
+    path = tmp_path / "e2.sgp"
+    path.write_text(write_extension(brandt_extension(example_e(), 2)))
+    calls = []
+    build = sgpfile.build_semigroup
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(sgpfile, "build_semigroup", counting)
+    assert main([*argv, str(path), str(path)]) == 0
+    assert len(calls) == 1
 
 
 def test_homs_without_legend_reports_reason(e_file, capsys):

@@ -170,6 +170,9 @@ def test_maximal_subgroup_of_monoid_identity_is_unit_group():
     assert all(
         any(t[x][y] == e == t[y][x] for y in members) for x in members
     )
+    # the recorded inverses, keyed in ascending member order
+    assert tuple(H.inverses) == H.members
+    assert all(t[x][H.inverses[x]] == e == t[H.inverses[x]][x] for x in members)
 
 
 def test_maximal_subgroup_matrix_unit_is_trivial():
@@ -194,6 +197,8 @@ def test_maximal_subgroup_in_extension_brute_force():
     }
     assert set(H.members) == units
     assert len(H.members) == 2
+    assert H.members == tuple(sorted(units)) == tuple(H.inverses)
+    assert all(t[x][y] == e == t[y][x] for x, y in H.inverses.items())
 
 
 def test_maximal_subgroup_rejects_non_idempotent():
