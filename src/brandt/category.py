@@ -24,7 +24,10 @@ disjoint.
 
 induced_hom, recover_triple, extension_homs and the checks on extension
 homomorphisms take the source and target extensions the caller already
-holds; none of them rebuilds an extension it is handed.
+holds; none of them rebuilds an extension it is handed.  They stride whole
+coordinate blocks: the block (a, b) is m consecutive carrier indices from
+block_starts[a][b], (a, s, b) at offset position[s], and the extension's
+tabulated coords and positions stand in for per-index decoding and encoding.
 
 Each fact is checked by one function.  make_triple alone validates triple
 data.  _require_map is the precondition of recover_triple,
@@ -144,13 +147,21 @@ def identity_triple(S: FiniteSemigroup, lam: int) -> MorphismTriple:
     return make_triple(base, (S.identity,) * lam, tuple(range(lam)), lam)
 
 
+def _same(x, y) -> bool:
+    """x == y, deciding the usual case of one shared object without
+    comparing tables."""
+    return x is y or x == y
+
+
 def _require_map(sigma: Homomorphism, source_ext: BrandtExtension, target=None):
     """The precondition on a map out of an extension: sigma is not constant
     (TrivialInput), starts at source_ext and ends at ``target`` when given
     (Mismatch), and the source base is a monoid with zero (NoIdentity)."""
     if sigma.is_trivial:
         raise TrivialInput("expects a non-constant map")
-    if sigma.source != source_ext.carrier or (target is not None and sigma.target != target):
+    if not _same(sigma.source, source_ext.carrier) or (
+        target is not None and not _same(sigma.target, target)
+    ):
         raise Mismatch("homomorphism does not connect the given extensions")
     require_monoid_with_zero(source_ext.base, "source base")
 
@@ -175,28 +186,32 @@ def induced_hom(
     the triple's raise Mismatch.
     """
     S, T = triple.base.source, triple.base.target
-    if source_ext.base != S or source_ext.lam != triple.lam:
+    if not _same(source_ext.base, S) or source_ext.lam != triple.lam:
         raise Mismatch("source extension does not match the triple")
-    if target_ext.base != T or target_ext.lam != triple.index_codomain:
+    if not _same(target_ext.base, T) or target_ext.lam != triple.index_codomain:
         raise Mismatch("target extension does not match the triple")
 
-    n = source_ext.carrier.order
-    mapping = [0] * n
-    h = triple.base.mapping
+    mapping = [0] * source_ext.carrier.order
     tz = T.zero
     tt = T.table
     inv = maximal_subgroup(T, triple.idempotent).inverses
     u = triple.weights
     phi = triple.index_map
-    for idx in range(1, n):
-        a, s, b = source_ext.decode(idx)
-        hs = h[s]
-        if hs == tz:
-            continue
-        middle = tt[tt[u[a]][hs]][inv[u[b]]]
-        if middle == tz:
-            raise ConformanceError("induced middle vanished on a nonzero image")
-        mapping[idx] = target_ext.encode(phi[a], middle, phi[b])
+    position = target_ext.position
+    h = triple.base.mapping
+    # the block positions and h-images of the base elements h does not kill
+    images = [(p, h[s]) for p, s in enumerate(source_ext.nonzero_base) if h[s] != tz]
+    for a, src_row in enumerate(source_ext.block_starts):
+        left = tt[u[a]]
+        dst_row = target_ext.block_starts[phi[a]]
+        for b, src in enumerate(src_row):
+            right = inv[u[b]]
+            dst = dst_row[phi[b]]
+            for p, hs in images:
+                middle = tt[left[hs]][right]
+                if middle == tz:
+                    raise ConformanceError("induced middle vanished on a nonzero image")
+                mapping[src + p] = dst + position[middle]
     return _verified("induced map", mapping, source_ext.carrier, target_ext.carrier)
 
 
@@ -224,10 +239,12 @@ def recover_triple(
     S, T = source_ext.base, target_ext.base
     _check_ranks(S, T, source_ext.lam, target_ext.lam)
 
-    diag = sigma.mapping[source_ext.unit_index(0, 0)]
+    one = source_ext.position[S.identity]  # offset of the units in their blocks
+    diag = sigma.mapping[source_ext.block_starts[0][0] + one]
     if diag == 0:
         return NotClassifiable("anchor unit maps to zero")
-    a_prime, e, b_prime = target_ext.decode(diag)
+    coords = target_ext.coords
+    a_prime, e, b_prime = coords[diag]
     if a_prime != b_prime:
         return NotClassifiable("anchor unit image is off the diagonal")
     if T.table[e][e] != e:
@@ -235,24 +252,26 @@ def recover_triple(
 
     phi, u = [], []
     for b in range(source_ext.lam):
-        img = sigma.mapping[source_ext.unit_index(b, 0)]
+        img = sigma.mapping[source_ext.block_starts[b][0] + one]
         if img == 0:
             return NotClassifiable(f"unit ({b},1,0) maps to zero")
-        x, t, y = target_ext.decode(img)
+        x, t, y = coords[img]
         if y != a_prime:
             return NotClassifiable(f"unit ({b},1,0) image leaves the anchor column")
         phi.append(x)
         u.append(t)
 
+    start = source_ext.block_starts[0][0]
+    diagonal = sigma.mapping[start : start + len(source_ext.nonzero_base)]
+    anchor = target_ext.block_starts[a_prime][a_prime]
+    m2 = len(target_ext.nonzero_base)
     h = [T.zero] * S.order
-    for s in source_ext.nonzero_base:
-        img = sigma.mapping[source_ext.encode(0, s, 0)]
+    for s, img in zip(source_ext.nonzero_base, diagonal):
         if img == 0:
             continue
-        x, t, y = target_ext.decode(img)
-        if x != a_prime or y != a_prime:
+        if not anchor <= img < anchor + m2:
             return NotClassifiable("diagonal block image leaks outside the anchor block")
-        h[s] = t
+        h[s] = target_ext.nonzero_base[img - anchor]
     try:
         base = check_homomorphism(h, S, T)
     except NotHomomorphism as exc:
@@ -362,10 +381,13 @@ def extension_homs(
     ]
     zero_moving = []
     moving = [h for h in homs if h.mapping[S.zero] != T.zero] if lam1 == 1 else []
-    middles = [S.zero] + [source_ext.decode(i)[1] for i in range(1, source_ext.carrier.order)]
+    # the rank-one source is the zero, then (0, s, 0) in base order
+    middles = (S.zero,) + source_ext.nonzero_base
     for h in moving:
+        offsets = [target_ext.position[h.mapping[s]] for s in middles]
         for a in range(lam2):
-            mapping = [target_ext.encode(a, h.mapping[s], a) for s in middles]
+            diagonal = target_ext.block_starts[a][a]
+            mapping = [diagonal + p for p in offsets]
             zero_moving.append(
                 _verified("zero-moving map", mapping, source_ext.carrier, target_ext.carrier)
             )
@@ -427,8 +449,9 @@ def image_decomposition(
 
     z = sigma.mapping[0]
     diag_images = {}
-    for s in source_ext.nonzero_base:
-        g = sigma.mapping[source_ext.encode(0, s, 0)]
+    start = source_ext.block_starts[0][0]
+    diagonal = sigma.mapping[start : start + len(source_ext.nonzero_base)]
+    for s, g in zip(source_ext.nonzero_base, diagonal):
         if g != z and g not in diag_images:
             diag_images[g] = s
     t0_globals = sorted([*diag_images, z])
@@ -449,12 +472,12 @@ def image_decomposition(
     image_sg = subsemigroup(big, image_globals)
     loc = {g: i for i, g in enumerate(image_globals)}
 
-    mapping = [0] * ext0.carrier.order
-    mapping[0] = loc[z]
-    for idx in range(1, ext0.carrier.order):
-        a, t_local, b = ext0.decode(idx)
-        rep = diag_images[t0_globals[t_local]]
-        mapping[idx] = loc[sigma.mapping[source_ext.encode(a, rep, b)]]
+    # (a, t, b) goes to sigma(a, s, b) for the representative s of t
+    position = source_ext.position
+    offsets = [position[diag_images[t0_globals[t]]] for t in ext0.nonzero_base]
+    starts = [source_ext.block_starts[a][b] for a in range(lam) for b in range(lam)]
+    images = sigma.mapping
+    mapping = [loc[z]] + [loc[images[block + p]] for block in starts for p in offsets]
     witness = _verified("decomposition witness", mapping, ext0.carrier, image_sg)
     if not (witness.is_injective and witness.is_surjective):
         raise ConformanceError("decomposition witness is not bijective")
@@ -489,29 +512,31 @@ def check_block_separation(
     if sigma.mapping[0] != 0:
         raise ConformanceError("zero image is not the zero")
 
+    one = source_ext.position[source_ext.base.identity]  # offset of the units
+    coords = target_ext.coords
     unit_blocks = {}
+    spans = []  # where each unit's block and its image's block start
     for a in range(lam1):
         for b in range(lam1):
-            img = sigma.mapping[source_ext.unit_index(a, b)]
+            src = source_ext.block_starts[a][b]
+            img = sigma.mapping[src + one]
             if img == 0:
                 raise ConformanceError(f"unit ({a},1,{b}) maps to zero")
-            mu, _, nu = target_ext.decode(img)
+            mu, _, nu = coords[img]
             unit_blocks[(a, b)] = (mu, nu)
+            spans.append((a, b, src, target_ext.block_starts[mu][nu]))
     if len(set(unit_blocks.values())) != lam1 * lam1:
         raise ConformanceError("distinct units share a coordinate block")
 
+    m2 = len(target_ext.nonzero_base)
     labels = source_ext.base.labels
-    for s in source_ext.nonzero_base:
-        vanish = set()
-        for (a, b), block in unit_blocks.items():
-            img = sigma.mapping[source_ext.encode(a, s, b)]
-            vanish.add(img == 0)
-            if img == 0:
-                continue
-            mu, _, nu = target_ext.decode(img)
-            if (mu, nu) != block:
+    images = sigma.mapping
+    for p, s in enumerate(source_ext.nonzero_base):
+        row = [images[src + p] for _, _, src, _ in spans]
+        for (a, b, _, dst), img in zip(spans, row):
+            if img != 0 and not dst <= img < dst + m2:
                 raise ConformanceError(f"image of ({a},{labels[s]},{b}) leaves its block")
-        if len(vanish) != 1:
+        if 0 < row.count(0) < len(row):
             raise ConformanceError(f"vanishing pattern of {labels[s]} is not uniform")
 
     return tuple(sorted(unit_blocks.items()))

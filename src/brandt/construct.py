@@ -4,13 +4,20 @@ The extension of a semigroup S with zero over an index set of size lam has
 carrier {(a, s, b) : a, b < lam, s in S minus its zero} plus one zero, with
 (a, s, b)(c, t, d) = (a, st, d) when b = c and st is nonzero, and the zero
 otherwise.  The carrier zero sits at index 0 and the remaining elements are
-ordered lexicographically by (a, b, s).
+ordered lexicographically by (a, b, s): each index pair (a, b) owns a block
+of m consecutive indices, m the number of nonzero base elements, which
+starts at 1 + (a*lam + b)*m and lists (a, s, b) with s ascending.
+BrandtExtension tabulates the coordinates once per extension: the start of
+each block, the position of each base index within a block and the
+(a, s, b) of each carrier index.  encode and decode are lookups in those
+tables and raise ValueError on a coordinate or index outside the extension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Optional
 
 from .core import (
     ConformanceError,
@@ -42,20 +49,48 @@ class BrandtExtension:
     def base_has_identity(self) -> bool:
         return self.base.identity is not None
 
+    @cached_property
+    def position(self) -> tuple[Optional[int], ...]:
+        """Offset of each base index within a coordinate block; None at the
+        zero.  Tabulated once per extension."""
+        position: list[Optional[int]] = [None] * self.base.order
+        for p, s in enumerate(self.nonzero_base):
+            position[s] = p
+        return tuple(position)
+
+    @cached_property
+    def coords(self) -> tuple[Optional[tuple[int, int, int]], ...]:
+        """Coordinates (a, s, b) of each carrier index; None at the zero.
+        Tabulated once per extension."""
+        lam = self.lam
+        return (None,) + tuple(
+            (a, s, b) for a in range(lam) for b in range(lam) for s in self.nonzero_base
+        )
+
+    @cached_property
+    def block_starts(self) -> tuple[tuple[int, ...], ...]:
+        """Carrier index of the first element of each block (a, b), at
+        [a][b].  Tabulated once per extension."""
+        lam, m = self.lam, len(self.nonzero_base)
+        return tuple(tuple(1 + (a * lam + b) * m for b in range(lam)) for a in range(lam))
+
     def encode(self, a: int, s: int, b: int) -> int:
-        """Carrier index of (a, s, b); s is a nonzero base index."""
-        m = len(self.nonzero_base)
-        pos = self.nonzero_base.index(s)
-        return 1 + (a * self.lam + b) * m + pos
+        """Carrier index of (a, s, b), from the tabulated block positions.
+        Raises ValueError unless s is a nonzero base index and a, b lie in
+        range(lam)."""
+        p = self.position[s] if 0 <= s < self.base.order else None
+        if p is None or not (0 <= a < self.lam and 0 <= b < self.lam):
+            raise ValueError(f"({a}, {s}, {b}) is not a coordinate of the extension")
+        return self.block_starts[a][b] + p
 
     def decode(self, idx: int) -> tuple[int, int, int]:
-        """Coordinates (a, s, b) of a nonzero carrier index."""
+        """Coordinates (a, s, b) of a carrier index, from the tabulated
+        coords.  Raises ValueError at the zero and outside 1..order-1."""
         if idx == 0:
             raise ValueError("the zero has no coordinates")
-        m = len(self.nonzero_base)
-        block, pos = divmod(idx - 1, m)
-        a, b = divmod(block, self.lam)
-        return a, self.nonzero_base[pos], b
+        if not 0 < idx < self.carrier.order:
+            raise ValueError(f"{idx} is not a carrier index")
+        return self.coords[idx]
 
     @property
     def zero(self) -> int:
@@ -152,11 +187,10 @@ def double_extension_witness(
     outer = brandt_extension(inner.carrier, lam2)
     flat = brandt_extension(S, lam1 * lam2)
 
-    mapping = [0] * outer.carrier.order
-    for idx in range(1, outer.carrier.order):
-        a2, mid, b2 = outer.decode(idx)
-        a1, s, b1 = inner.decode(mid)
-        mapping[idx] = flat.encode(a2 * lam1 + a1, s, b2 * lam1 + b1)
+    mapping = [0]
+    for a2, mid, b2 in outer.coords[1:]:
+        a1, s, b1 = inner.coords[mid]
+        mapping.append(flat.encode(a2 * lam1 + a1, s, b2 * lam1 + b1))
     witness = check_homomorphism(mapping, outer.carrier, flat.carrier)
     if not (witness.is_injective and witness.is_surjective):
         raise ConformanceError("double-extension witness is not bijective")

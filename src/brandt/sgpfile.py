@@ -172,8 +172,7 @@ def write_extension(ext: BrandtExtension) -> str:
     """
     out = [write_sgp(ext.carrier).rstrip("\n")]
     out.append(f"# brandt lambda {ext.lam}")
-    for idx in range(1, ext.carrier.order):
-        a, s, b = ext.decode(idx)
+    for idx, (a, s, b) in enumerate(ext.coords[1:], start=1):
         out.append(f"# coord {idx} ({a},{ext.base.labels[s]},{b})")
     return "\n".join(out) + "\n"
 

@@ -14,7 +14,10 @@ by hand.  ``reference_generating_set`` is the oracle for
 ``homs.generating_set``: it grows a closure for every element outside the
 chosen set in every round.  ``reference_check_homomorphism`` is the oracle
 for ``homs.check_homomorphism``: it tests the product law on all n^2 pairs
-instead of the n*|G| Cayley edges.
+instead of the n*|G| Cayley edges.  ``reference_induced_hom`` is the
+oracle for ``category.induced_hom``: it maps one carrier index at a time,
+through coordinates listed by the definition rather than the extension's
+tables.
 """
 
 import itertools
@@ -29,6 +32,7 @@ from brandt.core import (
     ShapeError,
     TooLarge,
     _grow_closure,
+    maximal_subgroup,
 )
 from brandt.homs import DEFAULT_BUDGET, Homomorphism
 from brandt.search import (
@@ -363,3 +367,28 @@ def _extend_rows_cols(T, lam, w, diag) -> Optional[MatrixUnitCopy]:
         if _verify_copy(T, lam, w, units):
             return MatrixUnitCopy(lam=lam, zero_image=w, unit_images=units)
     return None
+
+
+def _definitional_coords(ext) -> list[tuple[int, int, int]]:
+    """The (a, s, b) of carrier indices 1, 2, ... by the definition: (a, b, s)
+    order, s over the nonzero base indices ascending."""
+    nonzero = [s for s in range(ext.base.order) if s != ext.base.zero]
+    lam = ext.lam
+    return [(a, s, b) for a in range(lam) for b in range(lam) for s in nonzero]
+
+
+def reference_induced_hom(triple, source_ext, target_ext) -> tuple[int, ...]:
+    """The map table a triple induces, one carrier index at a time:
+    (a, s, b) goes to (phi(a), u(a) h(s) u(b)^-1, phi(b)) when h(s) is
+    nonzero, and to the zero otherwise."""
+    T = triple.base.target
+    h = triple.base.mapping
+    tt = T.table
+    inv = maximal_subgroup(T, triple.idempotent).inverses
+    u, phi = triple.weights, triple.index_map
+    index = {c: i for i, c in enumerate(_definitional_coords(target_ext), start=1)}
+    mapping = [0] * source_ext.carrier.order
+    for idx, (a, s, b) in enumerate(_definitional_coords(source_ext), start=1):
+        if h[s] != T.zero:
+            mapping[idx] = index[(phi[a], tt[tt[u[a]][h[s]]][inv[u[b]]], phi[b])]
+    return tuple(mapping)

@@ -1,10 +1,15 @@
+import dataclasses
+import hashlib
 import itertools
 import math
+import random
 import re
+from pathlib import Path
 
 import pytest
 
 from brandt import (
+    AlgebraError,
     ConformanceError,
     HypothesisUnmet,
     IllFormedTriple,
@@ -30,7 +35,12 @@ from brandt import (
 from brandt import category
 from brandt.category import NotClassifiable
 from brandt.classify import classify
-from brandt.construct import brandt_extension, matrix_units_extension, orthogonal_sum
+from brandt.construct import (
+    BrandtExtension,
+    brandt_extension,
+    matrix_units_extension,
+    orthogonal_sum,
+)
 from brandt.corpus import (
     acceptance_corpus,
     b2_with_identity,
@@ -40,6 +50,7 @@ from brandt.corpus import (
     two_element,
 )
 from brandt.fixtures import (
+    _homs_between_extensions,
     completeness_rows,
     ex2_13_data,
     ex2_14_triple,
@@ -47,7 +58,10 @@ from brandt.fixtures import (
     ex2_6_data,
 )
 from brandt.homs import Homomorphism
+from reference_kernel import reference_induced_hom
 from test_construct import assert_matches_validated
+
+RANKS = tuple(itertools.combinations_with_replacement((1, 2, 3), 2))
 
 
 def test_identity_triple_induces_identity():
@@ -303,6 +317,82 @@ def test_extension_homs_against_triples_brute_force_and_closed_form():
     assert points == 96
 
 
+def _grid_bases(relabel):
+    """The acceptance corpus, then a relabeling of it that moves every base
+    zero off the last index, where the corpus keeps it."""
+    corpus = acceptance_corpus()
+    rng = random.Random(18)
+    moved = {f"{name}~": relabel(S, rng) for name, S in corpus.items()}
+    assert all(S.zero == S.order - 1 for S in corpus.values())
+    assert all(S.zero != S.order - 1 for S in moved.values())
+    return corpus, moved
+
+
+def test_induced_hom_matches_the_per_index_reference(relabeled):
+    """induced_hom strides whole blocks; on every triple of the corpus grid
+    lam1 <= lam2 <= 3, the constant-zero ones included, and on the relabeled
+    grid, it induces the map the per-index reference gives."""
+    triples = 0
+    for bases in _grid_bases(relabeled):
+        for S, T in itertools.product(bases.values(), repeat=2):
+            for l1, l2 in RANKS:
+                src, dst = brandt_extension(S, l1), brandt_extension(T, l2)
+                for t in enumerate_triples(S, T, l1, l2, nontrivial_only=False):
+                    assert induced_hom(t, src, dst).mapping == reference_induced_hom(t, src, dst)
+                    triples += 1
+    assert triples == 3288
+
+
+def _outcome(call, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return call(*args)
+    except AlgebraError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def calculus_grid_lines(relabel) -> list[str]:
+    """One line per point of the grid of _grid_bases at lam1 <= lam2 <= 3:
+    the bases, the ranks, the number of zero-fixing non-trivial
+    homomorphisms and a digest of what recover_triple,
+    check_block_separation and image_decomposition return or raise on each.
+    tests/data/calculus_grid.txt holds these lines as the per-index calculus
+    computed them; calculus_grid_lines(conftest._relabeled) regenerates them.
+    """
+    lines = []
+    for bases in _grid_bases(relabel):
+        for (s_name, S), (t_name, T) in itertools.product(bases.items(), repeat=2):
+            for l1, l2 in RANKS:
+                src, dst = brandt_extension(S, l1), brandt_extension(T, l2)
+                digest = hashlib.sha256()
+                count = 0
+                for h in enumerate_homs(src.carrier, dst.carrier, nontrivial_only=True):
+                    if h.mapping[0] != 0:
+                        continue
+                    count += 1
+                    image = _outcome(image_decomposition, h, src)
+                    if isinstance(image, tuple):
+                        T0, w = image
+                        image = (T0.table, T0.labels, w.mapping, w.target.table, w.target.labels)
+                    outcomes = (
+                        h.mapping,
+                        _outcome(recover_triple, h, src, dst),
+                        _outcome(check_block_separation, h, src, dst),
+                        image,
+                    )
+                    digest.update(repr(outcomes).encode())
+                lines.append(f"{s_name} {t_name} {l1} {l2} {count} {digest.hexdigest()[:16]}")
+    return lines
+
+
+def test_calculus_matches_the_per_index_outcomes(relabeled):
+    """recover_triple, check_block_separation and image_decomposition
+    return, or raise, what the per-index calculus did on every zero-fixing
+    map of the grid, relabeled bases included."""
+    golden = Path(__file__).parent / "data" / "calculus_grid.txt"
+    assert calculus_grid_lines(relabeled) == golden.read_text(encoding="utf-8").splitlines()
+
+
 def test_completeness_rows_search_each_base_pair_once(monkeypatch):
     """One completeness_rows() pass runs one base-hom search per grid point;
     the brute-force searches on the extensions are not counted."""
@@ -333,6 +423,37 @@ def test_completeness_rows_build_one_triple_per_induced_map(monkeypatch):
     rows = completeness_rows()
     induced = sum(len(from_triples) for *_, from_triples, _ in rows)
     assert (len(calls), induced) == (219, 219)
+
+
+def test_calculus_calls_no_per_index_encode_or_decode(monkeypatch):
+    """The calculus strides whole coordinate blocks and reads the tabulated
+    coords and positions.  One completeness_rows() pass, and recover_triple,
+    image_decomposition and check_block_separation on every zero-fixing map
+    of its grid, call BrandtExtension.encode and decode not at all.
+    Decoding and encoding one carrier index at a time took 2,002 and 7,174
+    calls."""
+    calls = []
+    for name in ("encode", "decode"):
+        method = getattr(BrandtExtension, name)
+
+        def counting(self, *args, _method=method):
+            calls.append(1)
+            return _method(self, *args)
+
+        monkeypatch.setattr(BrandtExtension, name, counting)
+    rows = completeness_rows()
+    assert len(calls) == 0
+    maps = 0
+    for s_name, t_name, l1, l2, *_ in rows:
+        src, dst, homs = _homs_between_extensions(s_name, t_name, l1, l2)
+        for h in homs:
+            if h.mapping[0] == 0:
+                recover_triple(h, src, dst)
+                image_decomposition(h, src)
+                if l1 >= 2:
+                    check_block_separation(h, src, dst)
+                maps += 1
+    assert (len(calls), maps) == (0, 219)
 
 
 @pytest.mark.parametrize("lam1", [-1, 0])
@@ -417,6 +538,38 @@ def test_recover_triple_reports_each_planted_defect(plant, reason):
     verdict = recover_triple(sigma, ext, ext)
     assert isinstance(verdict, NotClassifiable)
     assert re.search(reason.format(where=where), verdict.reason), verdict.reason
+
+
+def test_an_equal_copy_of_the_carrier_is_accepted():
+    """Carriers are compared by identity first, then by value: a map on an
+    equal but distinct copy of the carrier is still accepted, and one on a
+    carrier that differs only in its labels still raises Mismatch."""
+    ext = brandt_extension(chain(3), 2)
+    identity = tuple(range(ext.carrier.order))
+    copy = dataclasses.replace(ext.carrier)
+    assert copy == ext.carrier and copy is not ext.carrier
+    sigma = Homomorphism(source=copy, target=copy, mapping=identity)
+    triple = identity_triple(dataclasses.replace(ext.base), 2)
+    assert recover_triple(sigma, ext, ext) == triple
+    assert induced_hom(triple, ext, ext).mapping == identity
+    assert image_decomposition(sigma, ext)[1].mapping == identity
+    assert len(check_block_separation(sigma, ext, ext)) == 4
+    compose_and_check(sigma, sigma, ext)
+
+    other = dataclasses.replace(ext.carrier, labels=tuple(f"e{i}" for i in identity))
+    foreign = Homomorphism(source=other, target=other, mapping=identity)
+    into_other = Homomorphism(source=copy, target=other, mapping=identity)
+    relabeled_base = identity_triple(dataclasses.replace(ext.base, labels=("a", "b", "c")), 2)
+    for call in (
+        lambda: recover_triple(foreign, ext, ext),
+        lambda: recover_triple(into_other, ext, ext),
+        lambda: image_decomposition(foreign, ext),
+        lambda: check_block_separation(into_other, ext, ext),
+        lambda: compose_and_check(foreign, foreign, ext),
+        lambda: induced_hom(relabeled_base, ext, ext),
+    ):
+        with pytest.raises(Mismatch):
+            call()
 
 
 def _defective(defect):

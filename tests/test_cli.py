@@ -80,6 +80,22 @@ def test_units_and_extend(tmp_path, two_file, capsys):
     assert "lambda must be positive" in err and "Traceback" not in err
 
 
+def test_extend_and_units_match_their_golden_files(tmp_path):
+    """``extend`` and ``units`` write canonical .sgp text, the carrier and
+    its (a, s, b) coordinate legend, byte for byte as checked in."""
+    data = Path(__file__).parent / "data"
+    base = tmp_path / "chain3.sgp"
+    base.write_text(write_sgp(chain(3)))
+    runs = {
+        "extension_chain3x3.sgp": ["extend", str(base), "--lambda", "3"],
+        "units3.sgp": ["units", "--lambda", "3"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main([*argv, "-o", str(out)]) == 0
+        assert out.read_bytes() == (data / name).read_bytes()
+
+
 def test_homs_classified(tmp_path, capsys):
     out_b2 = str(tmp_path / "b2.sgp")
     main(["units", "--lambda", "2", "-o", out_b2])

@@ -86,7 +86,9 @@ def test_requires_zero():
 
 def test_product_law_and_coordinates(relabeled):
     # the definition: zero at 0, then (a, s, b) in (a, b, s) order, and
-    # (a, s, b)(c, u, d) = (a, su, d) when b = c and su is nonzero
+    # (a, s, b)(c, u, d) = (a, su, d) when b = c and su is nonzero; the
+    # tabulated coords, block positions and block starts follow it, and a
+    # coordinate or index outside the extension raises ValueError
     rng = random.Random(6)
     bases = list(acceptance_corpus().values()) + [
         cyclic_group_with_zero(3),
@@ -107,6 +109,23 @@ def test_product_law_and_coordinates(relabeled):
             assert ext.carrier.order == len(coords) + 1
             assert ext.carrier.zero == 0
             assert all(t[0][i] == 0 == t[i][0] for i in range(len(t)))
+            assert ext.coords == (None, *coords)
+            assert ext.position == tuple(
+                None if s == S.zero else nonzero.index(s) for s in range(S.order)
+            )
+            assert ext.block_starts == tuple(
+                tuple(index[(a, nonzero[0], b)] for b in range(lam)) for a in range(lam)
+            )
+            top = nonzero[-1]
+            for outside in [
+                (0, top, lam), (lam, top, 0), (-1, top, 0), (0, top, -1),
+                (0, S.zero, 0), (0, S.order, 0), (0, -1, 0),
+            ]:
+                with pytest.raises(ValueError):
+                    ext.encode(*outside)
+            for i in (0, -1, ext.carrier.order, ext.carrier.order + 3):
+                with pytest.raises(ValueError):
+                    ext.decode(i)
             for (a, s, b), i in index.items():
                 assert ext.decode(i) == (a, s, b)
                 assert ext.encode(a, s, b) == i
