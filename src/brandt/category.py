@@ -34,8 +34,9 @@ data.  _require_map is the precondition of recover_triple,
 image_decomposition, check_block_separation and compose_and_check: a
 non-constant map out of the given extension, whose base is a monoid.
 _check_ranks requires monoids with zero and lam1 <= lam2.  _verified
-verifies the maps built by construction, and core.maximal_subgroup gives
-H(e) with its inverses.
+verifies the maps built by construction; recover_triple's rebuild is the
+one exception, since it must equal the already verified map it is compared
+with.  core.maximal_subgroup gives H(e) with its inverses.
 """
 
 from __future__ import annotations
@@ -190,8 +191,19 @@ def induced_hom(
         raise Mismatch("source extension does not match the triple")
     if not _same(target_ext.base, T) or target_ext.lam != triple.index_codomain:
         raise Mismatch("target extension does not match the triple")
+    mapping = _induced_mapping(triple, source_ext, target_ext)
+    return _verified("induced map", mapping, source_ext.carrier, target_ext.carrier)
 
+
+def _induced_mapping(
+    triple: MorphismTriple,
+    source_ext: BrandtExtension,
+    target_ext: BrandtExtension,
+) -> list[int]:
+    """The carrier map the triple induces between its own extensions,
+    unverified: induced_hom checks the extensions and verifies it."""
     mapping = [0] * source_ext.carrier.order
+    T = triple.base.target
     tz = T.zero
     tt = T.table
     inv = maximal_subgroup(T, triple.idempotent).inverses
@@ -212,7 +224,7 @@ def induced_hom(
                 if middle == tz:
                     raise ConformanceError("induced middle vanished on a nonzero image")
                 mapping[src + p] = dst + position[middle]
-    return _verified("induced map", mapping, source_ext.carrier, target_ext.carrier)
+    return mapping
 
 
 @dataclass(frozen=True)
@@ -230,10 +242,12 @@ def recover_triple(
     """Recover triple data from a non-trivial extension homomorphism.
 
     Anchors at source index 0, reads the base map off the (0, s, 0) block and
-    the weights off the (b, 1_S, 0) column, then demands that the rebuilt
-    homomorphism reproduce ``sigma`` exactly.  The weight at index 0 is read
-    off the anchor unit, so it is h(1_S): the triple is canonical.  Reasons
-    about the triple data, such as a weight outside H(e), are make_triple's.
+    the weights off the (b, 1_S, 0) column, then demands that the map the
+    triple induces reproduce ``sigma`` exactly; ``sigma`` is a verified
+    homomorphism, so that rebuild is not verified again.  The weight at
+    index 0 is read off the anchor unit, so it is h(1_S): the triple is
+    canonical.  Reasons about the triple data, such as a weight outside
+    H(e), are make_triple's.
     """
     _require_map(sigma, source_ext, target_ext.carrier)
     S, T = source_ext.base, target_ext.base
@@ -280,11 +294,9 @@ def recover_triple(
         triple = make_triple(base, u, phi, target_ext.lam)
     except IllFormedTriple as exc:
         return NotClassifiable(str(exc))
-    rebuilt = induced_hom(triple, source_ext, target_ext)
-    if rebuilt.mapping != sigma.mapping:
-        first = next(
-            i for i in range(len(sigma.mapping)) if rebuilt.mapping[i] != sigma.mapping[i]
-        )
+    rebuilt = tuple(_induced_mapping(triple, source_ext, target_ext))
+    if rebuilt != sigma.mapping:
+        first = next(i for i, (x, y) in enumerate(zip(rebuilt, sigma.mapping)) if x != y)
         return NotClassifiable(f"reconstruction differs at carrier index {first}")
     return triple
 

@@ -17,9 +17,14 @@ drops the candidates that clash on an edge whose ends are already
 decided (forward checking: Haralick and Elliott, "Increasing tree search
 efficiency for constraint satisfaction problems", 1980).  A step of the
 budget is one program op run or one such edge filter.  ``enumerate_homs``
-runs it over ``generating_set(S)``, and ``search.iso_search`` runs it
-injectively over profile-compatible candidates with every element a
-generator.
+runs it over ``generating_set(S)`` reordered most constraining first, by
+descending |x·S| + |S·x| (as in symmetry-breaking semigroup searches: A.
+Distler, PhD thesis, St Andrews, 2010).  On a Brandt extension that puts
+the units (a, 1_S, b) first; their images decide most products, so each
+later generator meets many decided edges and the filters leave it few
+candidates.  ``search.iso_search`` runs the kernel injectively over
+profile-compatible candidates with every element a generator, in index
+order, so that its first witness is the lexicographically smallest.
 """
 
 from __future__ import annotations
@@ -153,6 +158,18 @@ def generating_set(S: FiniteSemigroup) -> list[int]:
         gens.append(best)
         closed = best_closure
     return gens
+
+
+def _branch_order(S: FiniteSemigroup) -> list[int]:
+    """``generating_set(S)`` by descending |x·S| + |S·x|, the number of
+    distinct entries in x's row plus the number in its column; the sort is
+    stable, so ties keep the greedy order."""
+    t = S.table
+    return sorted(
+        generating_set(S),
+        key=lambda x: len(set(t[x])) + len({row[x] for row in t}),
+        reverse=True,
+    )
 
 
 def _compile(A: FiniteSemigroup, branch_order) -> list:
@@ -298,16 +315,21 @@ def enumerate_homs(
 ) -> list[Homomorphism]:
     """Every homomorphism S -> T, by backtracking over generator images.
 
-    The generators are ``generating_set(S)``.  A generator is offered only
-    the images that agree with its decided edges; each image it takes then
-    defines the images of the elements it newly generates, h(a·g) =
-    h(a)·h(g) along the first Cayley edge to reach each, and a later edge
-    that disagrees prunes the branch.  Output is sorted by map table.
+    The generators are ``generating_set(S)``, branched on in the order of
+    ``_branch_order``: those with the most distinct products first, which
+    on an extension are the units.  A generator is offered only the images
+    that agree with its decided edges; each image it takes then defines the
+    images of the elements it newly generates, h(a·g) = h(a)·h(g) along the
+    first Cayley edge to reach each, and a later edge that disagrees prunes
+    the branch.  The earlier a generator's images decide many products,
+    the more edges each later generator meets decided, so the fewer
+    candidates survive its filters.  Output is sorted by map table, so the
+    order changes the work and not the result.
     Raises BudgetExceeded past ``budget`` steps, a step being one such
     edge defined or checked, or one candidate filter by a decided edge.
     """
     domains = [range(T.order)] * S.order
-    maps = sorted(_search_maps(S, T, generating_set(S), domains, budget=budget))
+    maps = sorted(_search_maps(S, T, _branch_order(S), domains, budget=budget))
     if nontrivial_only:
         maps = [f for f in maps if len(set(f)) > 1]
     return [Homomorphism(source=S, target=T, mapping=f) for f in maps]

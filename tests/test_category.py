@@ -456,6 +456,36 @@ def test_calculus_calls_no_per_index_encode_or_decode(monkeypatch):
     assert (len(calls), maps) == (0, 219)
 
 
+def test_calculus_verifies_each_map_once(monkeypatch):
+    """One completeness_rows() pass, and recover_triple,
+    image_decomposition and check_block_separation on every zero-fixing
+    map of its grid, call check_homomorphism 255 and 693 times.
+    recover_triple compares its rebuild with the verified map it is handed
+    instead of verifying the rebuild too, which took 219 more calls (912),
+    one per recovered map."""
+    calls = []
+    check = category.check_homomorphism
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(category, "check_homomorphism", counting)
+    rows = completeness_rows()
+    assert len(calls) == 255
+    maps = 0
+    for s_name, t_name, l1, l2, *_ in rows:
+        src, dst, homs = _homs_between_extensions(s_name, t_name, l1, l2)
+        for h in homs:
+            if h.mapping[0] == 0:
+                recover_triple(h, src, dst)
+                image_decomposition(h, src)
+                if l1 >= 2:
+                    check_block_separation(h, src, dst)
+                maps += 1
+    assert (len(calls), maps) == (693, 219)
+
+
 @pytest.mark.parametrize("lam1", [-1, 0])
 def test_enumerate_triples_rejects_rank_below_one(lam1):
     S = example_e()

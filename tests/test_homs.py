@@ -32,7 +32,7 @@ from brandt.corpus import (
 from brandt.fixtures import ex2_5_data, EX2_12_ENTRIES
 from brandt.construct import matrix_units_extension
 from brandt.core import _grow_closure
-from brandt.homs import _compile, _search_maps, generating_set
+from brandt.homs import _branch_order, _compile, _search_maps, generating_set
 from reference_kernel import (
     reference_check_homomorphism,
     reference_generating_set,
@@ -426,6 +426,68 @@ def test_forward_checking_keeps_sub_domain_order(s_table, t_table, data):
             assert got == want
 
 
+def greedy_order_homs(S, T):
+    """Oracle: the sorted maps of the kernel branching in the greedy order
+    of ``generating_set(S)``."""
+    domains = [range(T.order)] * S.order
+    return sorted(_search_maps(S, T, generating_set(S), domains))
+
+
+def assert_branch_order_permutes_the_generators(S):
+    """The branch order is generating_set(S), sorted by descending
+    |x·S| + |S·x|, ties in the greedy order."""
+    gens = generating_set(S)
+    order = _branch_order(S)
+    assert sorted(order) == sorted(gens)
+    weight = [len(set(S.table[x])) + len({row[x] for row in S.table}) for x in order]
+    assert weight == sorted(weight, reverse=True)
+    for w in set(weight):
+        tied = [x for x, v in zip(order, weight) if v == w]
+        assert tied == [x for x in gens if x in tied]
+
+
+def test_branch_order_keeps_every_map_on_relabeled_extension_pairs(relabeled):
+    rng = random.Random(19)
+    carriers = [relabeled(C, rng) for C in oracle_carriers()]
+    for S in carriers:
+        assert_branch_order_permutes_the_generators(S)
+        for T in carriers:
+            assert edge_kernel_homs(S, T) == greedy_order_homs(S, T)
+    R3 = relabeled(brandt_extension(rect_band_with_unit_and_zero(), 3).carrier, rng)
+    assert_branch_order_permutes_the_generators(R3)
+    got = edge_kernel_homs(R3, R3)
+    assert len(got) == 892 and got == greedy_order_homs(R3, R3)
+
+
+@given(associative_tables(), associative_tables())
+@settings(max_examples=150, deadline=None)
+def test_branch_order_keeps_every_map_on_random_tables(s_table, t_table):
+    S, T = build_semigroup(s_table), build_semigroup(t_table)
+    assert_branch_order_permutes_the_generators(S)
+    assert edge_kernel_homs(S, T) == greedy_order_homs(S, T)
+
+
+def test_branch_order_puts_the_units_first_on_relabeled_extensions():
+    # the greedy order starts with whichever element a label favours; the
+    # units (a, 1_S, b) have the most distinct products and come first
+    ext = brandt_extension(rect_band_with_unit_and_zero(), 3)
+    C = ext.carrier
+    n = C.order
+    units = {ext.unit_index(a, b) for a in range(3) for b in range(3)}
+    rng = random.Random(23)
+    for _ in range(4):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        table = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                table[perm[i]][perm[j]] = perm[C.table[i][j]]
+        S = build_semigroup(table)
+        back = {perm[i]: i for i in range(n)}
+        is_unit = [back[x] in units for x in _branch_order(S)]
+        assert is_unit == [True] * 3 + [False] * (len(is_unit) - 3)
+
+
 def test_matrix_unit_endomorphisms():
     b2 = matrix_units(2)
     homs = enumerate_homs(b2, b2, nontrivial_only=True)
@@ -478,18 +540,19 @@ def test_budget_exceeded():
     ext = brandt_extension(E, 2)
     with pytest.raises(BudgetExceeded):
         enumerate_homs(ext.carrier, ext.carrier, budget=3)
-    # the whole search takes exactly 753 steps
+    # the whole search takes exactly 509 steps (753 in the greedy order)
     with pytest.raises(BudgetExceeded):
-        enumerate_homs(ext.carrier, ext.carrier, budget=752)
-    assert len(enumerate_homs(ext.carrier, ext.carrier, budget=753)) == 15
+        enumerate_homs(ext.carrier, ext.carrier, budget=508)
+    assert len(enumerate_homs(ext.carrier, ext.carrier, budget=509)) == 15
 
 
 def test_chain4_rank3_endomorphisms_step_count():
     B3 = brandt_extension(chain(4), 3).carrier
-    # the whole search takes exactly 91130 steps (order 28)
+    # the whole search takes exactly 39236 steps (order 28; 91130 in the
+    # greedy order)
     with pytest.raises(BudgetExceeded):
-        enumerate_homs(B3, B3, budget=91129)
-    assert len(enumerate_homs(B3, B3, budget=91130)) == 124
+        enumerate_homs(B3, B3, budget=39235)
+    assert len(enumerate_homs(B3, B3, budget=39236)) == 124
 
 
 def test_compose_homs():
