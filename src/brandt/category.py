@@ -34,9 +34,11 @@ data.  _require_map is the precondition of recover_triple,
 image_decomposition, check_block_separation and compose_and_check: a
 non-constant map out of the given extension, whose base is a monoid.
 _check_ranks requires monoids with zero and lam1 <= lam2.  _verified
-verifies the maps built by construction; recover_triple's rebuild is the
-one exception, since it must equal the already verified map it is compared
-with.  core.maximal_subgroup gives H(e) with its inverses.
+verifies the maps built by construction, with two exceptions:
+recover_triple's rebuild, since it must equal the already verified map it
+is compared with, and the witness of image_decomposition, a homomorphism
+whenever the verified map it is read off is (the proof is in its
+docstring).  core.maximal_subgroup gives H(e) with its inverses.
 """
 
 from __future__ import annotations
@@ -446,12 +448,25 @@ def image_decomposition(
     """Exhibit the image of a non-trivial extension homomorphism as an
     extension itself.
 
-    Returns the diagonal-block image monoid T0 and a verified isomorphism
-    from the extension of T0 onto the image subsemigroup.  The witness is
-    assembled directly from the coordinate transport maps of the image, so a
-    failure here contradicts the guaranteed image structure and aborts loudly.
-    T0 and the image are memoized subsemigroups of the target, and the
-    extension of T0 is memoized on T0; the witness is verified on every call.
+    Returns the diagonal-block image monoid T0 and an isomorphism w from
+    the extension of T0 onto the image subsemigroup.  ``sigma`` must be a
+    verified Homomorphism; w is then one by construction and is not
+    verified again.  Write z = sigma(0) and, for nonzero s, t = sigma(0, s, 0).
+    Since (a, s, b) = (a, 1, 0)(0, s, 0)(0, 1, b), w sends (a, t, b) to
+
+        sigma(a, s, b) = sigma(a, 1, 0) * t * sigma(0, 1, b),
+
+    whichever representative s of t is read, and the zero to z.  Three facts
+    give w(x)w(y) = w(xy): t * sigma(0, 1, 0) = t, as
+    (0, s, 0)(0, 1, 0) = (0, s, 0); sigma(0, 1, b) * sigma(b, 1, 0) =
+    sigma(0, 1, 0); and z absorbs the image of sigma.  So for (a, t, b) and
+    (c, t', d) the product of the images is sigma(a, 1, 0) * tt' *
+    sigma(0, 1, d) when b = c, which is w(a, tt', d) if tt' != z and z if
+    tt' = z, and z when b != c, since then sigma(0, 1, b) * sigma(c, 1, 0)
+    = sigma(0) = z.  The order, the bijectivity of w and the zero and
+    identity of T0 are still checked; a failure contradicts the guaranteed
+    image structure and aborts loudly.  T0 and the image are memoized
+    subsemigroups of the target, and the extension of T0 is memoized on T0.
     """
     _require_map(sigma, source_ext)
     if not isinstance(sigma.target, FiniteSemigroup):
@@ -475,7 +490,7 @@ def image_decomposition(
         raise ConformanceError("diagonal block image is not a monoid")
 
     ext0 = _memoized(T0, ("brandt_extension", lam), lambda: brandt_extension(T0, lam))
-    image_globals = sorted(set(sigma.mapping))
+    image_globals = sorted(sigma.image)
     if ext0.carrier.order != len(image_globals):
         raise ConformanceError(
             f"image order {len(image_globals)} differs from the rebuilt "
@@ -490,7 +505,7 @@ def image_decomposition(
     starts = [source_ext.block_starts[a][b] for a in range(lam) for b in range(lam)]
     images = sigma.mapping
     mapping = [loc[z]] + [loc[images[block + p]] for block in starts for p in offsets]
-    witness = _verified("decomposition witness", mapping, ext0.carrier, image_sg)
+    witness = Homomorphism(ext0.carrier, image_sg, tuple(mapping))
     if not (witness.is_injective and witness.is_surjective):
         raise ConformanceError("decomposition witness is not bijective")
     return T0, witness

@@ -7,6 +7,8 @@ otherwise.  The carrier zero sits at index 0 and the remaining elements are
 ordered lexicographically by (a, b, s): each index pair (a, b) owns a block
 of m consecutive indices, m the number of nonzero base elements, which
 starts at 1 + (a*lam + b)*m and lists (a, s, b) with s ascending.
+``_block_starts`` is the one place that layout is written; the default
+labels, the carrier table and the coordinates are read off it.
 BrandtExtension tabulates the coordinates once per extension: the start of
 each block, the position of each base index within a block and the
 (a, s, b) of each carrier index.  encode and decode are lookups in those
@@ -43,7 +45,7 @@ class BrandtExtension:
     @cached_property
     def nonzero_base(self) -> tuple[int, ...]:
         """Base indices, ascending, zero omitted."""
-        return tuple(s for s in range(self.base.order) if s != self.base.zero)
+        return _nonzero(self.base)
 
     @property
     def base_has_identity(self) -> bool:
@@ -62,17 +64,13 @@ class BrandtExtension:
     def coords(self) -> tuple[Optional[tuple[int, int, int]], ...]:
         """Coordinates (a, s, b) of each carrier index; None at the zero.
         Tabulated once per extension."""
-        lam = self.lam
-        return (None,) + tuple(
-            (a, s, b) for a in range(lam) for b in range(lam) for s in self.nonzero_base
-        )
+        return _carrier_coords(self.nonzero_base, self.lam)
 
     @cached_property
     def block_starts(self) -> tuple[tuple[int, ...], ...]:
         """Carrier index of the first element of each block (a, b), at
         [a][b].  Tabulated once per extension."""
-        lam, m = self.lam, len(self.nonzero_base)
-        return tuple(tuple(1 + (a * lam + b) * m for b in range(lam)) for a in range(lam))
+        return _block_starts(self.lam, len(self.nonzero_base))
 
     def encode(self, a: int, s: int, b: int) -> int:
         """Carrier index of (a, s, b), from the tabulated block positions.
@@ -106,29 +104,59 @@ class BrandtExtension:
         return f"BrandtExtension(lam={self.lam}, base={self.base!r})"
 
 
-def _extension_table(S: FiniteSemigroup, lam: int) -> tuple[tuple[int, ...], ...]:
-    """The carrier table of the extension of S over lam indices.
+def _nonzero(S: FiniteSemigroup) -> tuple[int, ...]:
+    """Base indices, ascending, zero omitted: the order of each block."""
+    return tuple(s for s in range(S.order) if s != S.zero)
 
-    Only the products (a, s, b)(b, t, d) are visited; every other cell is 0.
-    """
-    nonzero = [s for s in range(S.order) if s != S.zero]
+
+def _block_starts(lam: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """The carrier layout, written here only: the zero at index 0, then the
+    blocks (a, b) of m consecutive indices in lexicographic order of (a, b).
+    [a][b] is the first index of block (a, b).  The lam blocks (b, d) of one
+    first index b lie side by side, which ``_extension_table`` relies on."""
+    return tuple(tuple([1 + (a * lam + b) * m for b in range(lam)]) for a in range(lam))
+
+
+def _carrier_coords(nonzero: tuple[int, ...], lam: int) -> tuple:
+    """(a, s, b) of each carrier index, None at the zero: each block (a, b)
+    of ``_block_starts`` lists (a, s, b) for s in ``nonzero`` order."""
     m = len(nonzero)
+    coords: list = [None] * (lam * lam * m + 1)
+    for a, starts in enumerate(_block_starts(lam, m)):
+        for b, start in enumerate(starts):
+            coords[start : start + m] = [(a, s, b) for s in nonzero]
+    return tuple(coords)
+
+
+def _extension_table(S: FiniteSemigroup, lam: int) -> tuple[tuple[int, ...], ...]:
+    """The carrier table of the extension of S over lam indices, row by row.
+
+    (a, s, b)(c, t, d) is nonzero only when c = b, so the row of (a, s, b)
+    is zeros, then the lam blocks (b, d) side by side, then zeros.  The
+    blocks hold (a, st, d), or 0 where st is the zero, and depend on (a, s)
+    alone, so each such run is built once and each row is one tuple
+    concatenation.  Serves ``brandt_extension``, the table check of
+    ``sgpfile.read_extension`` and, through them, the double extension.
+    """
+    nonzero = _nonzero(S)
+    m = len(nonzero)
+    starts = _block_starts(lam, m)
     pos = {s: p for p, s in enumerate(nonzero)}
     # block offset of st for nonzero s, t; None where st is the zero
     offsets = [[pos.get(S.table[s][t]) for t in nonzero] for s in nonzero]
-    n = lam * lam * m + 1
-    table = [[0] * n for _ in range(n)]
-    for a in range(lam):
-        for b in range(lam):
-            rows = table[1 + (a * lam + b) * m : 1 + (a * lam + b + 1) * m]
-            for d in range(lam):
-                col = 1 + (b * lam + d) * m
-                out = 1 + (a * lam + d) * m
-                for row, offs in zip(rows, offsets):
-                    for q, r in enumerate(offs):
-                        if r is not None:
-                            row[col + q] = out + r
-    return tuple(map(tuple, table))
+    zeros = (0,) * (lam * lam * m + 1)
+    table = [zeros] * len(zeros)
+    for a, outs in enumerate(starts):
+        # the blocks (b, d) of the row of (a, s, b), d ascending, for each s
+        runs = [
+            tuple([0 if r is None else out + r for out in outs for r in offs])
+            for offs in offsets
+        ]
+        for b, start in enumerate(outs):
+            first = starts[b][0]
+            left, right = zeros[:first], zeros[first + lam * m :]
+            table[start : start + m] = [left + run + right for run in runs]
+    return tuple(table)
 
 
 def brandt_extension(S: FiniteSemigroup, lam: int, carrier_labels=None) -> BrandtExtension:
@@ -144,14 +172,13 @@ def brandt_extension(S: FiniteSemigroup, lam: int, carrier_labels=None) -> Brand
         raise NoZero("Brandt extensions need a base zero")
     if lam < 1:
         raise ShapeError(f"lambda must be positive, got {lam}")
+    coords = _carrier_coords(_nonzero(S), lam)
     if carrier_labels is None:
-        nonzero = [s for s in range(S.order) if s != S.zero]
-        carrier_labels = ["0"] + [
-            f"({a},{S.labels[s]},{b})"
-            for a in range(lam) for b in range(lam) for s in nonzero
-        ]
+        carrier_labels = ["0"] + [f"({a},{S.labels[s]},{b})" for a, s, b in coords[1:]]
     carrier = _trusted_semigroup(_extension_table(S, lam), carrier_labels, zero=0)
-    return BrandtExtension(base=S, lam=lam, carrier=carrier)
+    ext = BrandtExtension(base=S, lam=lam, carrier=carrier)
+    ext.__dict__["coords"] = coords  # fills the cached property
+    return ext
 
 
 _TWO_ELEMENT = build_semigroup([[0, 1], [1, 1]], ["1", "0"])

@@ -243,8 +243,9 @@ def _is_zero(table, z: int) -> bool:
     return table[z].count(z) == len(table) and all(row[z] == z for row in table)
 
 
-def _is_identity(table, e: int) -> bool:
-    return table[e] == tuple(range(len(table))) and all(row[e] == i for i, row in enumerate(table))
+def _is_identity(table, e: int, indices: tuple[int, ...]) -> bool:
+    """e is a two-sided identity; ``indices`` is ``tuple(range(len(table)))``."""
+    return table[e] == indices and all(row[e] == i for i, row in enumerate(table))
 
 
 def _trusted_semigroup(
@@ -267,7 +268,7 @@ def _trusted_semigroup(
     if labels is None:
         labels = tuple(f"e{i}" for i in range(n))
     else:
-        labels = tuple(str(x) for x in labels)
+        labels = tuple(map(str, labels))
         if len(labels) != n:
             raise ShapeError(f"{len(labels)} labels for {n} elements")
         if len(set(labels)) != n:
@@ -280,11 +281,12 @@ def _trusted_semigroup(
     elif not _is_zero(table, zero):
         raise BadZero(f"element {labels[zero]!r} is not absorbing")
 
+    indices = tuple(range(n))
     if identity is None:
-        identity = next((e for e in range(n) if _is_identity(table, e)), None)
+        identity = next((e for e in indices if _is_identity(table, e, indices)), None)
     elif not (0 <= identity < n):
         raise BadIdentity(f"identity index {identity} out of range")
-    elif not _is_identity(table, identity):
+    elif not _is_identity(table, identity, indices):
         raise BadIdentity(f"element {labels[identity]!r} is not an identity")
 
     return FiniteSemigroup(order=n, table=table, labels=labels, zero=zero, identity=identity)
@@ -337,23 +339,34 @@ def build_semigroup(
 def subsemigroup(S: FiniteSemigroup, members: Iterable[int]) -> FiniteSemigroup:
     """Restrict S to a product-closed subset, reindexed in ascending order.
 
-    Closure is checked; associativity is inherited from S, so the table is
-    not validated again.  Built once per subset of S; later calls return
-    that object.
+    Each row is the ambient row's member columns, read at once and
+    reindexed through the member positions; a product outside the subset
+    has no position, and only then are the pairs scanned in row order for
+    the first that escapes, which the AlgebraError names.  Associativity is
+    inherited from S, so the table is not validated again.  An empty subset
+    or a member outside range(S.order) raises ShapeError.  Built once per
+    subset of S; later calls return that object.
     """
     members = tuple(sorted(set(members)))
+    if not members:
+        raise ShapeError("empty subset")
+    if members[0] < 0 or members[-1] >= S.order:
+        bad = members[0] if members[0] < 0 else members[-1]
+        raise ShapeError(f"member {bad} out of range 0..{S.order - 1}")
 
     def build():
+        table = S.table
         pos = {x: i for i, x in enumerate(members)}
-        for x in members:
-            for y in members:
-                if S.table[x][y] not in pos:
-                    raise AlgebraError(
-                        f"subset not closed: {S.labels[x]}*{S.labels[y]} escapes"
-                    )
-        table = tuple(tuple(pos[S.table[x][y]] for y in members) for x in members)
-        labels = tuple(S.labels[x] for x in members)
-        return _trusted_semigroup(table, labels)
+        # itemgetter of one index returns a bare value rather than a tuple
+        pick = itemgetter(*members) if len(members) > 1 else lambda row: (row[members[0]],)
+        try:
+            sub = tuple(tuple(map(pos.__getitem__, pick(table[x]))) for x in members)
+        except KeyError:
+            x, y = next((x, y) for x in members for y in members if table[x][y] not in pos)
+            raise AlgebraError(
+                f"subset not closed: {S.labels[x]}*{S.labels[y]} escapes"
+            ) from None
+        return _trusted_semigroup(sub, tuple(S.labels[x] for x in members))
 
     return _memoized(S, ("subsemigroup", members), build)
 

@@ -17,7 +17,13 @@ for ``homs.check_homomorphism``: it tests the product law on all n^2 pairs
 instead of the n*|G| Cayley edges.  ``reference_induced_hom`` is the
 oracle for ``category.induced_hom``: it maps one carrier index at a time,
 through coordinates listed by the definition rather than the extension's
-tables.
+tables.  ``reference_extension_table`` and ``reference_subsemigroup`` are
+the oracles for ``construct._extension_table`` and ``core.subsemigroup``:
+the first fills the extension table one nonzero cell at a time, the second
+checks every pair for closure before it reads the table cell by cell.
+``reference_image_witness`` is the oracle for the witness of
+``category.image_decomposition``: it reads each image through every
+representative and demands that they agree.
 """
 
 import itertools
@@ -25,6 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from brandt.core import (
+    AlgebraError,
     BudgetExceeded,
     FiniteSemigroup,
     NotHomomorphism,
@@ -32,6 +39,7 @@ from brandt.core import (
     ShapeError,
     TooLarge,
     _grow_closure,
+    build_semigroup,
     maximal_subgroup,
 )
 from brandt.homs import DEFAULT_BUDGET, Homomorphism
@@ -391,4 +399,74 @@ def reference_induced_hom(triple, source_ext, target_ext) -> tuple[int, ...]:
     for idx, (a, s, b) in enumerate(_definitional_coords(source_ext), start=1):
         if h[s] != T.zero:
             mapping[idx] = index[(phi[a], tt[tt[u[a]][h[s]]][inv[u[b]]], phi[b])]
+    return tuple(mapping)
+
+
+def reference_extension_table(S: FiniteSemigroup, lam: int) -> tuple[tuple[int, ...], ...]:
+    """The carrier table of the extension of S over lam indices, by the
+    definition: (a, s, b) sits at 1 + (a*lam + b)*m + (its rank among the m
+    nonzero base indices), and only the products (a, s, b)(b, t, d) are
+    visited, one cell at a time; every other cell is 0."""
+    nonzero = [s for s in range(S.order) if s != S.zero]
+    m = len(nonzero)
+    pos = {s: p for p, s in enumerate(nonzero)}
+    offsets = [[pos.get(S.table[s][t]) for t in nonzero] for s in nonzero]
+    n = lam * lam * m + 1
+    table = [[0] * n for _ in range(n)]
+    for a in range(lam):
+        for b in range(lam):
+            rows = table[1 + (a * lam + b) * m : 1 + (a * lam + b + 1) * m]
+            for d in range(lam):
+                col = 1 + (b * lam + d) * m
+                out = 1 + (a * lam + d) * m
+                for row, offs in zip(rows, offsets):
+                    for q, r in enumerate(offs):
+                        if r is not None:
+                            row[col + q] = out + r
+    return tuple(map(tuple, table))
+
+
+def reference_extension_labels(S: FiniteSemigroup, lam: int) -> tuple[str, ...]:
+    """The default carrier labels: "0", then "(a,s,b)" in (a, b, s) order."""
+    nonzero = [s for s in range(S.order) if s != S.zero]
+    return ("0",) + tuple(
+        f"({a},{S.labels[s]},{b})" for a in range(lam) for b in range(lam) for s in nonzero
+    )
+
+
+def reference_subsemigroup(S: FiniteSemigroup, members) -> FiniteSemigroup:
+    """The restriction of S to a product-closed subset, reindexed in
+    ascending order and validated in full.  Every pair is checked for
+    closure in row order first; AlgebraError names the first that escapes."""
+    members = tuple(sorted(set(members)))
+    pos = {x: i for i, x in enumerate(members)}
+    for x in members:
+        for y in members:
+            if S.table[x][y] not in pos:
+                raise AlgebraError(f"subset not closed: {S.labels[x]}*{S.labels[y]} escapes")
+    table = [[pos[S.table[x][y]] for y in members] for x in members]
+    return build_semigroup(table, [S.labels[x] for x in members])
+
+
+def reference_image_witness(sigma, source_ext, ext0, image_globals) -> tuple[int, ...]:
+    """The map from the extension ``ext0`` of the diagonal-block image T0
+    onto the image of ``sigma``, indexed by ``image_globals``: (a, t, b)
+    goes to sigma(a, s, b) for each s with sigma(0, s, 0) = t, and every such
+    s must give the same image.  T0 lists the images of the diagonal block
+    and the zero image ascending, as subsemigroups do."""
+    z = sigma.mapping[0]
+    index = {c: i for i, c in enumerate(_definitional_coords(source_ext), start=1)}
+    reps = {}
+    for s in range(source_ext.base.order):
+        if s != source_ext.base.zero:
+            g = sigma.mapping[index[(0, s, 0)]]
+            if g != z:
+                reps.setdefault(g, []).append(s)
+    t0_globals = sorted([*reps, z])
+    loc = {g: i for i, g in enumerate(image_globals)}
+    mapping = [loc[z]]
+    for a, t, b in _definitional_coords(ext0):
+        images = {sigma.mapping[index[(a, s, b)]] for s in reps[t0_globals[t]]}
+        assert len(images) == 1, f"representatives of ({a},{t},{b}) disagree"
+        mapping.append(loc[images.pop()])
     return tuple(mapping)

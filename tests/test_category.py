@@ -58,7 +58,12 @@ from brandt.fixtures import (
     ex2_6_data,
 )
 from brandt.homs import Homomorphism
-from reference_kernel import reference_induced_hom
+from reference_kernel import (
+    reference_check_homomorphism,
+    reference_image_witness,
+    reference_induced_hom,
+    reference_subsemigroup,
+)
 from test_construct import assert_matches_validated
 
 RANKS = tuple(itertools.combinations_with_replacement((1, 2, 3), 2))
@@ -459,10 +464,12 @@ def test_calculus_calls_no_per_index_encode_or_decode(monkeypatch):
 def test_calculus_verifies_each_map_once(monkeypatch):
     """One completeness_rows() pass, and recover_triple,
     image_decomposition and check_block_separation on every zero-fixing
-    map of its grid, call check_homomorphism 255 and 693 times.
+    map of its grid, call check_homomorphism 255 and 474 times.
     recover_triple compares its rebuild with the verified map it is handed
     instead of verifying the rebuild too, which took 219 more calls (912),
-    one per recovered map."""
+    one per recovered map; image_decomposition's witness is a homomorphism
+    by construction and was verified once per zero-fixing map, 219 more
+    (693)."""
     calls = []
     check = category.check_homomorphism
 
@@ -483,7 +490,7 @@ def test_calculus_verifies_each_map_once(monkeypatch):
                 if l1 >= 2:
                     check_block_separation(h, src, dst)
                 maps += 1
-    assert (len(calls), maps) == (693, 219)
+    assert (len(calls), maps) == (474, 219)
 
 
 @pytest.mark.parametrize("lam1", [-1, 0])
@@ -568,6 +575,32 @@ def test_recover_triple_reports_each_planted_defect(plant, reason):
     verdict = recover_triple(sigma, ext, ext)
     assert isinstance(verdict, NotClassifiable)
     assert re.search(reason.format(where=where), verdict.reason), verdict.reason
+
+
+def test_image_witness_matches_the_map_it_was_verified_as():
+    """On the acceptance-corpus grid, zero-moving maps included, the
+    unverified witness of image_decomposition is the map read off every
+    representative of each diagonal image, which all agree, passes the
+    all-pairs product-law check and is a bijection onto the image."""
+    corpus = list(acceptance_corpus().values())
+    checked = zero_moving = 0
+    for S, T in itertools.product(corpus, repeat=2):
+        for l1, l2 in ((1, 1), (1, 2), (2, 2), (2, 3)):
+            src, dst = brandt_extension(S, l1), brandt_extension(T, l2)
+            for sigma in enumerate_homs(src.carrier, dst.carrier, nontrivial_only=True):
+                T0, witness = image_decomposition(sigma, src)
+                ext0 = brandt_extension(T0, l1)
+                image_globals = sorted(set(sigma.mapping))
+                image = reference_subsemigroup(dst.carrier, image_globals)
+                assert witness.source.table == ext0.carrier.table
+                assert witness.target.table == image.table
+                expected = reference_image_witness(sigma, src, ext0, image_globals)
+                assert witness.mapping == expected
+                reference_check_homomorphism(expected, ext0.carrier, image)
+                assert sorted(expected) == list(range(image.order))
+                checked += 1
+                zero_moving += sigma.mapping[0] != 0
+    assert checked > 100 and zero_moving > 0
 
 
 def test_an_equal_copy_of_the_carrier_is_accepted():

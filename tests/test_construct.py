@@ -11,9 +11,11 @@ from brandt import (
     build_semigroup,
     iso_search,
     subsemigroup,
+    with_adjoined_zero,
 )
 from brandt.classify import is_inverse, is_primitive_inverse, is_regular
 from brandt.construct import (
+    _extension_table,
     bicyclic_with_zero,
     brandt_extension,
     double_extension_witness,
@@ -32,6 +34,12 @@ from brandt.corpus import (
     two_element,
 )
 from brandt.homs import check_homomorphism
+from reference_kernel import (
+    _definitional_coords,
+    reference_extension_labels,
+    reference_extension_table,
+)
+from test_homs import associative_tables
 
 
 def test_rank_below_one_is_a_shape_error():
@@ -153,6 +161,37 @@ def test_extension_carriers_match_their_validated_builds():
     for S in bases:
         for lam in (1, 2, 3):
             assert_matches_validated(brandt_extension(S, lam).carrier, zero=0)
+
+
+def assert_extension_matches_reference(S, lam):
+    """The row-built carrier of the extension of S equals the cell-by-cell
+    reference in table and labels, keeps its zero at 0, has the identity the
+    definition gives, and lists its coordinates in the definitional order."""
+    ext = brandt_extension(S, lam)
+    C = ext.carrier
+    assert C.table == _extension_table(S, lam) == reference_extension_table(S, lam)
+    assert C.labels == reference_extension_labels(S, lam)
+    rng = range(C.order)
+    identities = [e for e in rng if all(C.table[e][x] == x == C.table[x][e] for x in rng)]
+    assert (C.zero, C.identity) == (0, identities[0] if identities else None)
+    assert ext.coords[1:] == tuple(_definitional_coords(ext))
+
+
+@given(associative_tables(), st.integers(min_value=1, max_value=4))
+@settings(max_examples=100, deadline=None)
+def test_row_built_extension_matches_cell_by_cell_reference(table, lam):
+    S = build_semigroup(table)
+    if S.zero is None:
+        S = with_adjoined_zero(S)
+    assert_extension_matches_reference(S, lam)
+
+
+def test_row_built_extension_matches_reference_on_the_corpus_and_at_rank_six():
+    # the one-element base has no nonzero elements, so every block is empty
+    for S in [build_semigroup([[0]]), *acceptance_corpus().values()]:
+        for lam in (1, 2, 3, 4):
+            assert_extension_matches_reference(S, lam)
+    assert_extension_matches_reference(cyclic_group_with_zero(8), 6)
 
 
 def test_extension_labels_are_still_checked():

@@ -1,11 +1,14 @@
+import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brandt import (
+    AlgebraError,
     BadIdentity,
     BadZero,
     NonAssociative,
@@ -28,6 +31,8 @@ from brandt.corpus import (
     rect_band_with_unit_and_zero,
     two_element,
 )
+from reference_kernel import reference_subsemigroup
+from test_homs import associative_tables
 
 
 def first_non_associative_triple(table):
@@ -209,8 +214,74 @@ def test_maximal_subgroup_rejects_non_idempotent():
 
 def test_subsemigroup_requires_closure():
     b2 = matrix_units(2)
-    with pytest.raises(Exception):
+    with pytest.raises(AlgebraError) as exc:
         subsemigroup(b2, [b2.index_of("(1,2)"), b2.index_of("(2,1)")])
+    assert type(exc.value) is AlgebraError
+    assert str(exc.value) == "subset not closed: (1,2)*(1,2) escapes"
+
+
+@pytest.mark.parametrize(
+    "members, message",
+    [
+        ([], "empty subset"),
+        ([0, 3], "member 3 out of range 0..2"),
+        ([-1], "member -1 out of range 0..2"),
+        ([-1, 2, 7], "member -1 out of range 0..2"),
+    ],
+)
+def test_subsemigroup_rejects_bad_member_lists(members, message):
+    # a negative member used to wrap around to the last element, so chain(3)
+    # with [-1] blamed "x2*x2"; an empty list gave an order-0 semigroup
+    S = chain(3)
+    before = dict(S._memo)
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        subsemigroup(S, members)
+    assert S._memo == before
+
+
+def assert_subsemigroup_matches_reference(S, members):
+    """subsemigroup on a fresh copy of S agrees with the two-pass reference:
+    every field of a closed subset, the AlgebraError message of another."""
+    fresh = dataclasses.replace(S)  # an equal instance with an empty memo
+    try:
+        expected = reference_subsemigroup(S, members)
+    except AlgebraError as exc:
+        with pytest.raises(AlgebraError) as got:
+            subsemigroup(fresh, members)
+        assert type(got.value) is AlgebraError and str(got.value) == str(exc)
+        return False
+    fields = ("order", "table", "labels", "zero", "identity")
+    got = subsemigroup(fresh, members)
+    assert [getattr(got, f) for f in fields] == [getattr(expected, f) for f in fields]
+    return True
+
+
+@given(associative_tables(), st.integers(min_value=1, max_value=3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_subsemigroup_matches_two_pass_reference_on_random_tables(table, lam, data):
+    S = build_semigroup(table)
+    if S.zero is None:
+        S = with_adjoined_zero(S)
+    C = brandt_extension(S, lam).carrier
+    for T in (S, C):
+        members = data.draw(st.sets(st.integers(0, T.order - 1), min_size=1))
+        assert_subsemigroup_matches_reference(T, members)
+        assert assert_subsemigroup_matches_reference(T, naive_closure(T.table, members))
+
+
+def test_subsemigroup_matches_two_pass_reference_at_rank_six():
+    C = brandt_extension(cyclic_group_with_zero(8), 6)
+    rng = random.Random(6)
+    closed = 0
+    for a in range(6):
+        block = [0] + [C.encode(a, s, a) for s in C.nonzero_base]
+        closed += assert_subsemigroup_matches_reference(C.carrier, block)
+        row = [0] + [C.encode(a, s, b) for b in range(6) for s in C.nonzero_base]
+        closed += assert_subsemigroup_matches_reference(C.carrier, row)
+    for _ in range(20):
+        members = rng.sample(range(C.carrier.order), rng.randint(1, 40))
+        closed += assert_subsemigroup_matches_reference(C.carrier, members)
+    assert closed >= 12
 
 
 def test_adjoined_identity_and_zero():
