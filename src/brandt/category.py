@@ -33,12 +33,12 @@ Each fact is checked by one function.  make_triple alone validates triple
 data.  _require_map is the precondition of recover_triple,
 image_decomposition, check_block_separation and compose_and_check: a
 non-constant map out of the given extension, whose base is a monoid.
-_check_ranks requires monoids with zero and lam1 <= lam2.  _verified
-verifies the maps built by construction, with two exceptions:
-recover_triple's rebuild, since it must equal the already verified map it
-is compared with, and the witness of image_decomposition, a homomorphism
-whenever the verified map it is read off is (the proof is in its
-docstring).  core.maximal_subgroup gives H(e) with its inverses.
+_check_ranks requires monoids with zero and lam1 <= lam2.  The maps the
+calculus builds, induced, zero-moving and image witnesses, are
+homomorphisms by construction, with the proofs in the docstrings of
+induced_hom, extension_homs and image_decomposition, so none is verified
+again; brute force checks them in the tests and sweeps.
+core.maximal_subgroup gives H(e) with its inverses.
 """
 
 from __future__ import annotations
@@ -169,15 +169,6 @@ def _require_map(sigma: Homomorphism, source_ext: BrandtExtension, target=None):
     require_monoid_with_zero(source_ext.base, "source base")
 
 
-def _verified(what: str, mapping, source, target) -> Homomorphism:
-    """check_homomorphism on a map built by construction.  It cannot fail on
-    well-formed input, so a failure is a bug and raises ConformanceError."""
-    try:
-        return check_homomorphism(mapping, source, target)
-    except NotHomomorphism as exc:  # pragma: no cover - guarded by construction
-        raise ConformanceError(f"{what} failed verification: {exc}") from exc
-
-
 def induced_hom(
     triple: MorphismTriple,
     source_ext: BrandtExtension,
@@ -186,7 +177,17 @@ def induced_hom(
     """The extension homomorphism induced by a triple (the functor's action).
 
     A trivial base induces the constant-to-zero map.  Extensions other than
-    the triple's raise Mismatch.
+    the triple's raise Mismatch.  The map is a homomorphism by construction,
+    so it is not verified.  Write e = h(1_S) and u(b)^-1 for the inverse of
+    u(b) in H(e).  For (a, s, b) * (c, t, d) the image middles multiply to
+    u(a) * h(s) * u(b)^-1 * u(c) * h(t) * u(d)^-1.  If b = c this is
+    u(a) * h(s) * e * h(t) * u(d)^-1 = u(a) * h(st) * u(d)^-1, since
+    h(s) * e = h(s * 1_S).  If b != c then phi(b) != phi(c), as phi is
+    injective, and both the product of the images and the image of the
+    product are the zero.  A middle u(a) * h(s) * u(b)^-1 is the zero
+    exactly when h(s) is, because u(a) and u(b) are units of H(e) and
+    e * h(s) * e = h(s); so a product st that h kills goes to the zero, as
+    the formula says.
     """
     S, T = triple.base.source, triple.base.target
     if not _same(source_ext.base, S) or source_ext.lam != triple.lam:
@@ -194,7 +195,7 @@ def induced_hom(
     if not _same(target_ext.base, T) or target_ext.lam != triple.index_codomain:
         raise Mismatch("target extension does not match the triple")
     mapping = _induced_mapping(triple, source_ext, target_ext)
-    return _verified("induced map", mapping, source_ext.carrier, target_ext.carrier)
+    return Homomorphism(source_ext.carrier, target_ext.carrier, tuple(mapping))
 
 
 def _induced_mapping(
@@ -202,8 +203,8 @@ def _induced_mapping(
     source_ext: BrandtExtension,
     target_ext: BrandtExtension,
 ) -> list[int]:
-    """The carrier map the triple induces between its own extensions,
-    unverified: induced_hom checks the extensions and verifies it."""
+    """The carrier map the triple induces between its own extensions;
+    induced_hom checks the extensions and wraps it."""
     mapping = [0] * source_ext.carrier.order
     T = triple.base.target
     tz = T.zero
@@ -383,7 +384,12 @@ def extension_homs(
     (0, s, 0) |-> (a, h(s), a), the extension zero going to (a, h(0_S), a).
     The image of a moved zero is an idempotent absorbing every image on
     both sides, so at rank two or more the units, and with them every
-    element, would be sent to it; there zero_moving is empty.
+    element, would be sent to it; there zero_moving is empty.  Both kinds
+    are homomorphisms by construction and are not verified: the induced
+    maps by induced_hom's proof, and a zero-moving map because
+    f = h(0_S) != 0_T absorbs h(S), so 0_T is not in h(S) (else
+    f = f * 0_T = 0_T), and (0, s, 0) |-> (a, h(s), a) then respects every
+    product inside the one block.
     """
     S, T = source_ext.base, target_ext.base
     lam1, lam2 = source_ext.lam, target_ext.lam
@@ -401,10 +407,8 @@ def extension_homs(
         offsets = [target_ext.position[h.mapping[s]] for s in middles]
         for a in range(lam2):
             diagonal = target_ext.block_starts[a][a]
-            mapping = [diagonal + p for p in offsets]
-            zero_moving.append(
-                _verified("zero-moving map", mapping, source_ext.carrier, target_ext.carrier)
-            )
+            mapping = tuple(diagonal + p for p in offsets)
+            zero_moving.append(Homomorphism(source_ext.carrier, target_ext.carrier, mapping))
     induced.sort(key=lambda sigma: sigma.mapping)
     zero_moving.sort(key=lambda sigma: sigma.mapping)
     return induced, zero_moving

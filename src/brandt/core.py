@@ -187,27 +187,36 @@ def _find_associativity_witness(table) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _grow_closure(table, members: list, x: int) -> list:
-    """Close ``members`` together with ``x`` under the table product, in place.
+def _grow_closure(table, members: list, gens, x: int) -> list:
+    """Close ``members`` together with ``x`` along right Cayley edges, in place.
 
-    ``members`` must already be product-closed and must not contain ``x``.
-    Each element that joins is multiplied once, on both sides, with every
-    member before it and with itself, so growing a closure to m elements
-    costs O(m^2) products in all.  Returns ``members``, in order of joining.
+    ``members`` must be the closure of ``gens`` and must not contain ``x``.
+    In a semigroup every new element is a word u*x*v, u a word in ``gens``
+    or empty and v a word in ``gens`` and x, so the new elements are x and
+    each m*x (m a member), multiplied on the right by ``gens`` and x until
+    nothing new appears (Froidure and Pin, 1997).  Growing by k elements
+    costs |members| + k*(|gens| + 1) products.  On a table that is not
+    associative the result lies inside the magma closure, and may miss
+    some of it.  Returns ``members``, in order of joining.
     """
     inside = set(members)
     inside.add(x)
     i = len(members)
     members.append(x)
+    for m in members[:i]:
+        p = table[m][x]
+        if p not in inside:
+            inside.add(p)
+            members.append(p)
+    right = [*gens, x]
     while i < len(members):
-        c = members[i]
-        rc = table[c]
+        row = table[members[i]]
         i += 1
-        for m in members[:i]:
-            for p in (rc[m], table[m][c]):
-                if p not in inside:
-                    inside.add(p)
-                    members.append(p)
+        for g in right:
+            p = row[g]
+            if p not in inside:
+                inside.add(p)
+                members.append(p)
     return members
 
 
@@ -215,15 +224,23 @@ def _magma_generators(table) -> tuple[int, ...]:
     """A set generating the table under its product, found in index order.
 
     Walks the elements in ascending order; one that is not yet in the
-    closure of the generators so far becomes a generator.
+    closure of the generators so far becomes a generator.  The closure is
+    grown along right Cayley edges (``_grow_closure``), so the walk costs
+    O(n * |A|) products for |A| generators.  On an associative table that
+    closure is the subsemigroup the generators generate.  On any other it
+    lies inside their magma closure, so an element it misses becomes a
+    generator itself, and the result still generates the table as a magma.
+    That is all Light's test needs: the elements a with (x*a)*y = x*(a*y)
+    for all x, y are closed under the product, so the test stays exact and
+    ``build_semigroup`` rejects exactly the tables that are not associative.
     """
     gens: list[int] = []
     members: list[int] = []
     inside: set = set()
     for x in range(len(table)):
         if x not in inside:
+            inside.update(_grow_closure(table, members, gens, x))
             gens.append(x)
-            inside.update(_grow_closure(table, members, x))
     return tuple(gens)
 
 
@@ -343,10 +360,16 @@ def subsemigroup(S: FiniteSemigroup, members: Iterable[int]) -> FiniteSemigroup:
     reindexed through the member positions; a product outside the subset
     has no position, and only then are the pairs scanned in row order for
     the first that escapes, which the AlgebraError names.  Associativity is
-    inherited from S, so the table is not validated again.  An empty subset
-    or a member outside range(S.order) raises ShapeError.  Built once per
-    subset of S; later calls return that object.
+    inherited from S, so the table is not validated again.  A member that
+    is not an int (a bool, a float, a string, None) raises ShapeError
+    before the memo is read, as do an empty subset and a member outside
+    range(S.order).  Built once per subset of S; later calls return that
+    object.
     """
+    members = tuple(members)
+    if not {int}.issuperset(map(type, members)):  # in C, stops at the first
+        bad = next(m for m in members if type(m) is not int)
+        raise ShapeError(f"member {bad!r} is not an int")
     members = tuple(sorted(set(members)))
     if not members:
         raise ShapeError("empty subset")

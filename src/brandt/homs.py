@@ -15,7 +15,11 @@ which elements its image decides and which edges it must check, as a
 straight-line program.  Before it branches on a generator the search
 drops the candidates that clash on an edge whose ends are already
 decided (forward checking: Haralick and Elliott, "Increasing tree search
-efficiency for constraint satisfaction problems", 1980).  A step of the
+efficiency for constraint satisfaction problems", 1980).  For each
+candidate the program then defines images breadth first and runs each
+check as soon as the three images it reads are decided, so a failing
+candidate meets the check that rejects it before any define it does not
+need (the fail-first principle of the same paper).  A step of the
 budget is one program op run or one such edge filter.  ``enumerate_homs``
 runs it over ``generating_set(S)`` reordered most constraining first, by
 descending |x·S| + |S·x| (as in symmetry-breaking semigroup searches: A.
@@ -29,6 +33,7 @@ order, so that its first witness is the lexicographically smallest.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -149,7 +154,7 @@ def generating_set(S: FiniteSemigroup) -> list[int]:
         for e in range(n):
             if e in covered:
                 continue
-            clo = _grow_closure(t, list(closed), e)
+            clo = _grow_closure(t, list(closed), gens, e)
             covered.update(clo)
             if len(clo) > len(best_closure):
                 best, best_closure = e, clo
@@ -181,13 +186,18 @@ def _compile(A: FiniteSemigroup, branch_order) -> list:
     (c, x), g an earlier generator and c in D_(k-1), whose product is in
     D_(k-1): each narrows x's candidates.  ``prog`` lists the other right
     Cayley edges (a, g) inside D_k, g a generator of D_k, that lie outside
-    D_(k-1), breadth first from x, as ops ``(a, g, p, defines, ran)``: the
-    first edge to reach p defines h(p) = h(a)·h(g), every other one checks
-    it, and ``ran`` is the op's position counted from 1.
+    D_(k-1), as ops ``(a, g, p, defines, ran)``: the first edge to reach p,
+    breadth first from x, defines h(p) = h(a)·h(g), and every other one
+    checks it.  The defines keep that breadth-first order.  Each check
+    comes right after the define of the last of a, g and p, after the
+    checks already there, or at the front when all three are decided as
+    the level starts (x is), so the program fails as early as it can.
+    ``ran`` is the op's position counted from 1.
     """
     ta = A.table
     known = [False] * A.order
     done: list = []  # the decided elements, in definition order
+    at = [0] * A.order  # at[e]: the position of e in ``done``
     gens: list = []
     levels = []
     for x in branch_order:
@@ -201,16 +211,23 @@ def _compile(A: FiniteSemigroup, branch_order) -> list:
         edges.append((x, x))
         gens.append(x)
         known[x] = True
+        start = at[x] = len(done)
         done.append(x)
-        prog = []
+        # front: the checks on elements decided as the level starts; then
+        # one group per define, the define and the checks it completes
+        front, groups = [], []
         for a, g in edges:  # grows as new elements are defined
             p = ta[a][g]
-            defines = not known[p]
-            if defines:
+            if known[p]:  # g is decided as the level starts
+                last = (at[a] if at[a] > at[p] else at[p]) - start
+                (groups[last - 1] if last > 0 else front).append((a, g, p, False))
+            else:
                 known[p] = True
+                at[p] = len(done)
                 done.append(p)
                 edges += [(p, h) for h in gens]
-            prog.append((a, g, p, defines, len(prog) + 1))
+                groups.append([(a, g, p, True)])
+        prog = [op + (ran,) for ran, op in enumerate(itertools.chain(front, *groups), 1)]
         levels.append((x, filters, prog))
     return levels
 

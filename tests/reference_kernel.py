@@ -2,7 +2,9 @@
 
 ``reference_search_maps`` is the oracle for ``homs._search_maps``: it closes
 each assignment under the products with every assigned element, on both
-sides.  ``reference_congruence_closure`` is the oracle for
+sides.  ``reference_compile`` is the oracle for the order of
+``homs._compile``: its programs run every edge breadth first.
+``reference_congruence_closure`` is the oracle for
 ``search.congruence_closure``: it translates each merged pair by every
 element, on both sides.  ``reference_congruence_lattice`` and
 ``reference_is_congruence_free`` are the oracles for their namesakes in
@@ -10,10 +12,14 @@ element, on both sides.  ``reference_congruence_lattice`` and
 congruences by closing their pairs.  ``reference_find_matrix_unit_copy`` is
 the oracle for ``search.find_matrix_unit_copy``: it filters every
 combination of diagonal idempotents and checks the matrix-unit product law
-by hand.  ``reference_generating_set`` is the oracle for
-``homs.generating_set``: it grows a closure for every element outside the
-chosen set in every round.  ``reference_check_homomorphism`` is the oracle
-for ``homs.check_homomorphism``: it tests the product law on all n^2 pairs
+by hand.  ``reference_grow_closure`` is the oracle for
+``core._grow_closure``: it multiplies each new element with every earlier
+member, on both sides.  ``reference_magma_generators`` and
+``reference_generating_set`` are the oracles for ``core._magma_generators``
+and ``homs.generating_set``; both grow their closures through it, and the
+second grows one for every element outside the chosen set in every round.
+``reference_check_homomorphism`` is the oracle for
+``homs.check_homomorphism``: it tests the product law on all n^2 pairs
 instead of the n*|G| Cayley edges.  ``reference_induced_hom`` is the
 oracle for ``category.induced_hom``: it maps one carrier index at a time,
 through coordinates listed by the definition rather than the extension's
@@ -38,7 +44,6 @@ from brandt.core import (
     NoZero,
     ShapeError,
     TooLarge,
-    _grow_closure,
     build_semigroup,
     maximal_subgroup,
 )
@@ -127,6 +132,41 @@ def reference_search_maps(
                 undo(mark)
 
     return search(0)
+
+
+def reference_compile(A: FiniteSemigroup, branch_order) -> list:
+    """The levels of ``homs._compile`` with each program in breadth-first
+    order: the ops ``(a, g, p, defines, ran)`` run in the order their edges
+    are met, each check where its edge comes up rather than as soon as its
+    three elements are decided."""
+    ta = A.table
+    known = [False] * A.order
+    done: list = []
+    gens: list = []
+    levels = []
+    for x in branch_order:
+        if known[x]:
+            continue
+        rx = ta[x]
+        filters = [(x, g, rx[g]) for g in gens if known[rx[g]]]
+        filters += [(c, x, ta[c][x]) for c in done if known[ta[c][x]]]
+        edges = [(c, x) for c in done if not known[ta[c][x]]]
+        edges += [(x, g) for g in gens if not known[rx[g]]]
+        edges.append((x, x))
+        gens.append(x)
+        known[x] = True
+        done.append(x)
+        prog = []
+        for a, g in edges:
+            p = ta[a][g]
+            defines = not known[p]
+            if defines:
+                known[p] = True
+                done.append(p)
+                edges += [(p, h) for h in gens]
+            prog.append((a, g, p, defines, len(prog) + 1))
+        levels.append((x, filters, prog))
+    return levels
 
 
 def reference_check_homomorphism(mapping, source: FiniteSemigroup, target) -> Homomorphism:
@@ -247,6 +287,42 @@ def reference_is_congruence_free(S: FiniteSemigroup) -> bool:
     return True
 
 
+def reference_grow_closure(table, members: list, x: int) -> list:
+    """Close ``members`` together with ``x`` under the table product, in place.
+
+    ``members`` must already be product-closed and must not contain ``x``.
+    Each element that joins is multiplied once, on both sides, with every
+    member before it and with itself, so growing a closure to m elements
+    costs O(m^2) products in all.  Returns ``members``, in order of joining.
+    """
+    inside = set(members)
+    inside.add(x)
+    i = len(members)
+    members.append(x)
+    while i < len(members):
+        c = members[i]
+        rc = table[c]
+        i += 1
+        for m in members[:i]:
+            for p in (rc[m], table[m][c]):
+                if p not in inside:
+                    inside.add(p)
+                    members.append(p)
+    return members
+
+
+def reference_magma_generators(table) -> tuple[int, ...]:
+    """The elements, in index order, not in the closure of those before
+    them that were kept."""
+    gens: list[int] = []
+    members: list[int] = []
+    for x in range(len(table)):
+        if x not in members:
+            gens.append(x)
+            reference_grow_closure(table, members, x)
+    return tuple(gens)
+
+
 def reference_generating_set(S: FiniteSemigroup) -> list[int]:
     """Greedy generators: repeatedly add the element whose closure grows most."""
     n = S.order
@@ -259,7 +335,7 @@ def reference_generating_set(S: FiniteSemigroup) -> list[int]:
         for e in range(n):
             if e in inside:
                 continue
-            clo = _grow_closure(t, list(closed), e)
+            clo = reference_grow_closure(t, list(closed), e)
             if best_closure is None or len(clo) > len(best_closure):
                 best, best_closure = e, clo
         gens.append(best)

@@ -227,11 +227,18 @@ def test_subsemigroup_requires_closure():
         ([0, 3], "member 3 out of range 0..2"),
         ([-1], "member -1 out of range 0..2"),
         ([-1, 2, 7], "member -1 out of range 0..2"),
+        ([1.0], "member 1.0 is not an int"),
+        ([1, 1.0], "member 1.0 is not an int"),
+        (["1"], "member '1' is not an int"),
+        ([0, None], "member None is not an int"),
+        ([True, 2], "member True is not an int"),
     ],
 )
 def test_subsemigroup_rejects_bad_member_lists(members, message):
     # a negative member used to wrap around to the last element, so chain(3)
-    # with [-1] blamed "x2*x2"; an empty list gave an order-0 semigroup
+    # with [-1] blamed "x2*x2"; an empty list gave an order-0 semigroup;
+    # [True, 2] was read as [1, 2], and floats, strings and None failed with
+    # a bare TypeError
     S = chain(3)
     before = dict(S._memo)
     with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):

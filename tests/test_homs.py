@@ -31,11 +31,14 @@ from brandt.corpus import (
 )
 from brandt.fixtures import ex2_5_data, EX2_12_ENTRIES
 from brandt.construct import matrix_units_extension
-from brandt.core import _grow_closure
+from brandt.core import _grow_closure, _magma_generators
 from brandt.homs import _branch_order, _compile, _search_maps, generating_set
 from reference_kernel import (
     reference_check_homomorphism,
+    reference_compile,
     reference_generating_set,
+    reference_grow_closure,
+    reference_magma_generators,
     reference_search_maps,
 )
 
@@ -245,6 +248,30 @@ def test_compiled_levels_take_each_cayley_edge_once():
             assert sorted(seen) == sorted(edges)
 
 
+def test_compiled_checks_run_once_their_operands_are_decided():
+    # the defines keep the breadth-first order of the reference programs;
+    # each check op comes after the define of the last of its three
+    # elements, with only checks in between, or at the front of its level
+    # when all three are decided as the level starts
+    rng = random.Random(37)
+    for S in oracle_carriers():
+        shuffled = list(range(S.order))
+        rng.shuffle(shuffled)
+        for order in (generating_set(S), range(S.order), shuffled):
+            levels, breadth_first = _compile(S, order), reference_compile(S, order)
+            assert len(levels) == len(breadth_first)
+            for (x, filters, prog), (rx, rfilters, rprog) in zip(levels, breadth_first):
+                assert (x, filters) == (rx, rfilters)
+                assert [op[:3] for op in prog if op[3]] == [op[:3] for op in rprog if op[3]]
+                assert sorted(op[:3] for op in prog) == sorted(op[:3] for op in rprog)
+                rank = {}  # element -> number of the define op that decides it
+                for a, g, p, defines, _ in prog:
+                    if defines:
+                        rank[p] = len(rank) + 1
+                    else:
+                        assert max(rank.get(a, 0), rank.get(g, 0), rank.get(p, 0)) == len(rank)
+
+
 @st.composite
 def associative_tables(draw):
     """A table of order <= 4, each cell drawn from the values that keep the
@@ -375,28 +402,52 @@ def test_edge_check_matches_all_pairs_oracle_into_function_backed_target():
         checks_agree([rng.choice(ext_tokens) for _ in range(5)], src.carrier, dst)
 
 
+def assert_closures_match_reference(S, order):
+    """Grow the closure of longer and longer prefixes of ``order``: from
+    each one, adding any element outside it along right Cayley edges gives
+    the set that the both-sided oracle closure gives.  Then the generators
+    of Light's test and the greedy generators equal their oracles."""
+    t = S.table
+    closed, gens = [], []
+    for x in order:
+        if x in closed:
+            continue
+        for e in range(S.order):
+            if e not in closed:
+                got = _grow_closure(t, list(closed), gens, e)
+                assert set(got) == set(reference_grow_closure(t, list(closed), e))
+        _grow_closure(t, closed, gens, x)
+        gens.append(x)
+    assert sorted(closed) == list(range(S.order))
+    assert _magma_generators(t) == reference_magma_generators(t)
+    assert generating_set(S) == reference_generating_set(S)
+
+
 def test_generating_set_matches_reference_on_oracle_carriers(relabeled):
     # skipping covered candidates and stopping at a full closure keep the
     # greedy choice; relabelings change the ties and the skipped elements
     rng = random.Random(31)
     for C in oracle_carriers():
         for S in (C, relabeled(C, rng), relabeled(C, rng)):
-            assert generating_set(S) == reference_generating_set(S)
+            order = list(range(S.order))
+            rng.shuffle(order)
+            assert_closures_match_reference(S, order)
 
 
-@given(associative_tables())
+@given(associative_tables(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_generating_set_matches_reference_on_random_tables(table):
+def test_generating_set_matches_reference_on_random_tables(table, data):
     S = build_semigroup(table)
-    assert generating_set(S) == reference_generating_set(S)
+    assert_closures_match_reference(S, data.draw(st.permutations(range(S.order))))
 
 
 def generating_prefix(S, order):
     """The shortest prefix of ``order``, which must generate S, that does."""
-    closed = []
+    closed, gens = [], []
     for i, x in enumerate(order):
         if x not in closed:
-            _grow_closure(S.table, closed, x)
+            _grow_closure(S.table, closed, gens, x)
+            gens.append(x)
         if len(closed) == S.order:
             return order[: i + 1]
 
@@ -540,19 +591,19 @@ def test_budget_exceeded():
     ext = brandt_extension(E, 2)
     with pytest.raises(BudgetExceeded):
         enumerate_homs(ext.carrier, ext.carrier, budget=3)
-    # the whole search takes exactly 509 steps (753 in the greedy order)
+    # the whole search takes exactly 439 steps (635 in the greedy order)
     with pytest.raises(BudgetExceeded):
-        enumerate_homs(ext.carrier, ext.carrier, budget=508)
-    assert len(enumerate_homs(ext.carrier, ext.carrier, budget=509)) == 15
+        enumerate_homs(ext.carrier, ext.carrier, budget=438)
+    assert len(enumerate_homs(ext.carrier, ext.carrier, budget=439)) == 15
 
 
 def test_chain4_rank3_endomorphisms_step_count():
     B3 = brandt_extension(chain(4), 3).carrier
-    # the whole search takes exactly 39236 steps (order 28; 91130 in the
+    # the whole search takes exactly 31016 steps (order 28; 74930 in the
     # greedy order)
     with pytest.raises(BudgetExceeded):
-        enumerate_homs(B3, B3, budget=39235)
-    assert len(enumerate_homs(B3, B3, budget=39236)) == 124
+        enumerate_homs(B3, B3, budget=31015)
+    assert len(enumerate_homs(B3, B3, budget=31016)) == 124
 
 
 def test_compose_homs():
