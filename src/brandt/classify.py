@@ -1,11 +1,11 @@
-"""Exhaustive definition-checking of structural properties."""
+"""Structural properties of a finite semigroup, decided from its table."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import FiniteSemigroup, idempotent_order
+from .core import FiniteSemigroup
 from .search import (
     DEFAULT_CONGRUENCE_BOUND,
     excludes_b2,
@@ -16,8 +16,12 @@ from .search import (
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Boolean structure flags, all computed by brute force over the table.
+    """Boolean structure flags of a finite semigroup.
 
+    ``inverse`` and ``clifford`` come from two characterizations (J. M.
+    Howie, *Fundamentals of Semigroup Theory*, 1995, Thm 5.1.1 and §4.2):
+    a semigroup is inverse iff it is regular and its idempotents commute,
+    and Clifford iff it is regular and its idempotents are central.
     ``congruence_free`` is None when the order exceeds the congruence bound.
     ``blambda_free`` holds the rank-dependent matrix-unit exclusion per
     queried rank (None when the semigroup has no zero).
@@ -39,15 +43,6 @@ class PropertyReport:
     primitivity_no_zero_caveat: bool = False
 
 
-def _inverses_of(S: FiniteSemigroup, x: int) -> list[int]:
-    t = S.table
-    return [
-        y
-        for y in range(S.order)
-        if t[t[x][y]][x] == x and t[t[y][x]][y] == y
-    ]
-
-
 def is_regular(S: FiniteSemigroup) -> bool:
     t = S.table
     n = S.order
@@ -56,13 +51,15 @@ def is_regular(S: FiniteSemigroup) -> bool:
     )
 
 
+def _idempotents_commute(S: FiniteSemigroup) -> bool:
+    t = S.table
+    idem = S.idempotents
+    return all(t[e][f] == t[f][e] for e in idem for f in idem)
+
+
 def is_inverse(S: FiniteSemigroup) -> bool:
-    return all(len(_inverses_of(S, x)) == 1 for x in range(S.order))
-
-
-def inverse_element(S: FiniteSemigroup, x: int) -> Optional[int]:
-    ys = _inverses_of(S, x)
-    return ys[0] if len(ys) == 1 else None
+    """Regular with commuting idempotents (Howie, Thm 5.1.1)."""
+    return is_regular(S) and _idempotents_commute(S)
 
 
 def idempotents_central(S: FiniteSemigroup) -> bool:
@@ -73,30 +70,29 @@ def idempotents_central(S: FiniteSemigroup) -> bool:
     )
 
 
+def _nonzero_idempotents_primitive(S: FiniteSemigroup) -> bool:
+    """S has a zero and no non-zero idempotent lies below another.  Only
+    for commuting idempotents, where f <= e iff ef = f."""
+    t = S.table
+    nonzero = [e for e in S.idempotents if e != S.zero]
+    return S.zero is not None and all(
+        t[e][f] != f for e in nonzero for f in nonzero if e != f
+    )
+
+
 def is_primitive_inverse(S: FiniteSemigroup) -> bool:
     """Inverse, with a zero, and every non-zero idempotent minimal."""
-    if S.zero is None or not is_inverse(S):
-        return False
-    order = idempotent_order(S)
-    nonzero = [e for e in order.idempotents if e != S.zero]
-    return set(order.primitives) == set(nonzero)
+    return is_inverse(S) and _nonzero_idempotents_primitive(S)
 
 
 def classify(S: FiniteSemigroup, lambdas=()) -> PropertyReport:
-    """Compute every structure flag of the report by exhaustive checking."""
-    t = S.table
-
+    """Compute every structure flag of the report, each predicate once;
+    inverse and Clifford by the characterizations on ``PropertyReport``."""
     regular = is_regular(S)
-    inverse = is_inverse(S) if regular else False
-    clifford = False
-    if inverse:
-        clifford = all(
-            t[x][inverse_element(S, x)] == t[inverse_element(S, x)][x]
-            for x in range(S.order)
-        )
     central = idempotents_central(S)
-
-    primitive_inverse = inverse and is_primitive_inverse(S)
+    inverse = regular and _idempotents_commute(S)
+    clifford = regular and central
+    primitive_inverse = inverse and _nonzero_idempotents_primitive(S)
 
     congruence_free = (
         is_congruence_free(S) if S.order <= DEFAULT_CONGRUENCE_BOUND else None

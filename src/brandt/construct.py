@@ -186,8 +186,6 @@ _TWO_ELEMENT = build_semigroup([[0, 1], [1, 1]], ["1", "0"])
 
 def matrix_units_extension(lam: int) -> BrandtExtension:
     """The rank-lam matrix units, kept with their extension coordinates."""
-    if lam < 1:
-        raise ShapeError(f"lambda must be positive, got {lam}")
     labels = ["0"] + [
         f"({a + 1},{b + 1})" for a in range(lam) for b in range(lam)
     ]

@@ -300,7 +300,11 @@ def _trusted_semigroup(
 
     indices = tuple(range(n))
     if identity is None:
-        identity = next((e for e in indices if _is_identity(table, e, indices)), None)
+        # a two-sided identity is the only left identity, so the first row
+        # equal to ``indices`` is the one candidate
+        e = table.index(indices) if indices in table else None
+        if e is not None and _is_identity(table, e, indices):
+            identity = e
     elif not (0 <= identity < n):
         raise BadIdentity(f"identity index {identity} out of range")
     elif not _is_identity(table, identity, indices):

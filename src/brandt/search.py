@@ -140,9 +140,12 @@ def _principal_congruences(S: FiniteSemigroup):
     is merged stays inside θ(a, b), and each merged pair either had its
     translates queued or lies in a congruence, so the result is θ(a, b).
     The known congruences live only as long as the generator; equal ones
-    share one tuple.
+    share one tuple.  Refuses orders above the congruence bound, with
+    TooLarge at the first ``next``, rather than degrade silently.
     """
     n = S.order
+    if n > DEFAULT_CONGRUENCE_BOUND:
+        raise TooLarge(f"order {n} exceeds the congruence bound {DEFAULT_CONGRUENCE_BOUND}")
     known: list = [None] * (n * n)
     distinct: dict = {}
     for a, b in itertools.combinations(range(n), 2):
@@ -202,11 +205,9 @@ def congruence_lattice(S: FiniteSemigroup) -> list[tuple[int, ...]]:
     and unions its classes untranslated.  Two congruences join as
     equivalences (``_join``): a chain whose steps lie in either translates
     step by step, so the join is a congruence and needs no translations.
-    Refuses orders above the congruence bound rather than degrade silently.
+    Above the congruence bound, ``_principal_congruences`` raises TooLarge.
     """
     n = S.order
-    if n > DEFAULT_CONGRUENCE_BOUND:
-        raise TooLarge(f"order {n} exceeds the congruence bound {DEFAULT_CONGRUENCE_BOUND}")
     found = {identity_partition(n), *_principal_congruences(S)}
     frontier = list(found)
     while frontier:
@@ -232,8 +233,6 @@ def is_congruence_free(S: FiniteSemigroup) -> bool:
     (c, d) of an earlier closure: θ(a, b) contains θ(c, d).
     """
     n = S.order
-    if n > DEFAULT_CONGRUENCE_BOUND:
-        raise TooLarge(f"order {n} exceeds the congruence bound {DEFAULT_CONGRUENCE_BOUND}")
     universal = universal_partition(n)
     return n >= 2 and all(theta == universal for theta in _principal_congruences(S))
 

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from brandt import build_semigroup
 
@@ -17,3 +19,37 @@ def _relabeled(S, rng):
 @pytest.fixture
 def relabeled():
     return _relabeled
+
+
+@st.composite
+def associative_tables(draw):
+    """A table of order <= 4, each cell drawn from the values that keep the
+    products defined so far associative."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    t = [[None] * n for _ in range(n)]
+
+    def consistent():
+        for x in range(n):
+            for y in range(n):
+                xy = t[x][y]
+                if xy is None:
+                    continue
+                for z in range(n):
+                    yz = t[y][z]
+                    if yz is None:
+                        continue
+                    left, right = t[xy][z], t[x][yz]
+                    if None not in (left, right) and left != right:
+                        return False
+        return True
+
+    for i in range(n):
+        for j in range(n):
+            choices = []
+            for v in range(n):
+                t[i][j] = v
+                if consistent():
+                    choices.append(v)
+            assume(choices)  # a dead end: no value keeps the table associative
+            t[i][j] = draw(st.sampled_from(choices))
+    return t

@@ -29,7 +29,12 @@ the first fills the extension table one nonzero cell at a time, the second
 checks every pair for closure before it reads the table cell by cell.
 ``reference_image_witness`` is the oracle for the witness of
 ``category.image_decomposition``: it reads each image through every
-representative and demands that they agree.
+representative and demands that they agree.  ``reference_is_inverse``,
+``reference_is_clifford`` and ``reference_is_primitive_inverse`` are the
+oracles for the flags of ``classify``: they decide each by its definition,
+through the inverses of every element.  ``reference_identity`` is the
+oracle for the identity that ``core._trusted_semigroup`` detects: it
+checks every element on both sides.
 """
 
 import itertools
@@ -546,3 +551,42 @@ def reference_image_witness(sigma, source_ext, ext0, image_globals) -> tuple[int
         assert len(images) == 1, f"representatives of ({a},{t},{b}) disagree"
         mapping.append(loc[images.pop()])
     return tuple(mapping)
+
+
+def _inverses_of(S: FiniteSemigroup, x: int) -> list[int]:
+    """Every y with xyx = x and yxy = y."""
+    t = S.table
+    return [y for y in range(S.order) if t[t[x][y]][x] == x and t[t[y][x]][y] == y]
+
+
+def reference_is_inverse(S: FiniteSemigroup) -> bool:
+    """Every element has exactly one inverse."""
+    return all(len(_inverses_of(S, x)) == 1 for x in range(S.order))
+
+
+def reference_is_clifford(S: FiniteSemigroup) -> bool:
+    """Inverse, and x * x^-1 = x^-1 * x for every x."""
+    if not reference_is_inverse(S):
+        return False
+    t = S.table
+    return all(t[x][y] == t[y][x] for x in range(S.order) for y in _inverses_of(S, x))
+
+
+def reference_is_primitive_inverse(S: FiniteSemigroup) -> bool:
+    """Inverse, with a zero, and no non-zero idempotent f below another
+    non-zero idempotent e (f <= e iff ef = fe = f)."""
+    t = S.table
+    nonzero = [e for e in range(S.order) if t[e][e] == e and e != S.zero]
+    return (
+        S.zero is not None
+        and reference_is_inverse(S)
+        and not any(f != e and t[e][f] == f == t[f][e] for e in nonzero for f in nonzero)
+    )
+
+
+def reference_identity(S: FiniteSemigroup) -> Optional[int]:
+    """The element e with ex = xe = x for every x, or None."""
+    t, n = S.table, S.order
+    return next(
+        (e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))), None
+    )

@@ -1,12 +1,30 @@
-from brandt import classify
-from brandt.classify import idempotents_central, is_inverse, is_regular
+import itertools
+
+from hypothesis import given, settings
+
+from brandt import NonAssociative, build_semigroup, classify
+from brandt.classify import (
+    idempotents_central,
+    is_inverse,
+    is_primitive_inverse,
+    is_regular,
+)
 from brandt.construct import brandt_extension, matrix_units
 from brandt.corpus import (
+    acceptance_corpus,
+    b2_with_identity,
     chain,
     cyclic_group_with_zero,
     example_e,
     rect_band_with_unit_and_zero,
     two_element,
+)
+from conftest import associative_tables
+from reference_kernel import (
+    reference_identity,
+    reference_is_clifford,
+    reference_is_inverse,
+    reference_is_primitive_inverse,
 )
 
 CORPUS = [
@@ -96,3 +114,47 @@ def test_no_zero_caveat():
     assert r.primitivity_no_zero_caveat
     assert r.blambda_free[2] is None
     assert not r.monoid_with_zero
+
+
+def assert_flags_match_definitions(S):
+    """The characterizations agree with the definitions they replace, and
+    the detected identity with a scan of every element."""
+    r = classify(S)
+    assert r.inverse == is_inverse(S) == reference_is_inverse(S)
+    assert r.clifford == reference_is_clifford(S)
+    assert r.primitive_inverse == is_primitive_inverse(S) == reference_is_primitive_inverse(S)
+    assert S.identity == reference_identity(S)
+
+
+def test_flags_match_definitions_on_every_table_of_order_at_most_three():
+    seen = 0
+    for n in (1, 2, 3):
+        for cells in itertools.product(range(n), repeat=n * n):
+            try:
+                S = build_semigroup([cells[i * n:(i + 1) * n] for i in range(n)])
+            except NonAssociative:
+                continue
+            assert_flags_match_definitions(S)
+            seen += 1
+    assert seen == 122  # 1 + 8 + 113 associative tables
+
+
+@given(associative_tables())
+@settings(max_examples=200, deadline=None)
+def test_flags_match_definitions_on_random_tables(table):
+    assert_flags_match_definitions(build_semigroup(table))
+
+
+def test_flags_match_definitions_on_corpus_extensions():
+    bases = [
+        *acceptance_corpus().values(),
+        chain(4),
+        cyclic_group_with_zero(3),
+        matrix_units(2),
+        rect_band_with_unit_and_zero(),
+        b2_with_identity(),
+    ]
+    for S in bases:
+        assert_flags_match_definitions(S)
+        for lam in (1, 2, 3):
+            assert_flags_match_definitions(brandt_extension(S, lam).carrier)

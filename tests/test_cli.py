@@ -58,6 +58,37 @@ def test_props_of_the_trivial_semigroup(tmp_path, capsys):
     )
 
 
+def test_props_match_golden(tmp_path, capsys):
+    """``props --lambda 2`` of nine bases, of their rank-2 extensions written
+    by ``extend``, and of the rank-6 extension of C8^0 (order 289, above the
+    congruence bound), each after a ``# name`` line, byte for byte as checked
+    in."""
+    bases = {
+        "two_element": two_element(),
+        "chain3": chain(3),
+        "chain4": chain(4),
+        "example_e": example_e(),
+        "c2": cyclic_group_with_zero(2),
+        "c3": cyclic_group_with_zero(3),
+        "c8": cyclic_group_with_zero(8),
+        "rect": rect_band_with_unit_and_zero(),
+        "b2one": b2_with_identity(),
+    }
+    runs = [*bases, *(f"{name}x2" for name in bases), "c8x6"]
+    for name, S in bases.items():
+        (tmp_path / f"{name}.sgp").write_text(write_sgp(S))
+    for base, lam in [*((name, 2) for name in bases), ("c8", 6)]:
+        src, out = tmp_path / f"{base}.sgp", tmp_path / f"{base}x{lam}.sgp"
+        assert main(["extend", str(src), "--lambda", str(lam), "-o", str(out)]) == 0
+    capsys.readouterr()
+    outs = []
+    for name in runs:
+        assert main(["props", str(tmp_path / f"{name}.sgp"), "--lambda", "2"]) == 0
+        outs.append(f"# {name}\n" + capsys.readouterr().out)
+    golden = Path(__file__).parent / "data" / "props.txt"
+    assert "".join(outs) == golden.read_text(encoding="utf-8")
+
+
 def test_units_and_extend(tmp_path, two_file, capsys):
     out_b2 = str(tmp_path / "b2.sgp")
     assert main(["units", "--lambda", "2", "-o", out_b2]) == 0

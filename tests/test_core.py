@@ -78,6 +78,12 @@ def test_singleton_table():
     assert S.order == 1 and S.zero == 0 and S.identity == 0
 
 
+def test_right_zero_table_has_no_identity():
+    # xy = y: every element is a left identity and none is a right one
+    S = build_semigroup([[0, 1, 2]] * 3)
+    assert S.identity is None and S.zero is None
+
+
 def test_non_associative_witness():
     with pytest.raises(NonAssociative) as exc:
         build_semigroup([[1, 0], [0, 0]])

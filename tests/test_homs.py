@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brandt import (
@@ -33,6 +33,7 @@ from brandt.fixtures import ex2_5_data, EX2_12_ENTRIES
 from brandt.construct import matrix_units_extension
 from brandt.core import _grow_closure, _magma_generators
 from brandt.homs import _branch_order, _compile, _search_maps, generating_set
+from conftest import associative_tables
 from reference_kernel import (
     reference_check_homomorphism,
     reference_compile,
@@ -270,40 +271,6 @@ def test_compiled_checks_run_once_their_operands_are_decided():
                         rank[p] = len(rank) + 1
                     else:
                         assert max(rank.get(a, 0), rank.get(g, 0), rank.get(p, 0)) == len(rank)
-
-
-@st.composite
-def associative_tables(draw):
-    """A table of order <= 4, each cell drawn from the values that keep the
-    products defined so far associative."""
-    n = draw(st.integers(min_value=1, max_value=4))
-    t = [[None] * n for _ in range(n)]
-
-    def consistent():
-        for x in range(n):
-            for y in range(n):
-                xy = t[x][y]
-                if xy is None:
-                    continue
-                for z in range(n):
-                    yz = t[y][z]
-                    if yz is None:
-                        continue
-                    left, right = t[xy][z], t[x][yz]
-                    if None not in (left, right) and left != right:
-                        return False
-        return True
-
-    for i in range(n):
-        for j in range(n):
-            choices = []
-            for v in range(n):
-                t[i][j] = v
-                if consistent():
-                    choices.append(v)
-            assume(choices)  # a dead end: no value keeps the table associative
-            t[i][j] = draw(st.sampled_from(choices))
-    return t
 
 
 @given(associative_tables(), associative_tables())
