@@ -9,7 +9,6 @@ from .core import (
     FiniteSemigroup,
     FunctionSemigroup,
     HypothesisUnmet,
-    IdempotentOrder,
     IllFormedTriple,
     MaximalSubgroup,
     Mismatch,
@@ -23,7 +22,6 @@ from .core import (
     TooLarge,
     TrivialInput,
     build_semigroup,
-    idempotent_order,
     maximal_subgroup,
     subsemigroup,
     with_adjoined_identity,

@@ -425,37 +425,6 @@ def require_monoid_with_zero(S: FiniteSemigroup, what: str = "semigroup"):
 
 
 @dataclass(frozen=True)
-class IdempotentOrder:
-    """E(S) with its natural partial order and the primitive idempotents.
-
-    When S has no zero, minimality is taken over all of E(S).
-    """
-
-    idempotents: tuple[int, ...]
-    pairs: frozenset
-    primitives: tuple[int, ...]
-
-    def le(self, e: int, f: int) -> bool:
-        return (e, f) in self.pairs
-
-
-def idempotent_order(S: FiniteSemigroup) -> IdempotentOrder:
-    """Compute e <= f iff ef = fe = e on E(S)."""
-    idem = S.idempotents
-    t = S.table
-    pairs = frozenset(
-        (e, f) for e in idem for f in idem if t[e][f] == e and t[f][e] == e
-    )
-    nonzero = [e for e in idem if e != S.zero]
-    primitives = tuple(
-        e
-        for e in nonzero
-        if not any(f != e and (f, e) in pairs for f in nonzero)
-    )
-    return IdempotentOrder(idempotents=idem, pairs=pairs, primitives=primitives)
-
-
-@dataclass(frozen=True)
 class MaximalSubgroup:
     """The largest subgroup of the ambient semigroup with a given identity:
     its ``members`` in ascending order and the ``inverses`` of each."""

@@ -1,34 +1,40 @@
 """Homomorphism checking, and the one backtracking kernel for map search.
 
-Both check only the right Cayley edges: a map with h(a·g) = h(a)·h(g) for
-each element a and each generator g of the source is a homomorphism, by
-induction on word length (Froidure and Pin, "Algorithms for computing
-finite semigroups", 1997).  ``check_homomorphism`` runs over the
+``check_homomorphism`` checks only the right Cayley edges: a map with
+h(a·g) = h(a)·h(g) for each element a and each generator g of the source
+is a homomorphism, by induction on word length (Froidure and Pin,
+"Algorithms for computing finite semigroups", 1997).  It runs over the
 generators ``source.generators``, so it costs n·|G| products, not n².
 
 ``_search_maps`` enumerates product-respecting maps between table-backed
 semigroups with a step budget.  It branches on a set of generators of the
-source, which the caller passes and which must generate it, and checks
-these edges, so a full assignment is a homomorphism.  The branch order is
-fixed, so before searching ``_compile`` decides, for each generator,
-which elements its image decides and which edges it must check, as a
-straight-line program.  Before it branches on a generator the search
-drops the candidates that clash on an edge whose ends are already
-decided (forward checking: Haralick and Elliott, "Increasing tree search
-efficiency for constraint satisfaction problems", 1980).  For each
-candidate the program then defines images breadth first and runs each
-check as soon as the three images it reads are decided, so a failing
-candidate meets the check that rejects it before any define it does not
-need (the fail-first principle of the same paper).  A step of the
-budget is one program op run or one such edge filter.  ``enumerate_homs``
-runs it over ``generating_set(S)`` reordered most constraining first, by
-descending |x·S| + |S·x| (as in symmetry-breaking semigroup searches: A.
-Distler, PhD thesis, St Andrews, 2010).  On a Brandt extension that puts
-the units (a, 1_S, b) first; their images decide most products, so each
-later generator meets many decided edges and the filters leave it few
-candidates.  ``search.iso_search`` runs the kernel injectively over
-profile-compatible candidates with every element a generator, in index
-order, so that its first witness is the lexicographically smallest.
+source, which the caller passes and which must generate it.  The branch
+order is fixed, so before searching ``_compile`` decides, for each
+generator, which elements its image decides and which products it must
+check, as a straight-line program.  The checks are not every new right
+Cayley edge but the rules of a Froidure–Pin presentation: under a word
+order that puts the words of the elements decided at earlier levels
+first, the least words that are not the least word of their element.
+They form a complete rewriting system, so a map that respects them is a
+homomorphism (the proof is in ``_compile``); on the rank-3 extension of
+the rectangular band monoid they are 35 products against 189 edges.
+Before it branches on a generator the search drops the candidates that
+clash on a rule whose other ends are already decided (forward checking:
+Haralick and Elliott, "Increasing tree search efficiency for constraint
+satisfaction problems", 1980).  For each candidate the program then
+defines images along the least words and runs each check as soon as the
+three images it reads are decided, so a failing candidate meets the check
+that rejects it before any define it does not need (the fail-first
+principle of the same paper).  A step of the budget is one program op run
+or one such filter.  ``enumerate_homs`` runs it over ``generating_set(S)``
+reordered most constraining first, by descending |x·S| + |S·x| (as in
+symmetry-breaking semigroup searches: A. Distler, PhD thesis, St Andrews,
+2010).  On a Brandt extension that puts the units (a, 1_S, b) first; their
+images decide most products, so each later generator meets many decided
+rules and the filters leave it few candidates.  ``search.iso_search`` runs
+the kernel injectively over profile-compatible candidates with every
+element a generator, in index order, so that its first witness is the
+lexicographically smallest.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import Optional, Union
 
 from .core import (
@@ -182,52 +189,116 @@ def _compile(A: FiniteSemigroup, branch_order) -> list:
     ones do not generate.
 
     D_k, the elements decided after the k-th level, is the subsemigroup the
-    first k generators generate.  ``filters`` holds the edges (x, g) and
-    (c, x), g an earlier generator and c in D_(k-1), whose product is in
-    D_(k-1): each narrows x's candidates.  ``prog`` lists the other right
-    Cayley edges (a, g) inside D_k, g a generator of D_k, that lie outside
-    D_(k-1), as ops ``(a, g, p, defines, ran)``: the first edge to reach p,
-    breadth first from x, defines h(p) = h(a)·h(g), and every other one
-    checks it.  The defines keep that breadth-first order.  Each check
-    comes right after the define of the last of a, g and p, after the
-    checks already there, or at the front when all three are decided as
-    the level starts (x is), so the program fails as early as it can.
-    ``ran`` is the op's position counted from 1.
+    first k generators g_1, ..., g_k generate.  Words over them are ordered
+    by the number of occurrences of g_k, then of g_(k-1), down to g_1, and
+    ties go lexicographically by generator position.  Counts add under
+    concatenation and tied words have equal length, so this is a reduction
+    order: a well-order that concatenation on either side keeps.  An
+    element's normal word is the least word that spells it.  A factor of a
+    normal word is normal, or a smaller factor would give a smaller word
+    for the same element; so the least words that are not normal are the
+    w·g with w normal, w·g not, and w·g without its first letter normal.
+    Rewriting each to its normal word is a complete rewriting system: every
+    word rewrites to the normal word of its element.  So a map h on the
+    generators whose extension along the normal words respects each of
+    these rules, h(w)·h(g) = h(w·g), is a homomorphism on D_k (Froidure and
+    Pin 1997), and every homomorphism respects them.
+
+    Every word without g_k comes before every word with it, so the normal
+    words of D_(k-1) do not change at level k, and its rules without g_k are
+    those of D_(k-1), which the earlier levels check.  Level k holds the
+    others.  Its new elements are settled in word order by a Dijkstra-style
+    pass that starts from x and each c·x, c in D_(k-1), and appends one
+    generator at a time: each new element p's normal word is its parent
+    u's plus one letter g, and the edge (u, g) defines h(p) = h(u)·h(g).
+    Every other right Cayley edge (u, g) with u new or g = x is a rule if u
+    is a generator or if (s, g) defines s·g, where s is the element that
+    u's normal word without its first letter spells; the other edges are
+    implied by the rules and dropped.
+
+    A rule (a, g, p), p = a·g, is a filter when x is exactly one of a and g
+    and the other two of a, g, p are in D_(k-1): it narrows x's candidates.
+    ``prog`` holds the defines in word order and each other rule as a check
+    right after the define of the last of a, g and p, after the checks
+    already there, or at the front when all three are decided as the level
+    starts (x is), so the program fails as early as it can.  Given that h
+    is a homomorphism on D_(k-1), a candidate passes the level iff h is a
+    homomorphism on D_k, which is what checking every new right Cayley edge
+    decides; so the search reaches the same maps in the same order, in
+    fewer steps.  Ops are ``(a, g, p, defines, ran)``, ``ran`` the op's
+    position counted from 1.
     """
     ta = A.table
-    known = [False] * A.order
+    n = A.order
+    known = [False] * n
     done: list = []  # the decided elements, in definition order
-    at = [0] * A.order  # at[e]: the position of e in ``done``
+    at = [0] * n  # at[e]: the position of e in ``done``
+    # each decided element's normal word: its key (weight, code), and the
+    # elements that its prefix (None at a generator), its last letter and
+    # its word without the first letter spell.  The weight sums (n + 2)**j
+    # over the letters g_j; a heap word is a normal word of at most n
+    # letters plus one, so weights compare as the counts do.  The code reads
+    # the letters as digits base n, so words of one weight, which have one
+    # length, compare lexicographically.
+    weight, code = [0] * n, [0] * n
+    parent, last, suffix = [None] * n, [None] * n, [None] * n
     gens: list = []
+    unit: list = []  # unit[j]: the weight of the j-th generator's letter
     levels = []
     for x in branch_order:
         if known[x]:
             continue
-        rx = ta[x]
-        filters = [(x, g, rx[g]) for g in gens if known[rx[g]]]
-        filters += [(c, x, ta[c][x]) for c in done if known[ta[c][x]]]
-        edges = [(c, x) for c in done if not known[ta[c][x]]]
-        edges += [(x, g) for g in gens if not known[rx[g]]]
-        edges.append((x, x))
+        j = len(gens)
         gens.append(x)
-        known[x] = True
-        start = at[x] = len(done)
-        done.append(x)
-        # front: the checks on elements decided as the level starts; then
-        # one group per define, the define and the checks it completes
-        front, groups = [], []
-        for a, g in edges:  # grows as new elements are defined
+        unit.append((n + 2) ** j)
+        start = len(done)
+        heap = [(unit[j], j, x, None, None)]
+        for c in done:
+            p = ta[c][x]
+            if not known[p]:
+                heap.append((weight[c] + unit[j], code[c] * n + j, p, c, x))
+        heapify(heap)
+        while heap:
+            w, wc, p, u, g = heappop(heap)
+            if known[p]:
+                continue
+            known[p] = True
+            at[p] = len(done)
+            done.append(p)
+            weight[p], code[p], parent[p], last[p] = w, wc, u, g
+            if u is not None:
+                suffix[p] = g if parent[u] is None else ta[suffix[u]][g]
+            row = ta[p]
+            wc *= n
+            for i, h in enumerate(gens):
+                q = row[h]
+                if not known[q]:
+                    heappush(heap, (w + unit[i], wc + i, q, p, h))
+        new = done[start:]
+        # checks[i]: the checks that the define of new[i] completes; at x,
+        # the checks on elements decided as the level starts
+        filters, checks = [], [[] for _ in new]
+        edges = zip(done[:start], itertools.repeat(x))
+        for a, g in itertools.chain(edges, itertools.product(new, gens)):
             p = ta[a][g]
-            if known[p]:  # g is decided as the level starts
-                last = (at[a] if at[a] > at[p] else at[p]) - start
-                (groups[last - 1] if last > 0 else front).append((a, g, p, False))
+            if parent[p] == a and last[p] == g:
+                continue  # p's define
+            s = suffix[a]
+            if s is not None:
+                q = ta[s][g]
+                if parent[q] != s or last[q] != g:
+                    continue  # not a rule: implied by the rules
+            la, lp = at[a] - start, at[p] - start
+            if lp < 0 and la <= 0 and (a == x) != (g == x):
+                filters.append((a, g, p))
             else:
-                known[p] = True
-                at[p] = len(done)
-                done.append(p)
-                edges += [(p, h) for h in gens]
-                groups.append([(a, g, p, True)])
-        prog = [op + (ran,) for ran, op in enumerate(itertools.chain(front, *groups), 1)]
+                checks[max(la, lp, 0)].append((a, g, p))
+        prog = []
+        for p, completed in zip(new, checks):
+            if p != x:
+                prog.append((parent[p], last[p], p, True, len(prog) + 1))
+            for a, g, q in completed:
+                prog.append((a, g, q, False, len(prog) + 1))
         levels.append((x, filters, prog))
     return levels
 
@@ -252,13 +323,13 @@ def _search_maps(
     program straight through, stopping at the first failed check (or, with
     ``injective``, the first repeated image).  A level writes only its own
     elements' images, so no image is undone on backtrack; with
-    ``injective`` the images it took are released.  At a leaf
-    h(a·g) = h(a)·h(g) holds for every a and generator g, so h is a
-    homomorphism by induction on word length.  The maps come out as
-    tuples, in the order the branches are tried.  Counts one step per
-    filter and per program op run, and raises BudgetExceeded past
-    ``budget`` steps, or once its nesting, one level per generator it
-    branches on, passes the interpreter's recursion limit.
+    ``injective`` the images it took are released.  At a leaf h respects
+    the rules of every level, so it is a homomorphism (see ``_compile``).
+    The maps come out as tuples, in the order the branches are tried.
+    Counts one step per filter and per program op run, and raises
+    BudgetExceeded past ``budget`` steps, or once its nesting, one level
+    per generator it branches on, passes the interpreter's recursion
+    limit.
     """
     tb = B.table
     levels = _compile(A, branch_order)
@@ -335,15 +406,16 @@ def enumerate_homs(
     The generators are ``generating_set(S)``, branched on in the order of
     ``_branch_order``: those with the most distinct products first, which
     on an extension are the units.  A generator is offered only the images
-    that agree with its decided edges; each image it takes then defines the
+    that agree with its decided rules; each image it takes then defines the
     images of the elements it newly generates, h(a·g) = h(a)·h(g) along the
-    first Cayley edge to reach each, and a later edge that disagrees prunes
-    the branch.  The earlier a generator's images decide many products,
-    the more edges each later generator meets decided, so the fewer
-    candidates survive its filters.  Output is sorted by map table, so the
-    order changes the work and not the result.
-    Raises BudgetExceeded past ``budget`` steps, a step being one such
-    edge defined or checked, or one candidate filter by a decided edge.
+    Cayley edge that ends each one's normal word, and a later rule that
+    disagrees prunes the branch (see ``_compile``).  The earlier a
+    generator's images decide many products, the more rules each later
+    generator meets decided, so the fewer candidates survive its filters.
+    Output is sorted by map table, so the order changes the work and not
+    the result.  Raises BudgetExceeded past ``budget`` steps, a step being
+    one product defined or checked, or one candidate filter by a decided
+    rule.
     """
     domains = [range(T.order)] * S.order
     maps = sorted(_search_maps(S, T, _branch_order(S), domains, budget=budget))

@@ -362,11 +362,11 @@ def iso_search(A: FiniteSemigroup, B: FiniteSemigroup, budget: int = DEFAULT_BUD
     """Find an isomorphism A -> B, or None.
 
     Prunes by order and per-element invariants, then runs the injective
-    hom-search kernel in index order with ascending candidates; its edge
+    hom-search kernel in index order with ascending candidates; its
     filters keep their order, so the returned map is the lexicographically
     smallest witness.  Returns the map as a tuple.  Raises BudgetExceeded
-    past ``budget`` steps of the kernel (Cayley edges defined or checked,
-    and edge filters); every element is a generator, so an element the
+    past ``budget`` steps of the kernel (products defined or checked, and
+    candidate filters); every element is a generator, so an element the
     earlier ones generate is never branched on.
     """
     if A.order != B.order:

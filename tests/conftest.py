@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -14,6 +16,19 @@ def _relabeled(S, rng):
         for j in range(S.order):
             table[perm[i]][perm[j]] = perm[S.table[i][j]]
     return build_semigroup(table)
+
+
+def small_semigroups():
+    """Every associative table of order at most 3, as a semigroup: 1 + 8 +
+    113 = 122 of them."""
+    out = []
+    for n in (1, 2, 3):
+        r = range(n)
+        for cells in itertools.product(r, repeat=n * n):
+            t = [cells[i * n : (i + 1) * n] for i in r]
+            if all(t[t[x][y]][z] == t[x][t[y][z]] for x in r for y in r for z in r):
+                out.append(build_semigroup(t))
+    return out
 
 
 @pytest.fixture

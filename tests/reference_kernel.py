@@ -2,8 +2,10 @@
 
 ``reference_search_maps`` is the oracle for ``homs._search_maps``: it closes
 each assignment under the products with every assigned element, on both
-sides.  ``reference_compile`` is the oracle for the order of
-``homs._compile``: its programs run every edge breadth first.
+sides.  ``reference_compile`` is the oracle for the edges of
+``homs._compile``: its programs take every new right Cayley edge of each
+level, breadth first, where ``homs._compile`` takes only the rules of a
+presentation.
 ``reference_congruence_closure`` is the oracle for
 ``search.congruence_closure``: it translates each merged pair by every
 element, on both sides.  ``reference_congruence_lattice`` and
@@ -32,7 +34,10 @@ checks every pair for closure before it reads the table cell by cell.
 representative and demands that they agree.  ``reference_is_inverse``,
 ``reference_is_clifford`` and ``reference_is_primitive_inverse`` are the
 oracles for the flags of ``classify``: they decide each by its definition,
-through the inverses of every element.  ``reference_identity`` is the
+through the inverses of every element.  ``idempotent_order`` computes the
+natural partial order on the idempotents, and the primitive ones, from the
+definition; the library no longer needs it, since ``classify`` tests
+primitivity directly.  ``reference_identity`` is the
 oracle for the identity that ``core._trusted_semigroup`` detects: it
 checks every element on both sides.
 """
@@ -140,10 +145,11 @@ def reference_search_maps(
 
 
 def reference_compile(A: FiniteSemigroup, branch_order) -> list:
-    """The levels of ``homs._compile`` with each program in breadth-first
-    order: the ops ``(a, g, p, defines, ran)`` run in the order their edges
-    are met, each check where its edge comes up rather than as soon as its
-    three elements are decided."""
+    """The levels of ``homs._compile`` with every new right Cayley edge as a
+    filter or an op: the filters are all the edges (x, g) and (c, x) whose
+    product is decided before x, and the ops ``(a, g, p, defines, ran)``
+    run the other edges in the order they are met, breadth first, the first
+    edge to reach each element defining it."""
     ta = A.table
     known = [False] * A.order
     done: list = []
@@ -582,6 +588,37 @@ def reference_is_primitive_inverse(S: FiniteSemigroup) -> bool:
         and reference_is_inverse(S)
         and not any(f != e and t[e][f] == f == t[f][e] for e in nonzero for f in nonzero)
     )
+
+
+@dataclass(frozen=True)
+class IdempotentOrder:
+    """E(S) with its natural partial order and the primitive idempotents.
+
+    When S has no zero, minimality is taken over all of E(S).
+    """
+
+    idempotents: tuple[int, ...]
+    pairs: frozenset
+    primitives: tuple[int, ...]
+
+    def le(self, e: int, f: int) -> bool:
+        return (e, f) in self.pairs
+
+
+def idempotent_order(S: FiniteSemigroup) -> IdempotentOrder:
+    """Compute e <= f iff ef = fe = e on E(S)."""
+    idem = S.idempotents
+    t = S.table
+    pairs = frozenset(
+        (e, f) for e in idem for f in idem if t[e][f] == e and t[f][e] == e
+    )
+    nonzero = [e for e in idem if e != S.zero]
+    primitives = tuple(
+        e
+        for e in nonzero
+        if not any(f != e and (f, e) in pairs for f in nonzero)
+    )
+    return IdempotentOrder(idempotents=idem, pairs=pairs, primitives=primitives)
 
 
 def reference_identity(S: FiniteSemigroup) -> Optional[int]:

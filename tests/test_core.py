@@ -15,7 +15,6 @@ from brandt import (
     NotIdempotent,
     ShapeError,
     build_semigroup,
-    idempotent_order,
     maximal_subgroup,
     subsemigroup,
     with_adjoined_identity,
@@ -31,7 +30,7 @@ from brandt.corpus import (
     rect_band_with_unit_and_zero,
     two_element,
 )
-from reference_kernel import reference_subsemigroup
+from reference_kernel import idempotent_order, reference_subsemigroup
 from test_homs import associative_tables
 
 

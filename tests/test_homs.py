@@ -33,7 +33,7 @@ from brandt.fixtures import ex2_5_data, EX2_12_ENTRIES
 from brandt.construct import matrix_units_extension
 from brandt.core import _grow_closure, _magma_generators
 from brandt.homs import _branch_order, _compile, _search_maps, generating_set
-from conftest import associative_tables
+from conftest import associative_tables, small_semigroups
 from reference_kernel import (
     reference_check_homomorphism,
     reference_compile,
@@ -213,64 +213,61 @@ def test_cayley_edge_kernel_matches_reference_kernel_on_relabelings(relabeled):
             assert edge_kernel_homs(S, T) == oracle_homs(S, T)
 
 
-def test_compiled_levels_take_each_cayley_edge_once():
-    # every right Cayley edge (a, g), g a branch generator, belongs to the
-    # level where both its ends are first decided, as exactly one filter,
-    # check or defining op; the program runs straight through, each operand
-    # decided before it is read; every element is defined exactly once
+def test_compiled_programs_define_each_element_once_and_check_as_early_as_they_can():
+    # every filter and op is a true product p = a·g and one of the right
+    # Cayley edges the reference program of its level takes; a filter has
+    # x as exactly one operand and its other two elements decided before the
+    # level; every element is defined exactly once, each operand is decided
+    # before it is read, and each check comes right after the define of the
+    # last of its three elements, with only checks in between, or at the
+    # front of its level when all three are decided as the level starts
     rng = random.Random(29)
     for S in oracle_carriers():
         t = S.table
         shuffled = list(range(S.order))
         rng.shuffle(shuffled)
-        for order in (generating_set(S), range(S.order), shuffled):
-            levels = _compile(S, order)
-            gens = [x for x, _, _ in levels]
-            level_of = {}
-            seen = []
-            for k, (x, filters, prog) in enumerate(levels):
-                assert x not in level_of
-                before = set(level_of)
+        for order in (_branch_order(S), range(S.order), shuffled):
+            levels, every_edge = _compile(S, order), reference_compile(S, order)
+            assert [x for x, _, _ in levels] == [x for x, _, _ in every_edge]
+            decided = set()
+            for (x, filters, prog), (_, edge_filters, edge_prog) in zip(levels, every_edge):
+                edges = set(edge_filters) | {op[:3] for op in edge_prog}
                 for a, g, p in filters:
-                    assert x in (a, g) and {a, g, p} - {x} <= before
-                    assert p == t[a][g]
-                    seen.append((a, g, k))
-                level_of[x] = k
-                for i, (a, g, p, defines, ran) in enumerate(prog, 1):
-                    assert ran == i and p == t[a][g]
-                    assert a in level_of and g in level_of
-                    assert (p not in level_of) == defines
-                    level_of.setdefault(p, k)
-                    seen.append((a, g, k))
-            assert sorted(level_of) == list(range(S.order))
-            edges = [
-                (a, g, max(level_of[a], level_of[g])) for a in range(S.order) for g in gens
-            ]
-            assert sorted(seen) == sorted(edges)
-
-
-def test_compiled_checks_run_once_their_operands_are_decided():
-    # the defines keep the breadth-first order of the reference programs;
-    # each check op comes after the define of the last of its three
-    # elements, with only checks in between, or at the front of its level
-    # when all three are decided as the level starts
-    rng = random.Random(37)
-    for S in oracle_carriers():
-        shuffled = list(range(S.order))
-        rng.shuffle(shuffled)
-        for order in (generating_set(S), range(S.order), shuffled):
-            levels, breadth_first = _compile(S, order), reference_compile(S, order)
-            assert len(levels) == len(breadth_first)
-            for (x, filters, prog), (rx, rfilters, rprog) in zip(levels, breadth_first):
-                assert (x, filters) == (rx, rfilters)
-                assert [op[:3] for op in prog if op[3]] == [op[:3] for op in rprog if op[3]]
-                assert sorted(op[:3] for op in prog) == sorted(op[:3] for op in rprog)
+                    assert p == t[a][g] and (a, g, p) in edges
+                    assert (a == x) != (g == x) and {a, g, p} - {x} <= decided
+                decided.add(x)
                 rank = {}  # element -> number of the define op that decides it
-                for a, g, p, defines, _ in prog:
+                for i, (a, g, p, defines, ran) in enumerate(prog, 1):
+                    assert ran == i and p == t[a][g] and (a, g, p) in edges
+                    assert a in decided and g in decided
+                    assert (p not in decided) == defines
                     if defines:
+                        decided.add(p)
                         rank[p] = len(rank) + 1
                     else:
                         assert max(rank.get(a, 0), rank.get(g, 0), rank.get(p, 0)) == len(rank)
+                assert set(rank) == {p for _, _, p, defines, _ in edge_prog if defines}
+            assert decided == set(range(S.order))
+
+
+def test_compiled_kernel_matches_reference_kernel_on_every_small_table():
+    # every ordered pair of the tables of order <= 3, branched in index order
+    # and in the search's order, as hom and as injective search: the same
+    # maps in the same order; a source order that branches on the same
+    # generators as index order compiles to the same programs, so it runs once
+    tables = small_semigroups()
+    assert len(tables) == 122
+    for S in tables:
+        orders = {}
+        for order in (range(S.order), _branch_order(S)):
+            orders.setdefault(tuple(x for x, _, _ in _compile(S, order)), order)
+        for order in orders.values():
+            for T in tables:
+                domains = [range(T.order)] * S.order
+                for injective in (False, True):
+                    got = list(_search_maps(S, T, order, domains, injective=injective))
+                    want = reference_search_maps(S, T, order, domains, injective=injective)
+                    assert got == list(want)
 
 
 @given(associative_tables(), associative_tables())
@@ -558,19 +555,19 @@ def test_budget_exceeded():
     ext = brandt_extension(E, 2)
     with pytest.raises(BudgetExceeded):
         enumerate_homs(ext.carrier, ext.carrier, budget=3)
-    # the whole search takes exactly 439 steps (635 in the greedy order)
+    # the whole search takes exactly 340 steps (500 in the greedy order)
     with pytest.raises(BudgetExceeded):
-        enumerate_homs(ext.carrier, ext.carrier, budget=438)
-    assert len(enumerate_homs(ext.carrier, ext.carrier, budget=439)) == 15
+        enumerate_homs(ext.carrier, ext.carrier, budget=339)
+    assert len(enumerate_homs(ext.carrier, ext.carrier, budget=340)) == 15
 
 
 def test_chain4_rank3_endomorphisms_step_count():
     B3 = brandt_extension(chain(4), 3).carrier
-    # the whole search takes exactly 31016 steps (order 28; 74930 in the
+    # the whole search takes exactly 21574 steps (order 28; 49432 in the
     # greedy order)
     with pytest.raises(BudgetExceeded):
-        enumerate_homs(B3, B3, budget=31015)
-    assert len(enumerate_homs(B3, B3, budget=31016)) == 124
+        enumerate_homs(B3, B3, budget=21573)
+    assert len(enumerate_homs(B3, B3, budget=21574)) == 124
 
 
 def test_compose_homs():

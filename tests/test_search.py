@@ -440,10 +440,10 @@ def test_iso_search_step_count(relabeled):
     rng = random.Random(3)
     B3 = brandt_extension(chain(4), 3).carrier
     A, B = relabeled(B3, rng), relabeled(B3, rng)
-    # the whole search takes exactly 428 steps (order 28)
+    # the whole search takes exactly 252 steps (order 28)
     with pytest.raises(BudgetExceeded):
-        iso_search(A, B, budget=427)
-    assert iso_search(A, B, budget=428) is not None
+        iso_search(A, B, budget=251)
+    assert iso_search(A, B, budget=252) is not None
 
 
 def test_injective_search_obeys_budget(relabeled):
