@@ -213,41 +213,66 @@ def test_cayley_edge_kernel_matches_reference_kernel_on_relabelings(relabeled):
             assert edge_kernel_homs(S, T) == oracle_homs(S, T)
 
 
-def test_compiled_programs_define_each_element_once_and_check_as_early_as_they_can():
-    # every filter and op is a true product p = a·g and one of the right
-    # Cayley edges the reference program of its level takes; a filter has
-    # x as exactly one operand and its other two elements decided before the
-    # level; every element is defined exactly once, each operand is decided
-    # before it is read, and each check comes right after the define of the
-    # last of its three elements, with only checks in between, or at the
-    # front of its level when all three are decided as the level starts
+def test_compiled_levels_take_each_cayley_edge_once():
+    # every filter and op is a true product p = a·g, a right Cayley edge
+    # taken at most once in the whole program, at the level where both its
+    # ends are first decided; a filter has x as exactly one operand and its
+    # other two elements decided before the level; every edge whose left
+    # end is a branch generator is a rule or a define, so it is taken; the
+    # program runs straight through and every element is defined exactly once
     rng = random.Random(29)
     for S in oracle_carriers():
         t = S.table
         shuffled = list(range(S.order))
         rng.shuffle(shuffled)
+        for order in (generating_set(S), range(S.order), shuffled):
+            levels = _compile(S, order)
+            gens = [x for x, _, _ in levels]
+            level_of = {}
+            seen = []
+            for k, (x, filters, prog) in enumerate(levels):
+                assert x not in level_of
+                before = set(level_of)
+                for a, g, p in filters:
+                    assert (a == x) != (g == x) and {a, g, p} - {x} <= before
+                    assert p == t[a][g]
+                    seen.append((a, g, k))
+                level_of[x] = k
+                for i, (a, g, p, defines, ran) in enumerate(prog, 1):
+                    assert ran == i and p == t[a][g]
+                    assert a in level_of and g in level_of
+                    assert (p not in level_of) == defines
+                    level_of.setdefault(p, k)
+                    seen.append((a, g, k))
+            assert sorted(level_of) == list(range(S.order))
+            assert len(seen) == len(set(seen))
+            assert all(g in gens and k == max(level_of[a], level_of[g]) for a, g, k in seen)
+            assert {(a, g) for a in gens for g in gens} <= {(a, g) for a, g, _ in seen}
+
+
+def test_compiled_checks_run_once_their_operands_are_decided():
+    # each level generates what the reference program of the level (every
+    # new right Cayley edge) generates, from a subset of its filters and ops;
+    # each check op comes right after the define of the last of its three
+    # elements, with only checks in between, or at the front of its level
+    # when all three are decided as the level starts
+    rng = random.Random(37)
+    for S in oracle_carriers():
+        shuffled = list(range(S.order))
+        rng.shuffle(shuffled)
         for order in (_branch_order(S), range(S.order), shuffled):
             levels, every_edge = _compile(S, order), reference_compile(S, order)
             assert [x for x, _, _ in levels] == [x for x, _, _ in every_edge]
-            decided = set()
             for (x, filters, prog), (_, edge_filters, edge_prog) in zip(levels, every_edge):
-                edges = set(edge_filters) | {op[:3] for op in edge_prog}
-                for a, g, p in filters:
-                    assert p == t[a][g] and (a, g, p) in edges
-                    assert (a == x) != (g == x) and {a, g, p} - {x} <= decided
-                decided.add(x)
+                assert set(filters) <= set(edge_filters)
+                assert {op[:3] for op in prog} <= {op[:3] for op in edge_prog}
                 rank = {}  # element -> number of the define op that decides it
-                for i, (a, g, p, defines, ran) in enumerate(prog, 1):
-                    assert ran == i and p == t[a][g] and (a, g, p) in edges
-                    assert a in decided and g in decided
-                    assert (p not in decided) == defines
+                for a, g, p, defines, _ in prog:
                     if defines:
-                        decided.add(p)
                         rank[p] = len(rank) + 1
                     else:
                         assert max(rank.get(a, 0), rank.get(g, 0), rank.get(p, 0)) == len(rank)
                 assert set(rank) == {p for _, _, p, defines, _ in edge_prog if defines}
-            assert decided == set(range(S.order))
 
 
 def test_compiled_kernel_matches_reference_kernel_on_every_small_table():
