@@ -256,6 +256,24 @@ def _memoized(S: FiniteSemigroup, key, compute: Callable):
         return memo.setdefault(key, compute())
 
 
+def _sorted_elements(S: FiniteSemigroup, xs: Iterable, what: str) -> tuple:
+    """The elements xs of S in ascending order, without repeats.
+
+    Raises ShapeError, naming ``what``, at the first x that is not an int (a
+    bool, a float, a string, None), then at the least or else the greatest
+    x outside range(S.order).
+    """
+    xs = tuple(xs)
+    if not {int}.issuperset(map(type, xs)):  # in C, stops at the first
+        bad = next(x for x in xs if type(x) is not int)
+        raise ShapeError(f"{what} {bad!r} is not an int")
+    xs = tuple(sorted(set(xs)))
+    if xs and (xs[0] < 0 or xs[-1] >= S.order):
+        bad = xs[0] if xs[0] < 0 else xs[-1]
+        raise ShapeError(f"{what} {bad} out of range 0..{S.order - 1}")
+    return xs
+
+
 def _is_zero(table, z: int) -> bool:
     return table[z].count(z) == len(table) and all(row[z] == z for row in table)
 
@@ -370,16 +388,9 @@ def subsemigroup(S: FiniteSemigroup, members: Iterable[int]) -> FiniteSemigroup:
     range(S.order).  Built once per subset of S; later calls return that
     object.
     """
-    members = tuple(members)
-    if not {int}.issuperset(map(type, members)):  # in C, stops at the first
-        bad = next(m for m in members if type(m) is not int)
-        raise ShapeError(f"member {bad!r} is not an int")
-    members = tuple(sorted(set(members)))
+    members = _sorted_elements(S, members, "member")
     if not members:
         raise ShapeError("empty subset")
-    if members[0] < 0 or members[-1] >= S.order:
-        bad = members[0] if members[0] < 0 else members[-1]
-        raise ShapeError(f"member {bad} out of range 0..{S.order - 1}")
 
     def build():
         table = S.table

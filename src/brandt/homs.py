@@ -172,16 +172,17 @@ def generating_set(S: FiniteSemigroup) -> list[int]:
     return gens
 
 
+def _product_count(t, x: int) -> int:
+    """|x·S| + |S·x| in the table t: the number of distinct entries in x's
+    row plus the number in its column."""
+    return len(set(t[x])) + len({row[x] for row in t})
+
+
 def _branch_order(S: FiniteSemigroup) -> list[int]:
-    """``generating_set(S)`` by descending |x·S| + |S·x|, the number of
-    distinct entries in x's row plus the number in its column; the sort is
+    """``generating_set(S)`` by descending ``_product_count``; the sort is
     stable, so ties keep the greedy order."""
     t = S.table
-    return sorted(
-        generating_set(S),
-        key=lambda x: len(set(t[x])) + len({row[x] for row in t}),
-        reverse=True,
-    )
+    return sorted(generating_set(S), key=lambda x: _product_count(t, x), reverse=True)
 
 
 def _compile(A: FiniteSemigroup, branch_order) -> list:

@@ -14,10 +14,15 @@ Congruences are closed along the Cayley graph, as in Freese, "Computing
 congruences efficiently" (Algebra Universalis 59, 2008): a merged pair is
 translated by the generators of ``FiniteSemigroup.generators`` only, on
 both sides, and the closure stops as soon as one class is left.  The
-principal congruences of one call share their work: if the closure of
-θ(a, b) merges a pair (c, d) whose θ(c, d) is already known, then
-θ(c, d) ⊆ θ(a, b), so its classes are unioned whole and untranslated, and
-a universal θ(c, d) settles θ(a, b) at once.  The lattice is the join
+principal congruences of one call share their work (Torpey, "Semigroup
+congruences: computational techniques and theoretical applications", PhD
+thesis, St Andrews, 2019): if the closure of θ(a, b) merges a pair (c, d)
+whose θ(c, d) is already known, then θ(c, d) ⊆ θ(a, b), so its classes are
+unioned whole and untranslated, and a universal θ(c, d) settles θ(a, b) at
+once.  The pairs are closed in ascending order of w(a) + w(b), where
+w(x) = |x·S| + |S·x| is the product count the hom search sorts by.  No
+translation raises w, so the pairs a closure reaches have mostly been
+closed already and are met as known congruences.  The lattice is the join
 closure of the principal congruences, and two congruences join as
 equivalences, since that join is a congruence already.
 """
@@ -35,9 +40,16 @@ from .core import (
     NoZero,
     ShapeError,
     TooLarge,
+    _sorted_elements,
     _memoized,
 )
-from .homs import DEFAULT_BUDGET, Homomorphism, _search_maps, check_homomorphism
+from .homs import (
+    DEFAULT_BUDGET,
+    Homomorphism,
+    _product_count,
+    _search_maps,
+    check_homomorphism,
+)
 
 DEFAULT_CONGRUENCE_BOUND = 40
 
@@ -126,32 +138,49 @@ def congruence_closure(S: FiniteSemigroup, pairs) -> tuple[int, ...]:
     single class is left.  The same loop, given the principal congruences
     already known, computes those of ``congruence_lattice`` and
     ``is_congruence_free`` (``_principal_congruences``); here nothing is
-    known.
+    known.  Raises ShapeError, before closing, on a pair that does not have
+    two elements and on an element that is not an int or lies outside
+    range(S.order).
     """
+    pairs = [tuple(p) for p in pairs]
+    bad = next((p for p in pairs if len(p) != 2), None)
+    if bad is not None:
+        raise ShapeError(f"pair {bad!r} does not have two elements")
+    _sorted_elements(S, (x for p in pairs for x in p), "pair element")
     return _close(S, pairs, [None] * (S.order * S.order))
 
 
 def _principal_congruences(S: FiniteSemigroup):
-    """Yield θ(a, b) for every pair a < b, in lexicographic order.
+    """Yield ((a, b), θ(a, b)) for every pair a < b, in ascending order of
+    w(a) + w(b), where w is ``homs._product_count``; ties stay
+    lexicographic.
 
     Each closure reuses the earlier ones: if it merges a pair (c, d) whose
     θ(c, d) is known, then θ(c, d) ⊆ θ(a, b), so θ(c, d)'s classes join
     whole and untranslated, and a universal θ(c, d) settles θ(a, b).  What
     is merged stays inside θ(a, b), and each merged pair either had its
-    translates queued or lies in a congruence, so the result is θ(a, b).
-    The known congruences live only as long as the generator; equal ones
-    share one tuple.  Refuses orders above the congruence bound, with
-    TooLarge at the first ``next``, rather than degrade silently.
+    translates queued or lies in a congruence, so the result is θ(a, b),
+    in any order.  The order makes the reuse pay.  No translation raises w:
+    (ag)S ⊆ aS, and S(ag) = (Sa)g is an image of Sa, so w(ag) ≤ w(a), and
+    w(ga) ≤ w(a) likewise.  Every pair a closure queues is a translate of
+    (a, b), so its w-sum is at most w(a) + w(b), and each one with a
+    smaller sum was closed before: it is met as a known congruence and
+    unioned, not translated.  The known congruences live only as long as
+    the generator; equal ones share one tuple.  Refuses orders above the
+    congruence bound, with TooLarge at the first ``next``, rather than
+    degrade silently.
     """
     n = S.order
     if n > DEFAULT_CONGRUENCE_BOUND:
         raise TooLarge(f"order {n} exceeds the congruence bound {DEFAULT_CONGRUENCE_BOUND}")
+    w = [_product_count(S.table, x) for x in range(n)]
+    pairs = sorted(itertools.combinations(range(n), 2), key=lambda p: w[p[0]] + w[p[1]])
     known: list = [None] * (n * n)
     distinct: dict = {}
-    for a, b in itertools.combinations(range(n), 2):
+    for a, b in pairs:
         theta = _close(S, [(a, b)], known)
         theta = known[a * n + b] = distinct.setdefault(theta, theta)
-        yield theta
+        yield (a, b), theta
 
 
 def _join(p, q) -> tuple[int, ...]:
@@ -201,14 +230,14 @@ def congruence_lattice(S: FiniteSemigroup) -> list[tuple[int, ...]]:
     """All congruences of S, as the join closure of the principal ones.
 
     The principal congruences come from ``_principal_congruences``: a
-    closure that merges a pair (c, d) of an earlier one contains θ(c, d),
-    and unions its classes untranslated.  Two congruences join as
+    closure that merges a pair (c, d) closed before contains θ(c, d), and
+    unions its classes untranslated.  Two congruences join as
     equivalences (``_join``): a chain whose steps lie in either translates
     step by step, so the join is a congruence and needs no translations.
     Above the congruence bound, ``_principal_congruences`` raises TooLarge.
     """
     n = S.order
-    found = {identity_partition(n), *_principal_congruences(S)}
+    found = {identity_partition(n), *(theta for _, theta in _principal_congruences(S))}
     frontier = list(found)
     while frontier:
         fresh = []
@@ -227,14 +256,16 @@ def is_congruence_free(S: FiniteSemigroup) -> bool:
 
     Equivalent to every principal congruence of a distinct pair being
     universal, which avoids building the whole lattice.  The principal
-    congruences come in lexicographic order from ``_principal_congruences``.
-    Until the first one that is not universal, where the scan stops, every
-    known θ(c, d) is universal, so a closure ends at its first merged pair
-    (c, d) of an earlier closure: θ(a, b) contains θ(c, d).
+    congruences come from ``_principal_congruences``, in ascending order of
+    product counts.  Until the first one that is not universal, where the
+    scan stops, every known θ(c, d) is universal, so a closure ends at its
+    first merged pair (c, d) closed before: θ(a, b) contains θ(c, d).  No
+    translation raises the product count, so every translate of (a, b)
+    with a smaller sum of counts ends the closure that meets it.
     """
     n = S.order
     universal = universal_partition(n)
-    return n >= 2 and all(theta == universal for theta in _principal_congruences(S))
+    return n >= 2 and all(theta == universal for _, theta in _principal_congruences(S))
 
 
 def find_matrix_unit_copy(

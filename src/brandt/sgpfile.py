@@ -31,8 +31,9 @@ def write_sgp(S: FiniteSemigroup) -> str:
     if any(not lab or re.search(r"[\s#]", lab) for lab in S.labels):
         raise ShapeError("labels must be non-empty, without whitespace or '#'")
     lines = [f"sgp {FORMAT_VERSION}", f"n {S.order}", "labels " + " ".join(S.labels)]
+    names = [str(i) for i in range(S.order)]
     for row in S.table:
-        lines.append("row " + " ".join(str(v) for v in row))
+        lines.append("row " + " ".join(map(names.__getitem__, row)))
     if S.zero is not None:
         lines.append(f"zero {S.zero}")
     if S.identity is not None:
@@ -99,6 +100,9 @@ def _parse_fields(text: str):
     zero: Optional[int] = None
     identity: Optional[int] = None
     row_line = None
+    # canonical index words to their values, built at the first row of n
+    # entries, so it is never larger than the input
+    index: Optional[dict[str, int]] = None
 
     while pos < len(tokens):
         lineno, words = take()
@@ -121,12 +125,13 @@ def _parse_fields(text: str):
                 raise ParseError(
                     f"row {len(rows)} has {len(entries)} entries, expected {n}", lineno
                 )
+            if index is None:
+                index = {str(i): i for i in range(n)}
             try:
-                row = list(map(int, entries)) if _is_index("".join(entries)) else None
-            except ValueError:  # a word longer than int() converts
-                row = None
-            if row is None or max(row) >= n:
-                # name the first offending word; a long word may still fit
+                row = tuple(map(index.__getitem__, entries))
+            except KeyError:
+                # word by word: leading zeros parse, and an error names the
+                # first offending word
                 row = []
                 for w in entries:
                     v = _number(w)

@@ -12,6 +12,7 @@ from brandt import (
     ShapeError,
     TooLarge,
     build_semigroup,
+    congruence_closure,
     congruence_lattice,
     excludes_b2,
     find_matrix_unit_copy,
@@ -20,6 +21,7 @@ from brandt import (
     iso_search,
     matrix_unit_exclusion,
     principal_congruence,
+    search,
 )
 from brandt.construct import brandt_extension, matrix_units
 from brandt.core import _magma_generators
@@ -33,7 +35,7 @@ from brandt.corpus import (
     rect_band_with_unit_and_zero,
     two_element,
 )
-from brandt.homs import _search_maps, check_homomorphism
+from brandt.homs import _product_count, _search_maps, check_homomorphism
 from brandt.search import (
     DEFAULT_CONGRUENCE_BOUND,
     _principal_congruences,
@@ -185,14 +187,85 @@ def congruence_carriers():
 def assert_congruences_match_reference(S):
     assert S.generators == tuple(_magma_generators(S.table))
     assert mulclose(S.table, S.generators) == set(range(S.order))
+    # the premise of the closure order: no translation raises the product
+    # count, w(x*g) <= w(x) and w(g*x) <= w(x)
+    t, r = S.table, range(S.order)
+    w = [_product_count(t, x) for x in r]
+    assert all(w[t[x][g]] <= w[x] and w[t[g][x]] <= w[x] for x in r for g in r)
     pairs = list(itertools.combinations(range(S.order), 2))
-    expected = [reference_congruence_closure(S, [pair]) for pair in pairs]
-    assert [principal_congruence(S, a, b) for a, b in pairs] == expected
+    expected = {pair: reference_congruence_closure(S, [pair]) for pair in pairs}
+    assert {(a, b): principal_congruence(S, a, b) for a, b in pairs} == expected
     # each closure reusing the earlier ones
-    assert list(_principal_congruences(S)) == expected
+    assert dict(_principal_congruences(S)) == expected
     # a fresh closure per pair, and joins by closure
     assert congruence_lattice(S) == reference_congruence_lattice(S)
     assert is_congruence_free(S) == reference_is_congruence_free(S)
+
+
+def zero_last(S):
+    """S relabeled by x -> n - 1 - x; an extension's zero goes last."""
+    n = S.order
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            table[n - 1 - x][n - 1 - y] = n - 1 - S.table[x][y]
+    return build_semigroup(table)
+
+
+@pytest.mark.parametrize(
+    "base, lam, congruences, lattice_finds, free_finds",
+    [(chain(3), 4, 4, 31_903, 259), (two_element(), 6, 2, 3_703, 2_963)],
+    ids=["chain3^4", "B6"],
+)
+def test_principal_closures_meet_known_congruences(
+    monkeypatch, base, lam, congruences, lattice_finds, free_finds
+):
+    # closing the pairs in lexicographic order, these took 51,628 and 147
+    # finds on chain3^4 (order 33, 4 congruences), and 12,550 and 11,810 on
+    # B6 (order 37, congruence-free); with the zero at index 0 lexicographic
+    # order starts from it too, and chain3^4's lattice took 29,719 (29,703)
+    S = zero_last(brandt_extension(base, lam).carrier)
+    assert S.zero == S.order - 1
+    finds = 0
+
+    def counting_find(parent, x):
+        nonlocal finds
+        finds += 1
+        return find(parent, x)
+
+    find = search._find
+    monkeypatch.setattr(search, "_find", counting_find)
+    assert len(congruence_lattice(S)) == congruences
+    assert finds == lattice_finds
+    finds = 0
+    assert is_congruence_free(S) == (congruences == 2)
+    assert finds == free_finds
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ((-1, 0), "pair element -1 out of range 0..2"),
+        ((0, 3), "pair element 3 out of range 0..2"),
+        ((0, 1.0), "pair element 1.0 is not an int"),
+        ((0, True), "pair element True is not an int"),
+    ],
+    ids=["negative", "too-large", "float", "bool"],
+)
+def test_congruence_pairs_are_checked_before_closing(pair, message):
+    S = chain(3)
+    with pytest.raises(ShapeError) as exc:
+        principal_congruence(S, *pair)
+    assert str(exc.value) == message
+    with pytest.raises(ShapeError) as exc:
+        congruence_closure(S, [(0, 1), pair])
+    assert str(exc.value) == message
+
+
+def test_congruence_closure_rejects_pairs_of_other_lengths():
+    for pair in [(0,), (0, 1, 2)]:
+        with pytest.raises(ShapeError, match="does not have two elements"):
+            congruence_closure(chain(3), [pair])
 
 
 def test_lattice_joins_beyond_the_principal_congruences():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from brandt.corpus import (
     example_e,
     two_element,
 )
+from brandt.sgpfile import _parse_fields
 
 CORPUS = [two_element(), chain(3), example_e(), cyclic_group_with_zero(2)]
 
@@ -113,6 +115,38 @@ def test_row_errors_name_the_first_offending_word():
         with pytest.raises(ParseError) as exc:
             parse_sgp(f"sgp 1\nn 3\nrow 0 1 2\nrow {row}\n")
         assert str(exc.value) == f"line 4: index {word} out of range 0..2"
+
+
+def test_short_row_of_a_large_order_rejected_in_little_memory():
+    # the table of index words is built only once a row has n entries
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as exc:
+            parse_sgp("sgp 1\nn 200000\nrow 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.line == 3
+    assert str(exc.value) == "line 3: row 0 has 1 entries, expected 200000"
+    assert peak < 2_000_000
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_zero_padded_indices_parse_as_their_values(data):
+    n = data.draw(st.integers(min_value=1, max_value=12))
+    index = st.integers(min_value=0, max_value=n - 1)
+    pad = st.integers(min_value=0, max_value=3)
+    words = data.draw(
+        st.lists(
+            st.lists(st.builds(lambda v, k: "0" * k + str(v), index, pad), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    text = f"sgp 1\nn {n}\n" + "".join("row " + " ".join(row) + "\n" for row in words)
+    rows = _parse_fields(text)[0]
+    assert rows == [tuple(map(int, row)) for row in words]
 
 
 def test_legend_size_longer_than_int_converts_rejected():
