@@ -13,7 +13,12 @@ Every table from outside is checked for associativity by Light's test:
 as a magma, which costs O(n^2 * |A|) instead of O(n^3).  The test is exact,
 because the elements a that pass it are closed under the product.  Only when
 it fails is the full scan run, so that the reported witness is the first
-failing triple (i, j, k) in index order.
+failing triple (i, j, k) in index order.  For each a the test compares row
+x*a with row a read through row x, for every x.  Up to order 256 every
+entry fits in a byte, and the read is one ``bytes.translate`` of row a
+through row x padded to 256 bytes; above that it is an ``itemgetter`` of
+row a's entries applied to row x.  Both compute the same products x*(a*y),
+so the verdict and the witness do not depend on which one runs.
 
 Tables that are associative by construction from a validated input skip the
 test and go through ``_trusted_semigroup``: a closed subset of a semigroup
@@ -340,10 +345,12 @@ def build_semigroup(
     """Validate a Cayley table and wrap it as a FiniteSemigroup.
 
     Associativity is checked by Light's test over the magma generators of
-    ``_magma_generators``, in O(n^2 * |A|) for |A| generators; when it fails,
-    NonAssociative carries the first triple (i, j, k) in index order with
-    (i*j)*k != i*(j*k).  Labels, zero and identity are then checked as in
-    ``_trusted_semigroup``.
+    ``_magma_generators``, in O(n^2 * |A|) for |A| generators: n row
+    compositions per generator, each a C-level byte gather up to order 256
+    and an ``itemgetter`` read above it.  When it fails, NonAssociative
+    carries the first triple (i, j, k) in index order with
+    (i*j)*k != i*(j*k), found by the full scan.  Labels, zero and identity
+    are then checked as in ``_trusted_semigroup``.
     """
     n = len(table)
     if n == 0:
@@ -360,10 +367,19 @@ def build_semigroup(
     tab = tuple(rows)
 
     # (x*a)*y = x*(a*y) for all y says that row x*a is row a read through
-    # row x.  itemgetter of one index returns a bare value rather than a
-    # tuple, so the 1x1 table, which can only be [[0]], skips the check.
+    # row x.  Up to order 256 every entry fits in a byte, and row x padded
+    # to 256 bytes is a translation table for that read.
     gens = _magma_generators(tab)
-    if n > 1:
+    if n <= 256:
+        byte_rows = [bytes(row) for row in tab]
+        pad = bytes(256 - n)
+        through = [row + pad for row in byte_rows]
+        for a in gens:
+            ra = byte_rows[a]
+            for tx in through:
+                if byte_rows[tx[a]] != ra.translate(tx):
+                    raise NonAssociative(*_find_associativity_witness(tab))
+    else:
         for a in gens:
             through_a = itemgetter(*tab[a])
             for tx in tab:

@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import itertools
 import random
 import re
@@ -358,6 +359,84 @@ def test_light_test_generators_stay_few(relabeled):
     rng = random.Random(11)
     for S in (C, relabeled(C, rng), relabeled(C, rng)):
         assert len(_magma_generators(S.table)) <= S.order // 10
+
+
+def first_failure_reading_cell(table, i, j):
+    """Oracle: the first non-associative triple of a table that is
+    associative except at cell (i, j), or None.
+
+    A triple (x, y, z) reads the cells (x, y), (y, z), (x*y, z) and
+    (x, y*z); one that reads none of them as (i, j) computes what the
+    associative table computes.  So only the triples with (x, y) = (i, j),
+    (y, z) = (i, j), (x*y, z) = (i, j) or (x, y*z) = (i, j) can fail, and
+    scanning them in index order costs O(n^2) instead of O(n^3).
+    """
+    n = len(table)
+    rng = range(n)
+    candidates = {(i, j, z) for z in rng} | {(x, i, j) for x in rng}
+    candidates |= {(x, y, j) for x in rng for y in rng if table[x][y] == i}
+    candidates |= {(i, y, z) for y in rng for z in rng if table[y][z] == j}
+    for x, y, z in sorted(candidates):
+        if table[table[x][y]][z] != table[x][table[y][z]]:
+            return (x, y, z)
+    return None
+
+
+@pytest.mark.parametrize("k", [255, 256])
+def test_light_test_on_both_sides_of_the_byte_row_cutoff(k, relabeled):
+    # Orders 256 and 257: tables of order <= 256 compose rows as bytes, the
+    # larger ones through itemgetter.  Both must accept the associative
+    # tables and name the first failing triple of each planted defect.
+    rng = random.Random(k)
+    base = cyclic_group_with_zero(k)
+    assert base.order == k + 1
+    for S in (base, relabeled(base, rng)):
+        n = S.order
+        assert build_semigroup(S.table).order == n
+        for _ in range(3):
+            table = [list(row) for row in S.table]
+            i, j = rng.randrange(n), rng.randrange(n)
+            table[i][j] = rng.choice([v for v in range(n) if v != table[i][j]])
+            witness = first_failure_reading_cell(table, i, j)
+            assert witness is not None
+            with pytest.raises(NonAssociative) as exc:
+                build_semigroup(table)
+            assert exc.value.witness == witness
+
+
+class Entry(enum.IntEnum):
+    A = 0
+    B = 1
+    C = 2
+    D = 3
+
+
+@given(random_tables())
+@settings(max_examples=200, deadline=None)
+def test_bool_and_int_enum_entries_validate_as_their_ints(table):
+    # bools and IntEnum members pass the isinstance(v, int) shape check, so
+    # Light's test must read them as the ints they are
+    tables = [[[Entry(v) for v in row] for row in table]]
+    if len(table) <= 2:
+        tables.append([[bool(v) for v in row] for row in table])
+    witness = first_non_associative_triple(table)
+    for t in tables:
+        if witness is None:
+            S = build_semigroup(t)
+            assert S.table == tuple(map(tuple, table))
+            assert S.generators == build_semigroup(table).generators
+        else:
+            with pytest.raises(NonAssociative) as exc:
+                build_semigroup(t)
+            assert exc.value.witness == witness
+
+
+def test_bool_and_int_enum_entries_out_of_range_are_shape_errors():
+    assert build_semigroup([[False]]).table == ((0,),)
+    with pytest.raises(ShapeError, match=re.escape("row 0 entry True out of range 0..0")):
+        build_semigroup([[True]])
+    with pytest.raises(ShapeError, match=re.escape("row 1 entry <Entry.C: 2> out of range 0..1")):
+        build_semigroup([[Entry.A, Entry.B], [Entry.B, Entry.C]])
 
 
 @given(st.integers(min_value=2, max_value=6))
