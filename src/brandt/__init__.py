@@ -42,8 +42,6 @@ from .classify import (
     PropertyReport,
     classify,
     idempotents_central,
-    is_inverse,
-    is_primitive_inverse,
     is_regular,
 )
 from .construct import (

@@ -57,11 +57,6 @@ def _idempotents_commute(S: FiniteSemigroup) -> bool:
     return all(t[e][f] == t[f][e] for e in idem for f in idem)
 
 
-def is_inverse(S: FiniteSemigroup) -> bool:
-    """Regular with commuting idempotents (Howie, Thm 5.1.1)."""
-    return is_regular(S) and _idempotents_commute(S)
-
-
 def idempotents_central(S: FiniteSemigroup) -> bool:
     t = S.table
     n = S.order
@@ -80,14 +75,11 @@ def _nonzero_idempotents_primitive(S: FiniteSemigroup) -> bool:
     )
 
 
-def is_primitive_inverse(S: FiniteSemigroup) -> bool:
-    """Inverse, with a zero, and every non-zero idempotent minimal."""
-    return is_inverse(S) and _nonzero_idempotents_primitive(S)
-
-
 def classify(S: FiniteSemigroup, lambdas=()) -> PropertyReport:
     """Compute every structure flag of the report, each predicate once;
-    inverse and Clifford by the characterizations on ``PropertyReport``."""
+    inverse and Clifford by the characterizations on ``PropertyReport``,
+    primitive inverse as inverse with a zero and every non-zero idempotent
+    primitive.  No other function decides these three."""
     regular = is_regular(S)
     central = idempotents_central(S)
     inverse = regular and _idempotents_commute(S)

@@ -19,7 +19,10 @@ from .construct import brandt_extension, matrix_units_extension
 from .core import (
     AlgebraError,
     BudgetExceeded,
+    Mismatch,
+    NoIdentity,
     TooLarge,
+    TrivialInput,
 )
 from .fixtures import FIXTURES
 from .homs import DEFAULT_BUDGET, enumerate_homs
@@ -96,26 +99,22 @@ def cmd_homs(args, budget):
             legend_missing = f"no extension coordinates in {args.source}"
         elif dst_ext is None:
             legend_missing = f"no extension coordinates in {args.target}"
-        elif not (src_ext.base_has_identity and dst_ext.base_has_identity):
-            legend_missing = "a base is not a monoid with zero"
     for h in homs:
         line = " ".join(str(v) for v in h.mapping)
-        if args.classify:
-            if legend_missing:
-                line += f"  NOT-CLASSIFIABLE({legend_missing})"
-            elif h.is_trivial:
-                line += "  NOT-CLASSIFIABLE(trivial map)"
-            elif src_ext.lam > dst_ext.lam:
-                line += "  NOT-CLASSIFIABLE(source index set exceeds the target one)"
-            else:
+        if legend_missing:
+            line += f"  NOT-CLASSIFIABLE({legend_missing})"
+        elif args.classify:
+            try:
                 verdict = recover_triple(h, src_ext, dst_ext)
-                if isinstance(verdict, NotClassifiable):
-                    line += f"  NOT-CLASSIFIABLE({verdict.reason})"
-                else:
-                    line += (
-                        f"  triple h={list(verdict.base.mapping)}"
-                        f" u={list(verdict.weights)} phi={list(verdict.index_map)}"
-                    )
+            except (TrivialInput, Mismatch, NoIdentity) as exc:
+                verdict = NotClassifiable(str(exc))
+            if isinstance(verdict, NotClassifiable):
+                line += f"  NOT-CLASSIFIABLE({verdict.reason})"
+            else:
+                line += (
+                    f"  triple h={list(verdict.base.mapping)}"
+                    f" u={list(verdict.weights)} phi={list(verdict.index_map)}"
+                )
         print(line)
     print(f"# {len(homs)} homomorphism(s)")
     return 0

@@ -47,10 +47,6 @@ class BrandtExtension:
         """Base indices, ascending, zero omitted."""
         return _nonzero(self.base)
 
-    @property
-    def base_has_identity(self) -> bool:
-        return self.base.identity is not None
-
     @cached_property
     def position(self) -> tuple[Optional[int], ...]:
         """Offset of each base index within a coordinate block; None at the

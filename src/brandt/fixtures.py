@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 
 from .category import (
     NotClassifiable,
@@ -21,7 +22,7 @@ from .category import (
     make_triple,
     recover_triple,
 )
-from .classify import idempotents_central, is_inverse, is_primitive_inverse, is_regular
+from .classify import classify, idempotents_central
 from .construct import (
     bicyclic_with_zero,
     brandt_extension,
@@ -44,7 +45,7 @@ from .corpus import (
     two_element,
 )
 from .homs import check_homomorphism, compose_homs, enumerate_homs
-from .search import find_matrix_unit_copy, is_congruence_free, iso_search
+from .search import find_matrix_unit_copy, iso_search
 
 
 @dataclass
@@ -103,28 +104,44 @@ EX2_12_ENTRIES = {
 }
 
 
+def _unit_map(src, dst, entries) -> tuple[int, ...]:
+    """The carrier map of ``entries``: the unit (i, 1, j) of the matrix-unit
+    extension ``src`` goes to (a, lab, b) of ``dst``, indices 1-based and
+    lab a label of dst's base, and the zero to the zero."""
+    mapping = [0] * src.carrier.order
+    for (i, j), (a, lab, b) in entries.items():
+        mapping[src.encode(i - 1, 0, j - 1)] = dst.encode(
+            a - 1, dst.base.index_of(lab), b - 1
+        )
+    return tuple(mapping)
+
+
+def _verified(res: FixtureResult, mapping, source, target, text: str):
+    """The homomorphism ``mapping`` defines, its verification noted on
+    ``res`` as ``text``; None, noted as a failure, when it is rejected."""
+    try:
+        sigma = check_homomorphism(mapping, source, target)
+    except NotHomomorphism as exc:
+        res.check(False, f"map rejected: {exc}")
+        return None
+    res.check(True, text)
+    return sigma
+
+
 @lru_cache(maxsize=None)
 def ex2_5_data():
     src = matrix_units_extension(4)
-    target_base = b2_with_identity()
-    dst = brandt_extension(target_base, 4)
-    mapping = [0] * src.carrier.order
-    for (i, j), (a, lab, b) in EX2_5_ENTRIES.items():
-        mapping[src.encode(i - 1, 0, j - 1)] = dst.encode(
-            a - 1, target_base.index_of(lab), b - 1
-        )
-    return src, dst, tuple(mapping)
+    dst = brandt_extension(b2_with_identity(), 4)
+    return src, dst, _unit_map(src, dst, EX2_5_ENTRIES)
 
 
 def run_ex2_5() -> FixtureResult:
     """The 17-entry unit map verifies, and every one-entry edit breaks it."""
     res = FixtureResult("ex2-5", True)
     src, dst, mapping = ex2_5_data()
-    try:
-        check_homomorphism(mapping, src.carrier, dst.carrier)
-        res.check(True, "embedded 17-entry map verifies as a homomorphism")
-    except NotHomomorphism as exc:
-        res.check(False, f"map rejected: {exc}")
+    text = "embedded 17-entry map verifies as a homomorphism"
+    sigma = _verified(res, mapping, src.carrier, dst.carrier, text)
+    if sigma is None:
         return res
     bad = 0
     total = 0
@@ -141,9 +158,7 @@ def run_ex2_5() -> FixtureResult:
             except NotHomomorphism:
                 pass
     res.check(bad == 0, f"all {total} single-entry perturbations rejected")
-    verdict = recover_triple(
-        check_homomorphism(mapping, src.carrier, dst.carrier), src, dst
-    )
+    verdict = recover_triple(sigma, src, dst)
     res.check(
         isinstance(verdict, NotClassifiable),
         f"map is outside the triple parametrization ({getattr(verdict, 'reason', '')})",
@@ -153,27 +168,18 @@ def run_ex2_5() -> FixtureResult:
 
 @lru_cache(maxsize=None)
 def ex2_13_data():
-    band = rect_band_with_unit_and_zero()
     src = matrix_units_extension(2)
-    dst = brandt_extension(band, 2)
-    mapping = [0] * src.carrier.order
-    for (i, j), (a, lab, b) in EX2_13_ENTRIES.items():
-        mapping[src.encode(i - 1, 0, j - 1)] = dst.encode(
-            a - 1, band.index_of(lab), b - 1
-        )
-    return src, dst, tuple(mapping)
+    dst = brandt_extension(rect_band_with_unit_and_zero(), 2)
+    return src, dst, _unit_map(src, dst, EX2_13_ENTRIES)
 
 
 def run_ex2_13() -> FixtureResult:
     """A homomorphism into a band-based extension escapes the parametrization."""
     res = FixtureResult("ex2-13", True)
-    band = rect_band_with_unit_and_zero()
     src, dst, mapping = ex2_13_data()
-    try:
-        sigma = check_homomorphism(mapping, src.carrier, dst.carrier)
-        res.check(True, "embedded map verifies as a homomorphism")
-    except NotHomomorphism as exc:
-        res.check(False, f"map rejected: {exc}")
+    text = "embedded map verifies as a homomorphism"
+    sigma = _verified(res, mapping, src.carrier, dst.carrier, text)
+    if sigma is None:
         return res
     verdict = recover_triple(sigma, src, dst)
     res.check(
@@ -181,7 +187,7 @@ def run_ex2_13() -> FixtureResult:
         f"recovery fails ({getattr(verdict, 'reason', '')})",
     )
     res.check(
-        not idempotents_central(band),
+        not idempotents_central(dst.base),
         "target base has non-central idempotents",
     )
     return res
@@ -195,12 +201,10 @@ def run_ex2_12() -> FixtureResult:
     mapping: list = ["0"] * src.carrier.order
     for (i, j), token in EX2_12_ENTRIES.items():
         mapping[src.encode(i - 1, 0, j - 1)] = token
-    try:
-        hom = check_homomorphism(mapping, src.carrier, dst)
-        res.check(True, "map verifies against the function-backed codomain")
+    text = "map verifies against the function-backed codomain"
+    hom = _verified(res, mapping, src.carrier, dst, text)
+    if hom is not None:
         res.check(not hom.is_trivial, "map is non-trivial")
-    except NotHomomorphism as exc:
-        res.check(False, f"map rejected: {exc}")
     return res
 
 
@@ -259,11 +263,9 @@ def run_ex2_6() -> FixtureResult:
     res = FixtureResult("ex2-6", True)
     T7 = matrix_units_with_identity_and_new_zero(2)
     src, dst, mapping = ex2_6_data()
-    try:
-        sigma = check_homomorphism(mapping, src.carrier, dst.carrier)
-        res.check(True, "embedded map verifies as a homomorphism")
-    except NotHomomorphism as exc:
-        res.check(False, f"map rejected: {exc}")
+    text = "embedded map verifies as a homomorphism"
+    sigma = _verified(res, mapping, src.carrier, dst.carrier, text)
+    if sigma is None:
         return res
     try:
         check_block_separation(sigma, src, dst)
@@ -404,15 +406,11 @@ def run_prop1_9() -> FixtureResult:
 def run_cor1_10() -> FixtureResult:
     """Structure flags transfer between a base and its extensions."""
     res = FixtureResult("cor1-10", True)
+    flags = attrgetter("regular", "inverse", "primitive_inverse", "congruence_free")
     for name, S in acceptance_corpus().items():
         for lam in (1, 2, 3):
             ext = brandt_extension(S, lam).carrier
-            agree = (
-                is_regular(S) == is_regular(ext)
-                and is_inverse(S) == is_inverse(ext)
-                and is_primitive_inverse(S) == is_primitive_inverse(ext)
-                and is_congruence_free(S) == is_congruence_free(ext)
-            )
+            agree = flags(classify(S)) == flags(classify(ext))
             res.check(
                 agree,
                 f"{name}, lam={lam}: regular/inverse/primitive/congruence-free agree",

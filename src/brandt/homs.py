@@ -72,9 +72,6 @@ class Homomorphism:
     target: Target
     mapping: tuple
 
-    def __call__(self, i: int):
-        return self.mapping[i]
-
     @cached_property
     def image(self) -> frozenset:
         return frozenset(self.mapping)

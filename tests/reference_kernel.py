@@ -31,7 +31,11 @@ the first fills the extension table one nonzero cell at a time, the second
 checks every pair for closure before it reads the table cell by cell.
 ``reference_image_witness`` is the oracle for the witness of
 ``category.image_decomposition``: it reads each image through every
-representative and demands that they agree.  ``reference_is_inverse``,
+representative and demands that they agree.  ``reference_recover_triple``
+is the oracle for ``category.recover_triple``: it rejects each image that
+no homomorphism can give by a reason of its own, where recover_triple
+reads the triple through the facts every homomorphism obeys and leaves such
+maps to the reconstruction.  ``reference_is_inverse``,
 ``reference_is_clifford`` and ``reference_is_primitive_inverse`` are the
 oracles for the flags of ``classify``: they decide each by its definition,
 through the inverses of every element.  ``idempotent_order`` computes the
@@ -46,10 +50,18 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+from brandt.category import (
+    NotClassifiable,
+    _check_ranks,
+    _induced_mapping,
+    _require_map,
+    make_triple,
+)
 from brandt.core import (
     AlgebraError,
     BudgetExceeded,
     FiniteSemigroup,
+    IllFormedTriple,
     NotHomomorphism,
     NoZero,
     ShapeError,
@@ -57,7 +69,7 @@ from brandt.core import (
     build_semigroup,
     maximal_subgroup,
 )
-from brandt.homs import DEFAULT_BUDGET, Homomorphism
+from brandt.homs import DEFAULT_BUDGET, Homomorphism, check_homomorphism
 from brandt.search import (
     DEFAULT_CONGRUENCE_BOUND,
     _normalize_partition,
@@ -487,6 +499,65 @@ def reference_induced_hom(triple, source_ext, target_ext) -> tuple[int, ...]:
         if h[s] != T.zero:
             mapping[idx] = index[(phi[a], tt[tt[u[a]][h[s]]][inv[u[b]]], phi[b])]
     return tuple(mapping)
+
+
+def reference_recover_triple(sigma, source_ext, target_ext):
+    """recover_triple as it was before it read the triple through the facts
+    every homomorphism obeys: it anchors at sigma(0, 1, 0) and rejects, each
+    with its own reason, an anchor image at the zero, off the diagonal or
+    with a middle that is not idempotent, a unit image that leaves the anchor
+    column and a diagonal image that leaks out of the anchor block, before
+    the product law, make_triple and the reconstruction decide."""
+    _require_map(sigma, source_ext, target_ext.carrier)
+    S, T = source_ext.base, target_ext.base
+    _check_ranks(S, T, source_ext.lam, target_ext.lam)
+
+    one = source_ext.position[S.identity]
+    diag = sigma.mapping[source_ext.block_starts[0][0] + one]
+    if diag == 0:
+        return NotClassifiable("anchor unit maps to zero")
+    coords = target_ext.coords
+    a_prime, e, b_prime = coords[diag]
+    if a_prime != b_prime:
+        return NotClassifiable("anchor unit image is off the diagonal")
+    if T.table[e][e] != e:
+        return NotClassifiable("anchor image middle is not idempotent")
+
+    phi, u = [], []
+    for b in range(source_ext.lam):
+        img = sigma.mapping[source_ext.block_starts[b][0] + one]
+        if img == 0:
+            return NotClassifiable(f"unit ({b},1,0) maps to zero")
+        x, t, y = coords[img]
+        if y != a_prime:
+            return NotClassifiable(f"unit ({b},1,0) image leaves the anchor column")
+        phi.append(x)
+        u.append(t)
+
+    start = source_ext.block_starts[0][0]
+    diagonal = sigma.mapping[start : start + len(source_ext.nonzero_base)]
+    anchor = target_ext.block_starts[a_prime][a_prime]
+    m2 = len(target_ext.nonzero_base)
+    h = [T.zero] * S.order
+    for s, img in zip(source_ext.nonzero_base, diagonal):
+        if img == 0:
+            continue
+        if not anchor <= img < anchor + m2:
+            return NotClassifiable("diagonal block image leaks outside the anchor block")
+        h[s] = target_ext.nonzero_base[img - anchor]
+    try:
+        base = check_homomorphism(h, S, T)
+    except NotHomomorphism as exc:
+        return NotClassifiable(f"recovered base map fails the product law: {exc}")
+    try:
+        triple = make_triple(base, u, phi, target_ext.lam)
+    except IllFormedTriple as exc:
+        return NotClassifiable(str(exc))
+    rebuilt = tuple(_induced_mapping(triple, source_ext, target_ext))
+    if rebuilt != sigma.mapping:
+        first = next(i for i, (x, y) in enumerate(zip(rebuilt, sigma.mapping)) if x != y)
+        return NotClassifiable(f"reconstruction differs at carrier index {first}")
+    return triple
 
 
 def reference_extension_table(S: FiniteSemigroup, lam: int) -> tuple[tuple[int, ...], ...]:

@@ -47,6 +47,8 @@ from brandt.corpus import (
     chain,
     cyclic_group_with_zero,
     example_e,
+    matrix_units_with_identity_and_new_zero,
+    rect_band_with_unit_and_zero,
     two_element,
 )
 from brandt.fixtures import (
@@ -62,6 +64,7 @@ from reference_kernel import (
     reference_check_homomorphism,
     reference_image_witness,
     reference_induced_hom,
+    reference_recover_triple,
     reference_subsemigroup,
 )
 from test_construct import assert_matches_validated
@@ -547,26 +550,39 @@ def test_recover_requires_nontrivial():
         recover_triple(zero_map, b2x, b2x)
 
 
+def _planted(defect, plant, reason):
+    """A case of the test below, its id naming the defect planted."""
+    return pytest.param(plant, reason, id=f"<lambda>-{defect}")
+
+
 @pytest.mark.parametrize(
     "plant, reason",
     [
-        (lambda ext: (ext.unit_index(0, 0), 0), "anchor unit maps to zero"),
-        (
-            lambda ext: (ext.unit_index(0, 0), ext.unit_index(0, 1)),
-            "anchor unit image is off the diagonal",
+        _planted(
+            "anchor unit maps to zero",
+            lambda ext: (ext.unit_index(0, 0), 0),
+            r"unit \(0,1,0\) maps to zero",
         ),
-        (
-            lambda ext: (ext.unit_index(0, 0), ext.encode(0, 2, 0)),
+        _planted(
+            "anchor unit image is off the diagonal",
+            lambda ext: (ext.unit_index(0, 0), ext.unit_index(0, 1)),
+            "reconstruction differs at carrier index {where}$",
+        ),
+        _planted(
             "anchor image middle is not idempotent",
+            lambda ext: (ext.unit_index(0, 0), ext.encode(0, 2, 0)),
+            "recovered base map fails the product law",
         ),
         (lambda ext: (ext.unit_index(1, 0), 0), r"unit \(1,1,0\) maps to zero"),
-        (
-            lambda ext: (ext.unit_index(1, 0), ext.unit_index(1, 1)),
+        _planted(
             r"unit \(1,1,0\) image leaves the anchor column",
+            lambda ext: (ext.unit_index(1, 0), ext.unit_index(1, 1)),
+            "reconstruction differs at carrier index {where}$",
         ),
-        (
-            lambda ext: (ext.encode(0, 2, 0), ext.encode(1, 2, 1)),
+        _planted(
             "diagonal block image leaks outside the anchor block",
+            lambda ext: (ext.encode(0, 2, 0), ext.encode(1, 2, 1)),
+            "reconstruction differs at carrier index {where}$",
         ),
         (
             lambda ext: (ext.encode(0, 2, 0), ext.encode(0, 1, 0)),
@@ -585,9 +601,11 @@ def test_recover_requires_nontrivial():
 )
 def test_recover_triple_reports_each_planted_defect(plant, reason):
     """One image of the identity on the rank-2 extension of B2 with an
-    identity, replaced as ``plant`` says, is reported by its own reason
-    ({where} is the replaced index).  The maps are built by hand and are not
-    homomorphisms."""
+    identity, replaced as ``plant`` says, is reported by the check that
+    catches it ({where} is the replaced index).  The maps are built by hand
+    and are not homomorphisms, so a defect no homomorphism can show, such as
+    a unit image off the anchor column, is caught by the product law or the
+    reconstruction."""
     # base labels 0, (1,1), (1,2), (2,1), (2,2), 1 at indices 0..5; H(1) = {1}
     ext = brandt_extension(b2_with_identity(), 2)
     identity = tuple(range(ext.carrier.order))
@@ -600,6 +618,35 @@ def test_recover_triple_reports_each_planted_defect(plant, reason):
     verdict = recover_triple(sigma, ext, ext)
     assert isinstance(verdict, NotClassifiable)
     assert re.search(reason.format(where=where), verdict.reason), verdict.reason
+
+
+def test_recover_triple_matches_the_reference_on_every_map():
+    """recover_triple returns the triple, or the reason, that the reference
+    with its anchor, column and leak checks returns, on every non-trivial
+    homomorphism of the corpus, C3^0 and three targets that are not
+    classifiable (rect, B2 with an identity, and the rank-2 matrix units
+    with an identity and a new zero), at lam1 <= lam2 <= 3 up to (2, 3),
+    zero-moving maps included."""
+    bases = [
+        *acceptance_corpus().values(),
+        cyclic_group_with_zero(3),
+        rect_band_with_unit_and_zero(),
+        b2_with_identity(),
+        matrix_units_with_identity_and_new_zero(2),
+    ]
+    maps = zero_moving = 0
+    verdicts = set()
+    for S, T in itertools.product(bases, repeat=2):
+        for l1, l2 in RANKS[:-1]:
+            src, dst = brandt_extension(S, l1), brandt_extension(T, l2)
+            for sigma in enumerate_homs(src.carrier, dst.carrier, nontrivial_only=True):
+                verdict = recover_triple(sigma, src, dst)
+                assert verdict == reference_recover_triple(sigma, src, dst), sigma.mapping
+                verdicts.add(getattr(verdict, "reason", "triple").split(" ")[0])
+                maps += 1
+                zero_moving += sigma.mapping[0] != 0
+    assert (maps, zero_moving) == (7390, 1128)
+    assert verdicts == {"triple", "reconstruction", "weight", "recovered"}
 
 
 def test_image_witness_matches_the_map_it_was_verified_as():

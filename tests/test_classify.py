@@ -1,12 +1,7 @@
 from hypothesis import given, settings
 
 from brandt import build_semigroup, classify
-from brandt.classify import (
-    idempotents_central,
-    is_inverse,
-    is_primitive_inverse,
-    is_regular,
-)
+from brandt.classify import idempotents_central, is_regular
 from brandt.construct import brandt_extension, matrix_units
 from brandt.corpus import (
     acceptance_corpus,
@@ -94,7 +89,7 @@ def test_flags_on_extensions_match_helpers():
         ext = brandt_extension(S, 2).carrier
         r = classify(ext)
         assert r.regular == is_regular(ext)
-        assert r.inverse == is_inverse(ext)
+        assert r.inverse == reference_is_inverse(ext)
         assert r.idempotents_central == idempotents_central(ext)
 
 
@@ -118,9 +113,9 @@ def assert_flags_match_definitions(S):
     """The characterizations agree with the definitions they replace, and
     the detected identity with a scan of every element."""
     r = classify(S)
-    assert r.inverse == is_inverse(S) == reference_is_inverse(S)
+    assert r.inverse == reference_is_inverse(S)
     assert r.clifford == reference_is_clifford(S)
-    assert r.primitive_inverse == is_primitive_inverse(S) == reference_is_primitive_inverse(S)
+    assert r.primitive_inverse == reference_is_primitive_inverse(S)
     assert S.identity == reference_identity(S)
 
 

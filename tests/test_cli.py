@@ -6,7 +6,7 @@ import pytest
 
 from brandt import BudgetExceeded, build_semigroup, iso_search, sgpfile
 from brandt.cli import main
-from brandt.construct import brandt_extension, matrix_units_extension
+from brandt.construct import brandt_extension, matrix_units_extension, orthogonal_sum
 from brandt.corpus import (
     b2_with_identity,
     chain,
@@ -162,6 +162,36 @@ def test_homs_classify_matches_golden(tmp_path, capsys):
         assert main(["homs", "--classify", "--nontrivial", *paths]) == 0
         outs.append(capsys.readouterr().out)
     golden = Path(__file__).parent / "data" / "homs_classify.txt"
+    assert "".join(outs) == golden.read_text(encoding="utf-8")
+
+
+def test_homs_classify_preconditions_match_golden(tmp_path, capsys):
+    """The verdicts recover_triple raises rather than returns, printed with
+    the exception's message: trivial maps (no --nontrivial), a source index
+    set larger than the target one, and a source or a target base without
+    identity.  The concatenated stdout must match the checked-in transcript
+    byte for byte."""
+    glued, _ = orthogonal_sum([two_element(), two_element()])
+    files = {
+        "two1": brandt_extension(two_element(), 1),
+        "two2": brandt_extension(two_element(), 2),
+        "b2one1": brandt_extension(b2_with_identity(), 1),
+        "glued2": brandt_extension(glued, 2),
+    }
+    for name, ext in files.items():
+        (tmp_path / f"{name}.sgp").write_text(write_extension(ext))
+    runs = [
+        ("two1", "two1"),
+        ("two2", "b2one1", "--nontrivial"),
+        ("glued2", "two2", "--nontrivial"),
+        ("two2", "glued2", "--nontrivial"),
+    ]
+    outs = []
+    for source, target, *flags in runs:
+        paths = [str(tmp_path / f"{name}.sgp") for name in (source, target)]
+        assert main(["homs", "--classify", *flags, *paths]) == 0
+        outs.append(capsys.readouterr().out)
+    golden = Path(__file__).parent / "data" / "homs_preconditions.txt"
     assert "".join(outs) == golden.read_text(encoding="utf-8")
 
 

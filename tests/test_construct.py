@@ -13,7 +13,7 @@ from brandt import (
     subsemigroup,
     with_adjoined_zero,
 )
-from brandt.classify import is_inverse, is_primitive_inverse, is_regular
+from brandt.classify import classify
 from brandt.construct import (
     _extension_table,
     bicyclic_with_zero,
@@ -38,6 +38,8 @@ from reference_kernel import (
     _definitional_coords,
     reference_extension_labels,
     reference_extension_table,
+    reference_is_inverse,
+    reference_is_primitive_inverse,
 )
 from test_homs import associative_tables
 
@@ -252,7 +254,7 @@ def test_extension_warning_flag_for_non_monoid_base():
     glued, _ = orthogonal_sum([b2, b2])
     assert glued.identity is None
     ext = brandt_extension(glued, 2)
-    assert not ext.base_has_identity
+    assert ext.base.identity is None
     with pytest.raises(NoIdentity):
         ext.unit_index(0, 0)
 
@@ -299,8 +301,9 @@ def test_structure_transfer_to_extensions():
     for S in (two_element(), chain(3), example_e(), cyclic_group_with_zero(2)):
         for lam in (1, 2, 3):
             ext = brandt_extension(S, lam).carrier
-            assert is_regular(ext) == is_regular(S)
-            assert is_inverse(ext) == is_inverse(S)
+            base, extended = classify(S), classify(ext)
+            assert extended.regular == base.regular
+            assert extended.inverse == base.inverse == reference_is_inverse(ext)
 
 
 def test_primitive_inverse_check_pairs():
@@ -311,8 +314,8 @@ def test_primitive_inverse_check_pairs():
         (two_element(), 3, True),
     ):
         ext = brandt_extension(S, lam).carrier
-        assert is_primitive_inverse(S) is flag
-        assert is_primitive_inverse(ext) is flag
+        assert classify(S).primitive_inverse is flag
+        assert classify(ext).primitive_inverse is flag == reference_is_primitive_inverse(ext)
 
 
 def test_bicyclic_relations():
