@@ -60,9 +60,9 @@ from .core import (
     ShapeError,
     TrivialInput,
     _memoized,
+    _subsemigroup,
     maximal_subgroup,
     require_monoid_with_zero,
-    subsemigroup,
 )
 from .construct import BrandtExtension, brandt_extension
 from .homs import (
@@ -466,50 +466,52 @@ def image_decomposition(
     tt' = z, and z when b != c, since then sigma(0, 1, b) * sigma(c, 1, 0)
     = sigma(0) = z.  The order, the bijectivity of w and the zero and
     identity of T0 are still checked; a failure contradicts the guaranteed
-    image structure and aborts loudly.  T0 and the image are memoized
-    subsemigroups of the target, and the extension of T0 is memoized on T0.
+    image structure and aborts loudly.  Once the extension of T0 and the
+    image have the same order n, w sends n elements into the n positions
+    of the image, so it is injective exactly when it is surjective, and
+    one test for a repeated value decides bijectivity.  T0 and the image
+    are memoized subsemigroups of the target, built from the sorted member
+    tuples read here without validating them again, and the extension of
+    T0 is memoized on T0.
     """
     _require_map(sigma, source_ext)
     if not isinstance(sigma.target, FiniteSemigroup):
         raise Mismatch("decomposition needs a table-backed target")
     lam = source_ext.lam
     big = sigma.target
+    images = sigma.mapping
 
-    z = sigma.mapping[0]
-    diag_images = {}
+    z = images[0]
     start = source_ext.block_starts[0][0]
-    diagonal = sigma.mapping[start : start + len(source_ext.nonzero_base)]
-    for s, g in zip(source_ext.nonzero_base, diagonal):
-        if g != z and g not in diag_images:
-            diag_images[g] = s
-    t0_globals = sorted([*diag_images, z])
-    T0 = subsemigroup(big, t0_globals)
-    local0 = {g: i for i, g in enumerate(t0_globals)}
-    if T0.zero != local0[z]:
+    diagonal = images[start : start + len(source_ext.nonzero_base)]
+    # each diagonal image with its first representative: read backwards,
+    # the first one is written last
+    first = dict(zip(reversed(diagonal), reversed(source_ext.nonzero_base)))
+    t0_globals = tuple(sorted({*first, z}))
+    T0 = _subsemigroup(big, t0_globals)
+    if T0.zero != t0_globals.index(z):
         raise ConformanceError("image zero is not the zero of the diagonal block")
     if T0.identity is None:
         raise ConformanceError("diagonal block image is not a monoid")
 
     ext0 = _memoized(T0, ("brandt_extension", lam), lambda: brandt_extension(T0, lam))
-    image_globals = sorted(sigma.image)
-    if ext0.carrier.order != len(image_globals):
+    image_globals = tuple(sorted(sigma.image))
+    n = len(image_globals)
+    if ext0.carrier.order != n:
         raise ConformanceError(
-            f"image order {len(image_globals)} differs from the rebuilt "
-            f"extension order {ext0.carrier.order}"
+            f"image order {n} differs from the rebuilt extension order {ext0.carrier.order}"
         )
-    image_sg = subsemigroup(big, image_globals)
-    loc = {g: i for i, g in enumerate(image_globals)}
+    image_sg = _subsemigroup(big, image_globals)
+    local = dict(zip(image_globals, range(n)))
 
     # (a, t, b) goes to sigma(a, s, b) for the representative s of t
     position = source_ext.position
-    offsets = [position[diag_images[t0_globals[t]]] for t in ext0.nonzero_base]
-    starts = [source_ext.block_starts[a][b] for a in range(lam) for b in range(lam)]
-    images = sigma.mapping
-    mapping = [loc[z]] + [loc[images[block + p]] for block in starts for p in offsets]
-    witness = Homomorphism(ext0.carrier, image_sg, tuple(mapping))
-    if not (witness.is_injective and witness.is_surjective):
+    offsets = [position[first[t0_globals[t]]] for t in ext0.nonzero_base]
+    reads = [block + p for row in source_ext.block_starts for block in row for p in offsets]
+    mapping = (local[z], *map(local.__getitem__, map(images.__getitem__, reads)))
+    if len(set(mapping)) != n:
         raise ConformanceError("decomposition witness is not bijective")
-    return T0, witness
+    return T0, Homomorphism(ext0.carrier, image_sg, mapping)
 
 
 def check_block_separation(
@@ -523,10 +525,10 @@ def check_block_separation(
     Checks: the zero maps to the zero; distinct unit images occupy pairwise
     distinct coordinate blocks; each (a, b) block's images stay inside one
     target block; and an element's vanishing pattern is uniform across index
-    pairs.  Returns the sorted ((a, b), (mu, nu)) pairs placing each unit
-    (a, 1, b) in its target block.  Raises HypothesisUnmet when the target
-    base fails the exclusion hypotheses and ConformanceError when a
-    guaranteed assertion fails.
+    pairs.  Returns the ((a, b), (mu, nu)) pairs placing each unit
+    (a, 1, b) in its target block, in (a, b) order, as the units are read.
+    Raises HypothesisUnmet when the target base fails the exclusion
+    hypotheses and ConformanceError when a guaranteed assertion fails.
     """
     _require_map(sigma, source_ext, target_ext.carrier)
     lam1 = source_ext.lam
@@ -542,7 +544,7 @@ def check_block_separation(
 
     one = source_ext.position[source_ext.base.identity]  # offset of the units
     coords = target_ext.coords
-    unit_blocks = {}
+    placed = []
     spans = []  # where each unit's block and its image's block start
     for a in range(lam1):
         for b in range(lam1):
@@ -551,9 +553,9 @@ def check_block_separation(
             if img == 0:
                 raise ConformanceError(f"unit ({a},1,{b}) maps to zero")
             mu, _, nu = coords[img]
-            unit_blocks[(a, b)] = (mu, nu)
+            placed.append(((a, b), (mu, nu)))
             spans.append((a, b, src, target_ext.block_starts[mu][nu]))
-    if len(set(unit_blocks.values())) != lam1 * lam1:
+    if len({block for _, block in placed}) != lam1 * lam1:
         raise ConformanceError("distinct units share a coordinate block")
 
     m2 = len(target_ext.nonzero_base)
@@ -567,4 +569,4 @@ def check_block_separation(
         if 0 < row.count(0) < len(row):
             raise ConformanceError(f"vanishing pattern of {labels[s]} is not uniform")
 
-    return tuple(sorted(unit_blocks.items()))
+    return tuple(placed)

@@ -18,7 +18,7 @@ tables and raise ValueError on a coordinate or index outside the extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 from .core import (
@@ -30,6 +30,7 @@ from .core import (
     ShapeError,
     _trusted_semigroup,
     build_semigroup,
+    cached_property,
 )
 from .homs import Homomorphism, check_homomorphism
 

@@ -33,7 +33,6 @@ product is, so checking these tables again could never fail.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -118,6 +117,31 @@ class ParseError(AlgebraError):
     def __init__(self, message: str, line: Optional[int] = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
+
+
+class cached_property:
+    """A property computed on its first read and kept in the instance dict.
+
+    ``functools.cached_property`` without the lock: before Python 3.12 it
+    takes an RLock on every first read (removed by CPython gh-87634).  Two
+    threads racing on one instance may both compute the value; ``setdefault``
+    keeps the first one stored, and every reader gets that object.  It
+    defines no ``__set__``, so a value already in the instance dict is read
+    without calling the function.  Frozen dataclasses can use it, as it
+    writes to ``__dict__`` directly.
+    """
+
+    def __init__(self, func: Callable):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        return instance.__dict__.setdefault(self.name, self.func(instance))
 
 
 @dataclass(frozen=True)
@@ -394,19 +418,29 @@ def build_semigroup(
 def subsemigroup(S: FiniteSemigroup, members: Iterable[int]) -> FiniteSemigroup:
     """Restrict S to a product-closed subset, reindexed in ascending order.
 
-    Each row is the ambient row's member columns, read at once and
-    reindexed through the member positions; a product outside the subset
-    has no position, and only then are the pairs scanned in row order for
-    the first that escapes, which the AlgebraError names.  Associativity is
-    inherited from S, so the table is not validated again.  A member that
-    is not an int (a bool, a float, a string, None) raises ShapeError
-    before the memo is read, as do an empty subset and a member outside
-    range(S.order).  Built once per subset of S; later calls return that
+    A member that is not an int (a bool, a float, a string, None) raises
+    ShapeError before the memo is read, as do an empty subset and a member
+    outside range(S.order).  The subset is then built by
+    ``_subsemigroup``, once per subset of S; later calls return that
     object.
     """
     members = _sorted_elements(S, members, "member")
     if not members:
         raise ShapeError("empty subset")
+    return _subsemigroup(S, members)
+
+
+def _subsemigroup(S: FiniteSemigroup, members: tuple[int, ...]) -> FiniteSemigroup:
+    """``subsemigroup`` on a non-empty tuple of members that is sorted,
+    without repeats and inside range(S.order), which is not checked.
+
+    Each row is the ambient row's member columns, read at once and
+    reindexed through the member positions; a product outside the subset
+    has no position, and only then are the pairs scanned in row order for
+    the first that escapes, which the AlgebraError names.  Associativity is
+    inherited from S, so the table is not validated again.  Memoized on S
+    by the members.
+    """
 
     def build():
         table = S.table

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Optional, Union
 
@@ -53,6 +52,7 @@ from .core import (
     NotHomomorphism,
     ShapeError,
     _grow_closure,
+    cached_property,
 )
 
 DEFAULT_BUDGET = 10_000_000

@@ -32,7 +32,7 @@ from brandt import (
     maximal_subgroup,
     recover_triple,
 )
-from brandt import category
+from brandt import category, core
 from brandt.category import NotClassifiable
 from brandt.classify import classify
 from brandt.construct import (
@@ -521,6 +521,37 @@ def test_calculus_verifies_each_map_once(monkeypatch):
     assert (len(calls), maps) == (219, 219)
 
 
+def test_calculus_validates_no_member_list(monkeypatch):
+    """recover_triple, image_decomposition and check_block_separation on
+    every zero-fixing map of the completeness_rows() grid call
+    core._sorted_elements not at all: image_decomposition hands the member
+    tuples it sorts itself to the subsemigroup builder, where going through
+    subsemigroup validated both of them again, 438 calls.  Each placement
+    list check_block_separation returns is already in (a, b) order."""
+    calls = []
+    validate = core._sorted_elements
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(core, "_sorted_elements", counting)
+    maps = placements = 0
+    for s_name, t_name, l1, l2, *_ in completeness_rows():
+        src, dst, homs = _homs_between_extensions(s_name, t_name, l1, l2)
+        for h in homs:
+            if h.mapping[0] == 0:
+                recover_triple(h, src, dst)
+                image_decomposition(h, src)
+                if l1 >= 2:
+                    placed = check_block_separation(h, src, dst)
+                    assert placed == tuple(sorted(placed))
+                    placements += 1
+                maps += 1
+    assert (len(calls), maps) == (0, 219)
+    assert placements > 0
+
+
 @pytest.mark.parametrize("lam1", [-1, 0])
 def test_enumerate_triples_rejects_rank_below_one(lam1):
     S = example_e()
@@ -916,6 +947,65 @@ def test_image_decomposition_rejects_trivial():
     zero_map = check_homomorphism([0] * 5, b2x.carrier, b2x.carrier)
     with pytest.raises(TrivialInput):
         image_decomposition(zero_map, b2x)
+
+
+def _image_defect(defect):
+    """Source and target extensions and a hand-built map between them,
+    not a homomorphism, that breaks the image structure as ``defect``
+    says."""
+    two1 = brandt_extension(two_element(), 1)  # 0 and (0,1,0)
+    b2x, b3x = matrix_units_extension(2), matrix_units_extension(3)
+    if defect == "diagonal image absorbs the image of the zero":
+        # T0 = {0, (0,x1,0)} has the zero 0, not sigma(0) = (0,x1,0)
+        dst = brandt_extension(chain(3), 1)
+        return two1, dst, (dst.encode(0, 1, 0), 0)
+    if defect == "T0 is a group":
+        # T0 = {(0,1,0), (0,g,0)} has no zero at all
+        dst = brandt_extension(cyclic_group_with_zero(2), 1)
+        return two1, dst, (dst.encode(0, 0, 0), dst.encode(0, 1, 0))
+    if defect == "diagonal image squares to zero":
+        return two1, b2x, (0, b2x.unit_index(0, 1))
+    if defect == "an off-diagonal unit vanishes":
+        mapping = list(range(5))
+        mapping[b2x.unit_index(0, 1)] = 0
+        return b2x, b2x, tuple(mapping)
+    # the rank-2 extension of chain(3) onto the B2 inside B3: the diagonal
+    # block collapses onto the unit (0,1,0), so T0 has order 2 and the
+    # witness reads only the (a,x0,b), where (0,x0,1) and (1,x0,0) share an
+    # image; (0,x1,1), which is not read, fills the image up to order 5
+    src = brandt_extension(chain(3), 2)
+    image = {(0, 0): (0, 0), (0, 1): (0, 1), (1, 0): (0, 1), (1, 1): (1, 1)}
+    mapping = [0] * src.carrier.order
+    for (a, b), (mu, nu) in image.items():
+        for s in src.nonzero_base:
+            mapping[src.encode(a, s, b)] = b3x.unit_index(mu, nu)
+    mapping[src.encode(0, 1, 1)] = b3x.unit_index(1, 0)
+    return src, b3x, tuple(mapping)
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        ("diagonal image absorbs the image of the zero", "image zero is not the zero"),
+        ("T0 is a group", "image zero is not the zero"),
+        ("diagonal image squares to zero", "diagonal block image is not a monoid"),
+        (
+            "an off-diagonal unit vanishes",
+            "image order 4 differs from the rebuilt extension order 5",
+        ),
+        ("a witness value repeats", "decomposition witness is not bijective"),
+    ],
+)
+def test_image_decomposition_reports_each_broken_image(defect, message):
+    """Each ConformanceError of image_decomposition is reached by a map
+    built by hand, which no homomorphism could be: a T0 whose zero is not
+    the image of the zero, or which has none; a T0 without identity; an
+    image smaller than the extension of T0; and a witness that repeats a
+    value on an image of the right order."""
+    src, dst, mapping = _image_defect(defect)
+    sigma = Homomorphism(source=src.carrier, target=dst.carrier, mapping=mapping)
+    with pytest.raises(ConformanceError, match=message):
+        image_decomposition(sigma, src)
 
 
 def test_block_separation_on_clean_endomorphisms():

@@ -4,7 +4,9 @@
 extension built inside ``image_decomposition`` are computed once per
 FiniteSemigroup.  Every memo hit must return the first call's object and
 equal what an equal, memo-free instance computes; a call that raises must
-raise every time and leave nothing in the memo.
+raise every time and leave nothing in the memo.  The memo and every other
+cached value live in the instance dict through ``core.cached_property``,
+which takes no lock and keeps one value per instance when threads race.
 """
 
 import itertools
@@ -169,3 +171,81 @@ def test_threads_racing_on_one_memo_keep_one_entry_per_key():
     U = fresh(S)
     assert results == [[call(U, *args) for call, args in zip(calls, arguments)]] * 8
     assert len(S._memo) == len(arguments)
+
+
+def test_cached_property_computes_once_per_instance():
+    runs = []
+
+    class Box:
+        @core.cached_property
+        def value(self):
+            """The doc."""
+            runs.append(self)
+            return object()
+
+    a, b = Box(), Box()
+    assert a.value is a.value and b.value is b.value
+    assert a.value is not b.value
+    assert runs == [a, b]
+    assert isinstance(Box.value, core.cached_property)
+    assert Box.value.__doc__ == "The doc."
+
+
+def test_cached_property_serves_the_frozen_dataclasses():
+    # the descriptor writes to __dict__, which a frozen dataclass allows
+    ext = brandt_extension(chain(3), 2)
+    sigma = check_homomorphism(range(ext.carrier.order), ext.carrier, ext.carrier)
+    for obj, name in ((ext.carrier, "idempotents"), (ext, "block_starts"), (sigma, "image")):
+        assert name not in vars(obj)
+        value = getattr(obj, name)
+        assert vars(obj)[name] is value is getattr(obj, name)
+    assert sigma.image == frozenset(range(ext.carrier.order))
+
+
+def test_cached_property_returns_a_prefilled_value_uncomputed(monkeypatch):
+    # build_semigroup fills generators, brandt_extension fills coords
+    S = fresh(chain(3))
+    ext = brandt_extension(S, 2)
+    generators, coords = vars(S)["generators"], vars(ext)["coords"]
+
+    def fail(*args):
+        raise AssertionError("computed a prefilled property")
+
+    monkeypatch.setattr(core, "_magma_generators", fail)
+    monkeypatch.setattr(construct, "_carrier_coords", fail)
+    assert S.generators is generators and ext.coords is coords
+
+
+def test_threads_reading_one_fresh_memo_get_one_dict():
+    # the eight threads first race on a property whose function waits for
+    # all of them, so each computes its own value and one is kept, then on
+    # the memo of a fresh semigroup
+    class Racy:
+        @core.cached_property
+        def value(self):
+            computing.wait(timeout=60)
+            return object()
+
+    box, S = Racy(), fresh(chain(3))
+    assert "_memo" not in vars(S)
+    computing, barrier = threading.Barrier(8), threading.Barrier(8)
+    results = [None] * 8
+
+    def work(i):
+        value = box.value
+        barrier.wait(timeout=60)
+        results[i] = (value, S._memo)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [(vars(box)["value"], vars(S)["_memo"])] * 8
+    assert all(value is box.value and memo is S._memo for value, memo in results)
