@@ -472,7 +472,10 @@ def image_decomposition(
     one test for a repeated value decides bijectivity.  T0 and the image
     are memoized subsemigroups of the target, built from the sorted member
     tuples read here without validating them again, and the extension of
-    T0 is memoized on T0.
+    T0 is memoized on T0.  A target carrier built by ``brandt_extension``
+    shares its memo with every carrier of its base and lam, so T0, the
+    image and the extension of T0 are built once per target base and lam,
+    not once per carrier.
     """
     _require_map(sigma, source_ext)
     if not isinstance(sigma.target, FiniteSemigroup):

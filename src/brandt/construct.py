@@ -28,6 +28,7 @@ from .core import (
     NoIdentity,
     NoZero,
     ShapeError,
+    _memoized,
     _trusted_semigroup,
     build_semigroup,
     cached_property,
@@ -164,15 +165,29 @@ def brandt_extension(S: FiniteSemigroup, lam: int, carrier_labels=None) -> Brand
     themselves.  The carrier table is associative because the base is, so
     it is wrapped without Light's test; ``carrier_labels`` are still
     checked for count and duplicates.
+
+    Every carrier built from one base instance at one lam with the default
+    labels is the same value: the same table, labels, zero and identity.
+    Every entry of a semigroup's memo is a function of its value alone and
+    none refers back to the semigroup, so these carriers share one memo,
+    kept in the base's memo under ("extension_memo", lam).  What is derived
+    from the carrier (its subsemigroups and maximal subgroups, its
+    matrix-unit flags, and so the T0, the image and the extension of T0 of
+    ``category.image_decomposition``) is then built once per base and lam,
+    not once per carrier, while the carrier table itself is not kept.  A
+    carrier with caller-given labels keeps a memo of its own.
     """
     if S.zero is None:
         raise NoZero("Brandt extensions need a base zero")
     if lam < 1:
         raise ShapeError(f"lambda must be positive, got {lam}")
     coords = _carrier_coords(_nonzero(S), lam)
-    if carrier_labels is None:
+    default_labels = carrier_labels is None
+    if default_labels:
         carrier_labels = ["0"] + [f"({a},{S.labels[s]},{b})" for a, s, b in coords[1:]]
     carrier = _trusted_semigroup(_extension_table(S, lam), carrier_labels, zero=0)
+    if default_labels:
+        carrier.__dict__["_memo"] = _memoized(S, ("extension_memo", lam), dict)
     ext = BrandtExtension(base=S, lam=lam, carrier=carrier)
     ext.__dict__["coords"] = coords  # fills the cached property
     return ext

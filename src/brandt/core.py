@@ -3,10 +3,15 @@
 Elements are integer indices into a square multiplication table; labels are
 display-only.  All objects are immutable after construction.  A
 FiniteSemigroup also memoizes what is derived from it (subsemigroups, maximal
-subgroups, matrix-unit flags) in a per-instance dict outside its fields, so
-equality, hashing and repr ignore it.  The memo holds only immutable values
-and never a failed call, so sharing a semigroup across threads is safe: two
-threads that race on one entry compute it twice and one result is kept.
+subgroups, matrix-unit flags) in a dict outside its fields, so equality,
+hashing and repr ignore it.  Each entry is a function of the semigroup's
+value alone and refers back to no semigroup, so equal semigroups may share
+one memo: the extension carriers one base builds at one lam with the
+default labels do (``construct.brandt_extension``), and every other
+semigroup has a dict of its own.  The memo holds only immutable values and
+the memos of other semigroups, never a failed call, so sharing a semigroup
+across threads is safe: two threads that race on one entry compute it twice
+and one result is kept.
 
 Every table from outside is checked for associativity by Light's test:
 (x*a)*y = x*(a*y) is checked only for a in a set A that generates the table
@@ -172,7 +177,8 @@ class FiniteSemigroup:
 
     @cached_property
     def _memo(self) -> dict:
-        """Derived structures by (kind, argument) key; see ``_memoized``."""
+        """Derived structures by (kind, argument) key; see ``_memoized``.
+        ``construct.brandt_extension`` fills it with a dict it shares."""
         return {}
 
     def __repr__(self) -> str:

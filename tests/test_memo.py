@@ -1,17 +1,21 @@
-"""Derived structures memoized per semigroup instance, against fresh ones.
+"""Derived structures memoized per semigroup, against fresh ones.
 
 ``subsemigroup``, ``maximal_subgroup``, ``matrix_unit_exclusion`` and the
-extension built inside ``image_decomposition`` are computed once per
-FiniteSemigroup.  Every memo hit must return the first call's object and
-equal what an equal, memo-free instance computes; a call that raises must
-raise every time and leave nothing in the memo.  The memo and every other
-cached value live in the instance dict through ``core.cached_property``,
-which takes no lock and keeps one value per instance when threads race.
+extension built inside ``image_decomposition`` are computed once per memo:
+one per FiniteSemigroup, shared by the extension carriers that one base
+builds at one lam with the default labels.  Every memo hit must return the
+first call's object and equal what an equal, memo-free instance computes; a
+call that raises must raise every time and leave nothing in the memo.  The
+memo and every other cached value live in the instance dict through
+``core.cached_property``, which takes no lock and keeps one value per
+instance when threads race.
 """
 
+import gc
 import itertools
 import sys
 import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +34,7 @@ from brandt import (
     subsemigroup,
 )
 from brandt import construct, core
-from brandt.construct import brandt_extension
+from brandt.construct import brandt_extension, matrix_units_extension
 from brandt.corpus import acceptance_corpus, chain, cyclic_group_with_zero
 from test_homs import associative_tables, mulclose
 
@@ -91,6 +95,53 @@ def test_memo_hits_match_fresh_computation_on_random_tables(table):
         check_memoized_structures(brandt_extension(S, 2).carrier)
 
 
+def test_equal_extension_carriers_share_one_memo():
+    # two carriers of one base at one lam are distinct, equal objects with
+    # the one memo the base keeps for them: what the first fills, the
+    # second reads, and it still matches a memo-free copy
+    for S in acceptance_corpus().values():
+        S = fresh(S)
+        for lam in (1, 2, 3):
+            first = brandt_extension(S, lam).carrier
+            second = brandt_extension(S, lam).carrier
+            assert first is not second and first == second
+            assert first._memo is second._memo is S._memo[("extension_memo", lam)]
+            check_memoized_structures(first)
+            filled = dict(first._memo)
+            check_memoized_structures(second)
+            assert second._memo.keys() == filled.keys()
+            assert all(second._memo[key] is value for key, value in filled.items())
+        assert brandt_extension(S, 2).carrier._memo is not brandt_extension(S, 3).carrier._memo
+    # caller-given labels: a memo of its own, not filled in advance
+    units = [matrix_units_extension(2).carrier for _ in range(2)]
+    assert all("_memo" not in vars(U) for U in units)
+    assert units[0]._memo is not units[1]._memo
+
+
+def test_the_shared_memo_outlives_its_carriers_and_keeps_none_alive():
+    # every entry is a function of the carrier's value and none refers
+    # back to it, so a dropped carrier is freed while the base keeps its
+    # derived structures (T0, the image, the extension of T0) for the next
+    src = brandt_extension(chain(3), 2)
+    T = fresh(cyclic_group_with_zero(2))
+    dst = brandt_extension(T, 2)
+    sigmas = enumerate_homs(src.carrier, dst.carrier, nontrivial_only=True)
+    decompositions = [image_decomposition(sigma, src) for sigma in sigmas]
+    check_memoized_structures(dst.carrier)
+    memo = dst.carrier._memo
+    ref = weakref.ref(dst.carrier)
+    del dst, sigmas
+    gc.collect()
+    assert ref() is None
+    assert T._memo[("extension_memo", 2)] is memo
+    again = brandt_extension(T, 2)
+    for sigma, (T0, witness) in zip(
+        enumerate_homs(src.carrier, again.carrier, nontrivial_only=True), decompositions
+    ):
+        T0_again, witness_again = image_decomposition(sigma, src)
+        assert T0_again is T0 and witness_again.source is witness.source
+
+
 def test_image_decomposition_memo_hits_match_fresh_computation():
     corpus = list(acceptance_corpus().values())
     checked = 0
@@ -110,16 +161,18 @@ def test_image_decomposition_memo_hits_match_fresh_computation():
 
 
 def test_image_decomposition_builds_each_structure_once(monkeypatch):
-    # one corpus pair over its whole rank grid: every target carrier is
-    # fresh, so the sweep builds each T0, each image and each extension of
-    # T0 exactly once (at rank one the image is T0 itself).  Every table,
-    # validated by build_semigroup or trusted by construction, is wrapped by
-    # core._trusted_semigroup, so that is the call counted.
-    S, T = chain(3), cyclic_group_with_zero(2)
+    # one corpus pair over its whole rank grid, on fresh bases so that no
+    # memo arrives filled.  The target carriers of one lam2 share one memo,
+    # so the sweep builds each T0 and each image once per lam2, and each
+    # extension of T0 once per T0 and lam1 (at rank one the image is T0
+    # itself).  Every table, validated by build_semigroup or trusted by
+    # construction, is wrapped by core._trusted_semigroup, so that is the
+    # call counted.
+    S, T = fresh(chain(3)), fresh(cyclic_group_with_zero(2))
     grid = []
     for l1, l2 in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)):
         src, dst = brandt_extension(S, l1), brandt_extension(T, l2)
-        grid.append((src, enumerate_homs(src.carrier, dst.carrier, nontrivial_only=True)))
+        grid.append((l2, src, enumerate_homs(src.carrier, dst.carrier, nontrivial_only=True)))
 
     built = []
     real = core._trusted_semigroup
@@ -130,26 +183,27 @@ def test_image_decomposition_builds_each_structure_once(monkeypatch):
 
     monkeypatch.setattr(core, "_trusted_semigroup", counting)
     monkeypatch.setattr(construct, "_trusted_semigroup", counting)
-    expected = calls = 0
-    for src, sigmas in grid:
-        t0s, images = set(), set()
+    subsemigroups, extensions = set(), set()
+    calls = 0
+    for l2, src, sigmas in grid:
         for sigma in sigmas:
             diagonal = [sigma.mapping[src.encode(0, s, 0)] for s in src.nonzero_base]
-            t0s.add(frozenset([sigma.mapping[0], *diagonal]))
-            images.add(frozenset(sigma.mapping))
+            t0 = frozenset([sigma.mapping[0], *diagonal])
+            subsemigroups |= {(l2, t0), (l2, frozenset(sigma.mapping))}
+            extensions.add((l2, t0, src.lam))
             for _ in range(2):
                 image_decomposition(sigma, src)
                 calls += 1
-        expected += len(t0s | images) + len(t0s)
+    expected = len(subsemigroups) + len(extensions)
     # unmemoized, each call would build three tables: 3 * 184 = 552
     assert len(built) == expected
-    assert (expected, calls) == (40, 184)
+    assert (expected, calls) == (32, 184)
 
 
 def test_threads_racing_on_one_memo_keep_one_entry_per_key():
     # a race may compute an entry twice; every thread still gets a value
     # equal to the fresh one, and the memo ends with one entry per key
-    S = brandt_extension(cyclic_group_with_zero(2), 3).carrier
+    S = brandt_extension(fresh(cyclic_group_with_zero(2)), 3).carrier
     arguments = [(e,) for e in S.idempotents] + [(sorted({0, x}),) for x in S.idempotents]
     calls = [maximal_subgroup] * len(S.idempotents) + [subsemigroup] * len(S.idempotents)
     results = [None] * 8
