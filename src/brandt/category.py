@@ -30,10 +30,12 @@ block_starts[a][b], (a, s, b) at offset position[s], and the extension's
 tabulated coords and positions stand in for per-index decoding and encoding.
 
 Each fact is checked by one function.  make_triple alone validates triple
-data.  _require_map is the precondition of recover_triple,
-image_decomposition, check_block_separation and compose_and_check: a
-non-constant map (TrivialInput) out of the given extension (Mismatch), whose
-base is a monoid (NoIdentity).  _check_ranks requires a positive source
+data.  recover_triple checks the product law of a recovered base map once
+per source extension, target base and base map, not once per map.
+_require_map is the precondition of recover_triple, image_decomposition,
+check_block_separation and compose_and_check: a non-constant map
+(TrivialInput) out of the given extension (Mismatch), whose base is a
+monoid (NoIdentity).  _check_ranks requires a positive source
 rank, monoids with zero named as the source or target base, and
 lam1 <= lam2 (Mismatch).  These raise rather than return NotClassifiable;
 ``homs --classify`` prints their messages as the verdict.  The maps the
@@ -48,7 +50,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Union
+from operator import itemgetter
+from typing import Callable, Union
 
 from .core import (
     ConformanceError,
@@ -263,7 +266,10 @@ def recover_triple(
     read; otherwise the verdict is the recovered base map's product law,
     make_triple's reasons, or whether the map the triple induces reproduces
     ``sigma`` exactly.  ``sigma`` is a verified homomorphism, so that
-    rebuild is not verified again.
+    rebuild is not verified again.  The product law depends on S, T and h
+    alone and is checked once per source extension, target base and h
+    (``_base_verdict``); make_triple, the rebuild and the comparison with
+    ``sigma`` run on every call.
     """
     _require_map(sigma, source_ext, target_ext.carrier)
     S, T = source_ext.base, target_ext.base
@@ -286,10 +292,9 @@ def recover_triple(
     for s, img in zip(source_ext.nonzero_base, diagonal):
         if img != 0:
             h[s] = coords[img][1]
-    try:
-        base = check_homomorphism(h, S, T)
-    except NotHomomorphism as exc:
-        return NotClassifiable(f"recovered base map fails the product law: {exc}")
+    base = _base_verdict(source_ext, T, tuple(h))
+    if isinstance(base, NotClassifiable):
+        return base
     try:
         triple = make_triple(base, u, phi, target_ext.lam)
     except IllFormedTriple as exc:
@@ -299,6 +304,31 @@ def recover_triple(
         first = next(i for i, (x, y) in enumerate(zip(rebuilt, sigma.mapping)) if x != y)
         return NotClassifiable(f"reconstruction differs at carrier index {first}")
     return triple
+
+
+def _base_verdict(
+    source_ext: BrandtExtension, T: FiniteSemigroup, h: tuple
+) -> Union[Homomorphism, NotClassifiable]:
+    """The product-law verdict on a recovered base map h: S -> T, the
+    checked Homomorphism or its NotClassifiable reason.
+
+    It depends on S, T and h alone, and every map out of one extension
+    recovers one of few h, so the verdicts are kept on the source extension
+    instance, by h, each with the target base it was decided against; an
+    entry serves only a call whose target base is that very object.  The
+    source extension lives as long as its caller holds it, and the entries
+    hold bases and base maps, never a carrier or a map between extensions.
+    """
+    verdicts = source_ext.__dict__.setdefault("_base_verdicts", {})
+    entry = verdicts.get(h)
+    if entry is not None and entry[0] is T:
+        return entry[1]
+    try:
+        verdict = check_homomorphism(h, source_ext.base, T)
+    except NotHomomorphism as exc:
+        verdict = NotClassifiable(f"recovered base map fails the product law: {exc}")
+    verdicts[h] = (T, verdict)
+    return verdict
 
 
 def compose_triples(t1: MorphismTriple, t2: MorphismTriple) -> MorphismTriple:
@@ -476,6 +506,17 @@ def image_decomposition(
     shares its memo with every carrier of its base and lam, so T0, the
     image and the extension of T0 are built once per target base and lam,
     not once per carrier.
+
+    What depends on a member set and not on the rest of sigma is set up
+    once per set, in the carriers' memos: under (lam, members of T0, z),
+    the extension of T0 once T0 has passed its zero and identity checks,
+    with the members of T0 in block order; under the image's members, the
+    image and each member's position in it; and in the source carrier's
+    memo, under lam and the offsets of the representatives, the witness's
+    reads of sigma as one ``itemgetter``.  Each entry is a function of its
+    carrier's value and its key, and a check that raises stores nothing.
+    Every call still reads sigma, checks the order (maps with one image
+    can have different T0s) and tests bijectivity.
     """
     _require_map(sigma, source_ext)
     if not isinstance(sigma.target, FiniteSemigroup):
@@ -491,30 +532,58 @@ def image_decomposition(
     # the first one is written last
     first = dict(zip(reversed(diagonal), reversed(source_ext.nonzero_base)))
     t0_globals = tuple(sorted({*first, z}))
-    T0 = _subsemigroup(big, t0_globals)
-    if T0.zero != t0_globals.index(z):
-        raise ConformanceError("image zero is not the zero of the diagonal block")
-    if T0.identity is None:
-        raise ConformanceError("diagonal block image is not a monoid")
-
-    ext0 = _memoized(T0, ("brandt_extension", lam), lambda: brandt_extension(T0, lam))
+    ext0, t0_order = _memoized(
+        big, ("diagonal_monoid", lam, t0_globals, z), _diagonal_monoid, big, t0_globals, z, lam
+    )
     image_globals = tuple(sorted(sigma.image))
     n = len(image_globals)
     if ext0.carrier.order != n:
         raise ConformanceError(
             f"image order {n} differs from the rebuilt extension order {ext0.carrier.order}"
         )
-    image_sg = _subsemigroup(big, image_globals)
-    local = dict(zip(image_globals, range(n)))
+    image_sg, local = _memoized(
+        big, ("image_positions", image_globals), _image_positions, big, image_globals
+    )
 
     # (a, t, b) goes to sigma(a, s, b) for the representative s of t
     position = source_ext.position
-    offsets = [position[first[t0_globals[t]]] for t in ext0.nonzero_base]
-    reads = [block + p for row in source_ext.block_starts for block in row for p in offsets]
-    mapping = (local[z], *map(local.__getitem__, map(images.__getitem__, reads)))
+    offsets = tuple([position[first[g]] for g in t0_order])
+    read = _memoized(
+        source_ext.carrier, ("witness_reads", lam, offsets), _block_reads, source_ext, offsets
+    )
+    mapping = (local[z], *map(local.__getitem__, read(images)))
     if len(set(mapping)) != n:
         raise ConformanceError("decomposition witness is not bijective")
-    return T0, Homomorphism(ext0.carrier, image_sg, mapping)
+    return ext0.base, Homomorphism(ext0.carrier, image_sg, mapping)
+
+
+def _diagonal_monoid(big: FiniteSemigroup, t0_globals: tuple, z: int, lam: int):
+    """The extension over lam indices of the subsemigroup T0 of ``big`` on
+    the sorted members t0_globals, once T0 has z as its zero and has an
+    identity (ConformanceError otherwise), with the members of T0 in the
+    order of the extension's blocks."""
+    T0 = _subsemigroup(big, t0_globals)
+    if T0.zero != t0_globals.index(z):
+        raise ConformanceError("image zero is not the zero of the diagonal block")
+    if T0.identity is None:
+        raise ConformanceError("diagonal block image is not a monoid")
+    ext0 = _memoized(T0, ("brandt_extension", lam), brandt_extension, T0, lam)
+    return ext0, tuple([t0_globals[t] for t in ext0.nonzero_base])
+
+
+def _image_positions(big: FiniteSemigroup, image_globals: tuple):
+    """The subsemigroup of ``big`` on the sorted members image_globals, with
+    the position of each member in it."""
+    return _subsemigroup(big, image_globals), dict(zip(image_globals, itertools.count()))
+
+
+def _block_reads(source_ext: BrandtExtension, offsets: tuple) -> Callable:
+    """One C-level read, as a tuple, of the carrier entries at the given
+    offsets of every block of source_ext, blocks in carrier order.  It
+    depends on the carrier's value and the key's lam and offsets alone."""
+    reads = [block + p for row in source_ext.block_starts for block in row for p in offsets]
+    # itemgetter of one index returns a bare value rather than a tuple
+    return itemgetter(*reads) if len(reads) > 1 else lambda seq: (seq[reads[0]],)
 
 
 def check_block_separation(

@@ -279,8 +279,8 @@ def _magma_generators(table) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _memoized(S: FiniteSemigroup, key, compute: Callable):
-    """``S._memo[key]``, calling ``compute()`` to fill it on first use.
+def _memoized(S: FiniteSemigroup, key, compute: Callable, *args):
+    """``S._memo[key]``, calling ``compute(*args)`` to fill it on first use.
 
     A call that raises stores nothing, so it raises again next time.
     """
@@ -288,7 +288,7 @@ def _memoized(S: FiniteSemigroup, key, compute: Callable):
     try:
         return memo[key]
     except KeyError:
-        return memo.setdefault(key, compute())
+        return memo.setdefault(key, compute(*args))
 
 
 def _sorted_elements(S: FiniteSemigroup, xs: Iterable, what: str) -> tuple:

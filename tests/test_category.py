@@ -68,6 +68,7 @@ from reference_kernel import (
     reference_subsemigroup,
 )
 from test_construct import assert_matches_validated
+from test_memo import fresh
 
 RANKS = tuple(itertools.combinations_with_replacement((1, 2, 3), 2))
 
@@ -490,14 +491,17 @@ def test_maps_built_by_construction_pass_the_all_pairs_check():
 def test_calculus_verifies_each_map_once(monkeypatch):
     """One completeness_rows() pass calls check_homomorphism 0 times, and
     recover_triple, image_decomposition and check_block_separation on
-    every zero-fixing map of its grid call it 219 times, once per map, on
-    the base map recover_triple reads off.  The induced and zero-moving
-    maps are homomorphisms by construction; verifying each took 255 calls
-    in the pass (474 in all).  recover_triple compares its rebuild with the
-    verified map it is handed instead of verifying the rebuild too, which
-    took 219 more calls, one per recovered map; image_decomposition's
-    witness is a homomorphism by construction and was verified once per
-    zero-fixing map, 219 more."""
+    every zero-fixing map of its grid call it 123 times for the 219 maps,
+    once per source extension, target base and recovered base map.  The
+    induced and zero-moving maps are homomorphisms by construction;
+    verifying each took 255 calls in the pass (474 in all).  recover_triple
+    compares its rebuild with the verified map it is handed instead of
+    verifying the rebuild too, which took 219 more calls, one per recovered
+    map; image_decomposition's witness is a homomorphism by construction
+    and was verified once per zero-fixing map, 219 more.  Checking the
+    product law of the recovered base map on every map took 219 calls.
+    Each grid point gets extensions of its own, since the verdicts live on
+    the source extension and earlier calls on the cached ones fill them."""
     calls = []
     check = category.check_homomorphism
 
@@ -508,17 +512,97 @@ def test_calculus_verifies_each_map_once(monkeypatch):
     monkeypatch.setattr(category, "check_homomorphism", counting)
     rows = completeness_rows()
     assert len(calls) == 0
+    corpus = acceptance_corpus()
     maps = 0
+    recovered = set()
     for s_name, t_name, l1, l2, *_ in rows:
-        src, dst, homs = _homs_between_extensions(s_name, t_name, l1, l2)
+        *_, homs = _homs_between_extensions(s_name, t_name, l1, l2)
+        src, dst = brandt_extension(corpus[s_name], l1), brandt_extension(corpus[t_name], l2)
         for h in homs:
             if h.mapping[0] == 0:
-                recover_triple(h, src, dst)
-                image_decomposition(h, src)
+                sigma = Homomorphism(src.carrier, dst.carrier, h.mapping)
+                recover_triple(sigma, src, dst)
+                image_decomposition(sigma, src)
                 if l1 >= 2:
-                    check_block_separation(h, src, dst)
+                    check_block_separation(sigma, src, dst)
+                recovered.add((s_name, t_name, l1, l2, _base_map_read_off(sigma, src, dst)))
                 maps += 1
-    assert (len(calls), maps) == (219, 219)
+    assert (len(calls), len(recovered), maps) == (123, 123, 219)
+
+
+def _base_map_read_off(sigma, src, dst):
+    """h(s), the middle of sigma(0, s, 0) or the target zero, read one
+    carrier index at a time."""
+    h = [dst.base.zero] * src.base.order
+    for s in src.nonzero_base:
+        image = sigma.mapping[src.encode(0, s, 0)]
+        if image != 0:
+            h[s] = dst.decode(image)[1]
+    return tuple(h)
+
+
+def test_each_target_base_gets_its_own_product_law_verdict():
+    """One source extension recovers the same base map, the identity of
+    chain(3), from the same map table into the rank-one extensions of
+    chain(3) and of C2^0, which list their identity, idempotent or g, and
+    zero at the same indices.  It is a homomorphism into chain(3) and not
+    into C2^0, where g * g = 1; alternated calls get each target's own
+    verdict, the one a fresh source extension gets."""
+    S, T = chain(3), cyclic_group_with_zero(2)
+    assert (S.order, S.zero, S.identity) == (T.order, T.zero, T.identity)
+    src = brandt_extension(S, 1)
+    targets = [brandt_extension(S, 1), brandt_extension(T, 1)]
+    identity = tuple(range(src.carrier.order))
+    sigmas = [Homomorphism(src.carrier, dst.carrier, identity) for dst in targets]
+    expected = [
+        recover_triple(sigma, brandt_extension(S, 1), dst) for sigma, dst in zip(sigmas, targets)
+    ]
+    assert expected[0] == identity_triple(S, 1)
+    assert expected[1].reason.startswith("recovered base map fails the product law")
+    for _ in range(2):
+        for sigma, dst, verdict in zip(sigmas, targets, expected):
+            assert _base_map_read_off(sigma, src, dst) == (0, 1, 2)
+            assert recover_triple(sigma, src, dst) == verdict
+
+
+def test_warm_calculus_caches_match_the_references():
+    """On every zero-fixing map of the completeness_rows() grid and of the
+    bases of the benchmark's triple sweep at lam1 <= lam2 <= 3, two rounds
+    of recover_triple and image_decomposition on the same extensions, the
+    second with every cache warm, return what the references return on
+    fresh extensions over fresh, equal bases."""
+    corpus = acceptance_corpus()
+    sources = [two_element(), chain(3), cyclic_group_with_zero(2), cyclic_group_with_zero(3)]
+    targets = [*sources, rect_band_with_unit_and_zero(), b2_with_identity()]
+    grid = [(corpus[s], corpus[t], l1, l2) for s, t, l1, l2, *_ in completeness_rows()]
+    grid += [(S, T, l1, l2) for S in sources for T in targets for l1, l2 in RANKS]
+    maps = 0
+    for S, T, l1, l2 in grid:
+        src, dst = brandt_extension(S, l1), brandt_extension(T, l2)
+        sigmas = [
+            sigma
+            for sigma in enumerate_homs(src.carrier, dst.carrier, nontrivial_only=True)
+            if sigma.mapping[0] == 0
+        ]
+        src0, dst0 = brandt_extension(fresh(S), l1), brandt_extension(fresh(T), l2)
+        expected = []
+        for sigma in sigmas:
+            unmemoized = Homomorphism(src0.carrier, dst0.carrier, sigma.mapping)
+            image_globals = sorted(sigma.image)
+            reads = [sigma.mapping[src.encode(0, s, 0)] for s in src.nonzero_base]
+            T0 = reference_subsemigroup(dst.carrier, sorted({sigma.mapping[0], *reads}))
+            ext0 = brandt_extension(T0, l1)
+            witness = reference_image_witness(unmemoized, src0, ext0, image_globals)
+            verdict = reference_recover_triple(unmemoized, src0, dst0)
+            expected.append((verdict, T0, ext0.carrier.table, witness))
+        for _ in range(2):
+            for sigma, (verdict, T0, table0, witness) in zip(sigmas, expected):
+                assert recover_triple(sigma, src, dst) == verdict
+                got_T0, got_witness = image_decomposition(sigma, src)
+                assert got_T0 == T0 and got_witness.source.table == table0
+                assert got_witness.mapping == witness
+        maps += len(sigmas)
+    assert maps > 2000
 
 
 def test_calculus_validates_no_member_list(monkeypatch):
@@ -586,50 +670,50 @@ def _planted(defect, plant, reason):
     return pytest.param(plant, reason, id=f"<lambda>-{defect}")
 
 
-@pytest.mark.parametrize(
-    "plant, reason",
-    [
-        _planted(
-            "anchor unit maps to zero",
-            lambda ext: (ext.unit_index(0, 0), 0),
-            r"unit \(0,1,0\) maps to zero",
-        ),
-        _planted(
-            "anchor unit image is off the diagonal",
-            lambda ext: (ext.unit_index(0, 0), ext.unit_index(0, 1)),
-            "reconstruction differs at carrier index {where}$",
-        ),
-        _planted(
-            "anchor image middle is not idempotent",
-            lambda ext: (ext.unit_index(0, 0), ext.encode(0, 2, 0)),
-            "recovered base map fails the product law",
-        ),
-        (lambda ext: (ext.unit_index(1, 0), 0), r"unit \(1,1,0\) maps to zero"),
-        _planted(
-            r"unit \(1,1,0\) image leaves the anchor column",
-            lambda ext: (ext.unit_index(1, 0), ext.unit_index(1, 1)),
-            "reconstruction differs at carrier index {where}$",
-        ),
-        _planted(
-            "diagonal block image leaks outside the anchor block",
-            lambda ext: (ext.encode(0, 2, 0), ext.encode(1, 2, 1)),
-            "reconstruction differs at carrier index {where}$",
-        ),
-        (
-            lambda ext: (ext.encode(0, 2, 0), ext.encode(0, 1, 0)),
-            "recovered base map fails the product law",
-        ),
-        (
-            lambda ext: (ext.unit_index(1, 0), ext.encode(1, 1, 0)),
-            r"weight '\(1,1\)' outside the maximal subgroup at '1'",
-        ),
-        (
-            lambda ext: (ext.unit_index(1, 0), ext.unit_index(0, 0)),
-            "index map is not injective",
-        ),
-        (lambda ext: (ext.encode(0, 2, 1), 0), "reconstruction differs at carrier index {where}$"),
-    ],
-)
+PLANTED_DEFECTS = [
+    _planted(
+        "anchor unit maps to zero",
+        lambda ext: (ext.unit_index(0, 0), 0),
+        r"unit \(0,1,0\) maps to zero",
+    ),
+    _planted(
+        "anchor unit image is off the diagonal",
+        lambda ext: (ext.unit_index(0, 0), ext.unit_index(0, 1)),
+        "reconstruction differs at carrier index {where}$",
+    ),
+    _planted(
+        "anchor image middle is not idempotent",
+        lambda ext: (ext.unit_index(0, 0), ext.encode(0, 2, 0)),
+        "recovered base map fails the product law",
+    ),
+    (lambda ext: (ext.unit_index(1, 0), 0), r"unit \(1,1,0\) maps to zero"),
+    _planted(
+        r"unit \(1,1,0\) image leaves the anchor column",
+        lambda ext: (ext.unit_index(1, 0), ext.unit_index(1, 1)),
+        "reconstruction differs at carrier index {where}$",
+    ),
+    _planted(
+        "diagonal block image leaks outside the anchor block",
+        lambda ext: (ext.encode(0, 2, 0), ext.encode(1, 2, 1)),
+        "reconstruction differs at carrier index {where}$",
+    ),
+    (
+        lambda ext: (ext.encode(0, 2, 0), ext.encode(0, 1, 0)),
+        "recovered base map fails the product law",
+    ),
+    (
+        lambda ext: (ext.unit_index(1, 0), ext.encode(1, 1, 0)),
+        r"weight '\(1,1\)' outside the maximal subgroup at '1'",
+    ),
+    (
+        lambda ext: (ext.unit_index(1, 0), ext.unit_index(0, 0)),
+        "index map is not injective",
+    ),
+    (lambda ext: (ext.encode(0, 2, 1), 0), "reconstruction differs at carrier index {where}$"),
+]
+
+
+@pytest.mark.parametrize("plant, reason", PLANTED_DEFECTS)
 def test_recover_triple_reports_each_planted_defect(plant, reason):
     """One image of the identity on the rank-2 extension of B2 with an
     identity, replaced as ``plant`` says, is reported by the check that
@@ -649,6 +733,31 @@ def test_recover_triple_reports_each_planted_defect(plant, reason):
     verdict = recover_triple(sigma, ext, ext)
     assert isinstance(verdict, NotClassifiable)
     assert re.search(reason.format(where=where), verdict.reason), verdict.reason
+
+
+def test_planted_defects_get_their_verdicts_again_on_one_extension():
+    """The cases above, planted into maps out of one extension object and
+    run twice in turn, each call after every verdict the earlier calls
+    left, get their reasons each time; the identity map between them
+    still recovers the identity triple."""
+    ext = brandt_extension(b2_with_identity(), 2)
+    identity = tuple(range(ext.carrier.order))
+    cases = []
+    for case in PLANTED_DEFECTS:
+        plant, reason = getattr(case, "values", case)
+        where, image = plant(ext)
+        mapping = list(identity)
+        mapping[where] = image
+        sigma = Homomorphism(source=ext.carrier, target=ext.carrier, mapping=tuple(mapping))
+        cases.append((sigma, reason.format(where=where)))
+    unit = Homomorphism(source=ext.carrier, target=ext.carrier, mapping=identity)
+    first = [recover_triple(sigma, ext, ext) for sigma, _ in cases]
+    for _ in range(2):
+        for (sigma, reason), verdict in zip(cases, first):
+            again = recover_triple(sigma, ext, ext)
+            assert isinstance(again, NotClassifiable) and again == verdict
+            assert re.search(reason, again.reason), again.reason
+            assert recover_triple(unit, ext, ext) == identity_triple(ext.base, 2)
 
 
 def test_recover_triple_matches_the_reference_on_every_map():
@@ -983,19 +1092,19 @@ def _image_defect(defect):
     return src, b3x, tuple(mapping)
 
 
-@pytest.mark.parametrize(
-    "defect, message",
-    [
-        ("diagonal image absorbs the image of the zero", "image zero is not the zero"),
-        ("T0 is a group", "image zero is not the zero"),
-        ("diagonal image squares to zero", "diagonal block image is not a monoid"),
-        (
-            "an off-diagonal unit vanishes",
-            "image order 4 differs from the rebuilt extension order 5",
-        ),
-        ("a witness value repeats", "decomposition witness is not bijective"),
-    ],
-)
+BROKEN_IMAGES = [
+    ("diagonal image absorbs the image of the zero", "image zero is not the zero"),
+    ("T0 is a group", "image zero is not the zero"),
+    ("diagonal image squares to zero", "diagonal block image is not a monoid"),
+    (
+        "an off-diagonal unit vanishes",
+        "image order 4 differs from the rebuilt extension order 5",
+    ),
+    ("a witness value repeats", "decomposition witness is not bijective"),
+]
+
+
+@pytest.mark.parametrize("defect, message", BROKEN_IMAGES)
 def test_image_decomposition_reports_each_broken_image(defect, message):
     """Each ConformanceError of image_decomposition is reached by a map
     built by hand, which no homomorphism could be: a T0 whose zero is not
@@ -1006,6 +1115,21 @@ def test_image_decomposition_reports_each_broken_image(defect, message):
     sigma = Homomorphism(source=src.carrier, target=dst.carrier, mapping=mapping)
     with pytest.raises(ConformanceError, match=message):
         image_decomposition(sigma, src)
+
+
+def test_broken_images_raise_again_and_store_nothing_new():
+    """The cases above, each built once and run twice in turn on the same
+    extensions, raise their ConformanceError each time, and a repeated call
+    leaves both carriers' memos as it found them."""
+    cases = [(_image_defect(defect), message) for defect, message in BROKEN_IMAGES]
+    for round_ in range(2):
+        for (src, dst, mapping), message in cases:
+            sigma = Homomorphism(source=src.carrier, target=dst.carrier, mapping=mapping)
+            keys = set(src.carrier._memo), set(dst.carrier._memo)
+            with pytest.raises(ConformanceError, match=message):
+                image_decomposition(sigma, src)
+            if round_:
+                assert (set(src.carrier._memo), set(dst.carrier._memo)) == keys
 
 
 def test_block_separation_on_clean_endomorphisms():

@@ -31,9 +31,12 @@ from brandt import (
     image_decomposition,
     matrix_unit_exclusion,
     maximal_subgroup,
+    recover_triple,
     subsemigroup,
 )
 from brandt import construct, core
+from brandt.category import MorphismTriple
+from brandt.homs import Homomorphism
 from brandt.construct import brandt_extension, matrix_units_extension
 from brandt.corpus import acceptance_corpus, chain, cyclic_group_with_zero
 from test_homs import associative_tables, mulclose
@@ -140,6 +143,29 @@ def test_the_shared_memo_outlives_its_carriers_and_keeps_none_alive():
     ):
         T0_again, witness_again = image_decomposition(sigma, src)
         assert T0_again is T0 and witness_again.source is witness.source
+
+
+def test_calculus_caches_keep_no_map_extension_or_carrier_alive():
+    # recover_triple keeps its verdicts on the source extension and
+    # image_decomposition its set-up in the carriers' shared memos; once
+    # the maps, the extensions and the carriers are dropped, all are freed,
+    # and equal extensions built again meet the same T0
+    S, T = fresh(chain(3)), fresh(cyclic_group_with_zero(2))
+    src, dst = brandt_extension(S, 2), brandt_extension(T, 2)
+    sigmas = enumerate_homs(src.carrier, dst.carrier, nontrivial_only=True)
+    verdicts = [recover_triple(sigma, src, dst) for sigma in sigmas]
+    decompositions = [image_decomposition(sigma, src) for sigma in sigmas]
+    assert verdicts and all(isinstance(v, MorphismTriple) for v in verdicts)
+    refs = [weakref.ref(x) for x in (src, dst, src.carrier, dst.carrier, *sigmas)]
+    del src, dst, sigmas
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+    src, dst = brandt_extension(S, 2), brandt_extension(T, 2)
+    sigmas = enumerate_homs(src.carrier, dst.carrier, nontrivial_only=True)
+    assert [recover_triple(sigma, src, dst) for sigma in sigmas] == verdicts
+    for sigma, (T0, witness) in zip(sigmas, decompositions):
+        T0_again, witness_again = image_decomposition(sigma, src)
+        assert T0_again is T0 and witness_again == witness
 
 
 def test_image_decomposition_memo_hits_match_fresh_computation():
@@ -303,3 +329,39 @@ def test_threads_reading_one_fresh_memo_get_one_dict():
     assert not any(t.is_alive() for t in threads)
     assert results == [(vars(box)["value"], vars(S)["_memo"])] * 8
     assert all(value is box.value and memo is S._memo for value, memo in results)
+
+
+def test_threads_alternating_targets_on_one_source_get_their_own_verdicts():
+    # eight threads share one source extension and its verdicts, half of
+    # them recovering into B_1(chain(3)) and half into B_1(C2^0) with the
+    # same map table and so the same base map; an entry decided for the
+    # other target is never served, however the writes interleave
+    S, T = fresh(chain(3)), fresh(cyclic_group_with_zero(2))
+    src = brandt_extension(S, 1)
+    targets = [brandt_extension(S, 1), brandt_extension(T, 1)]
+    identity = tuple(range(src.carrier.order))
+    sigmas = [check_homomorphism(identity, src.carrier, targets[0].carrier)]
+    sigmas.append(Homomorphism(src.carrier, targets[1].carrier, identity))
+    expected = [
+        recover_triple(sigma, brandt_extension(S, 1), dst) for sigma, dst in zip(sigmas, targets)
+    ]
+    assert isinstance(expected[0], MorphismTriple) and not isinstance(expected[1], MorphismTriple)
+    barrier = threading.Barrier(8)
+    results = [None] * 8
+
+    def work(i):
+        barrier.wait(timeout=60)
+        results[i] = [recover_triple(sigmas[i % 2], src, targets[i % 2]) for _ in range(200)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[expected[i % 2]] * 200 for i in range(8)]
