@@ -29,20 +29,25 @@ coordinate blocks: the block (a, b) is m consecutive carrier indices from
 block_starts[a][b], (a, s, b) at offset position[s], and the extension's
 tabulated coords and positions stand in for per-index decoding and encoding.
 
-Each fact is checked by one function.  make_triple alone validates triple
-data.  recover_triple checks the product law of a recovered base map once
-per source extension, target base and base map, not once per map.
-_require_map is the precondition of recover_triple, image_decomposition,
-check_block_separation and compose_and_check: a non-constant map
-(TrivialInput) out of the given extension (Mismatch), whose base is a
-monoid (NoIdentity).  _check_ranks requires a positive source
-rank, monoids with zero named as the source or target base, and
-lam1 <= lam2 (Mismatch).  These raise rather than return NotClassifiable;
-``homs --classify`` prints their messages as the verdict.  The maps the
-calculus builds, induced, zero-moving and image witnesses, are
-homomorphisms by construction, with the proofs in the docstrings of
-induced_hom, extension_homs and image_decomposition, so none is verified
-again; brute force checks them in the tests and sweeps.
+Each fact is checked by one function, once per call.  make_triple
+validates triple data a caller hands in.  The triples the calculus builds
+itself, in _triples and recover_triple, are built directly: the docstrings
+of those two prove every check they skip, and recover_triple keeps the two
+a recovered triple can fail.  recover_triple checks the product law of a
+recovered base map once per source extension, target base and base map,
+not once per map.  _require_map is the precondition of recover_triple,
+image_decomposition, check_block_separation and compose_and_check: a
+non-constant map (TrivialInput) out of the given extension (Mismatch),
+whose base is a monoid (NoIdentity).  _check_ranks requires a positive
+source rank and a monoid with zero as the source base, then
+_check_target a monoid with zero as the target base and lam1 <= lam2
+(Mismatch); recover_triple, whose source base _require_map has checked,
+calls _check_target alone.  These raise rather than return
+NotClassifiable; ``homs --classify`` prints their messages as the
+verdict.  The maps the calculus builds, induced, zero-moving and image
+witnesses, are homomorphisms by construction, with the proofs in the
+docstrings of induced_hom, extension_homs and image_decomposition, so none
+is verified again; brute force checks them in the tests and sweeps.
 core.maximal_subgroup gives H(e) with its inverses.
 """
 
@@ -115,11 +120,11 @@ def make_triple(
     index_map,
     index_codomain: int,
 ) -> MorphismTriple:
-    """Validate triple data; no other function does.  In order: both bases
-    are monoids with zero (NoZero, NoIdentity), then, raising IllFormedTriple,
-    h fixes the zero, h(1_S) is the zero only if h is constant, every weight
-    lies in H(h(1_S)) (H(0) = {0}), and the index map covers the weights'
-    non-empty index set, injectively, into range(index_codomain)."""
+    """Validate triple data from a caller.  In order: both bases are monoids
+    with zero (NoZero, NoIdentity), then, raising IllFormedTriple, h fixes
+    the zero, h(1_S) is the zero only if h is constant, every weight lies in
+    H(h(1_S)) (H(0) = {0}), and the index map covers the weights' non-empty
+    index set, injectively, into range(index_codomain)."""
     S, T = base.source, base.target
     require_monoid_with_zero(S, "triple source")
     require_monoid_with_zero(T, "triple target")
@@ -130,16 +135,13 @@ def make_triple(
         raise IllFormedTriple("identity collapses to zero but the map is not constant")
     weights = tuple(weights)
     index_map = tuple(index_map)
-    group = maximal_subgroup(T, e).inverses
-    bad = [w for w in weights if w not in group]
-    if bad:
-        raise IllFormedTriple(
-            f"weight {T.labels[bad[0]]!r} outside the maximal subgroup at {T.labels[e]!r}"
-        )
+    outside = _weight_outside(T, e, maximal_subgroup(T, e).inverses, weights)
+    if outside:
+        raise IllFormedTriple(outside)
     if not weights or len(weights) != len(index_map):
         raise IllFormedTriple("weights and index map must cover the same index set")
     if len(set(index_map)) != len(index_map):
-        raise IllFormedTriple("index map is not injective")
+        raise IllFormedTriple(_NOT_INJECTIVE)
     if any(not (0 <= v < index_codomain) for v in index_map):
         raise IllFormedTriple("index map leaves the target index set")
     return MorphismTriple(
@@ -148,6 +150,18 @@ def make_triple(
         index_map=index_map,
         index_codomain=index_codomain,
     )
+
+
+_NOT_INJECTIVE = "index map is not injective"
+
+
+def _weight_outside(T: FiniteSemigroup, e: int, group, weights) -> str:
+    """The reason naming the first weight that is not a key of ``group``,
+    the inverses in H(e), or "" when every weight lies in H(e)."""
+    for w in weights:
+        if w not in group:
+            return f"weight {T.labels[w]!r} outside the maximal subgroup at {T.labels[e]!r}"
+    return ""
 
 
 def identity_triple(S: FiniteSemigroup, lam: int) -> MorphismTriple:
@@ -200,7 +214,8 @@ def induced_hom(
         raise Mismatch("source extension does not match the triple")
     if not _same(target_ext.base, T) or target_ext.lam != triple.index_codomain:
         raise Mismatch("target extension does not match the triple")
-    mapping = _induced_mapping(triple, source_ext, target_ext)
+    inv = maximal_subgroup(T, triple.idempotent).inverses
+    mapping = _induced_mapping(triple, source_ext, target_ext, inv)
     return Homomorphism(source_ext.carrier, target_ext.carrier, tuple(mapping))
 
 
@@ -208,14 +223,15 @@ def _induced_mapping(
     triple: MorphismTriple,
     source_ext: BrandtExtension,
     target_ext: BrandtExtension,
+    inv,
 ) -> list[int]:
-    """The carrier map the triple induces between its own extensions;
-    induced_hom checks the extensions and wraps it."""
+    """The carrier map the triple induces between its own extensions, given
+    the inverses ``inv`` in H(h(1_S)); induced_hom checks the extensions and
+    wraps it."""
     mapping = [0] * source_ext.carrier.order
     T = triple.base.target
     tz = T.zero
     tt = T.table
-    inv = maximal_subgroup(T, triple.idempotent).inverses
     u = triple.weights
     phi = triple.index_map
     position = target_ext.position
@@ -264,16 +280,29 @@ def recover_triple(
     u(0) = h(1_S), so the triple is canonical.  A unit image at the zero
     has no coordinates and is the one reason reported before the triple is
     read; otherwise the verdict is the recovered base map's product law,
-    make_triple's reasons, or whether the map the triple induces reproduces
-    ``sigma`` exactly.  ``sigma`` is a verified homomorphism, so that
-    rebuild is not verified again.  The product law depends on S, T and h
-    alone and is checked once per source extension, target base and h
-    (``_base_verdict``); make_triple, the rebuild and the comparison with
-    ``sigma`` run on every call.
+    a weight outside H(e), phi not injective, or whether the map the
+    triple induces reproduces ``sigma`` exactly.  ``sigma`` is a verified
+    homomorphism, so that rebuild is not verified again.  The product law
+    depends on S, T and h alone and is checked once per source extension,
+    target base and h (``_base_verdict``); the rest runs on every call.
+
+    The triple is built without make_triple, whose other checks a
+    recovered triple passes by how it is read:
+    - both bases are monoids with zero: _require_map checks the source
+      base and _check_target the target base;
+    - h(0) = 0: h starts as the zero everywhere and only the nonzero
+      elements of S are read;
+    - h(1_S) is not the zero: h(1_S) = u(0) is the middle of the nonzero
+      element sigma(0, 1, 0), and a nonzero element of an extension has a
+      nonzero middle;
+    - weights and phi have the same length lam1 >= 1, one entry per row
+      of source blocks, and phi lies in range(lam2), as each phi(b) is a
+      row read from ``coords`` of the target extension.
+    The H(e) inverses found for the weight check serve the rebuild.
     """
     _require_map(sigma, source_ext, target_ext.carrier)
     S, T = source_ext.base, target_ext.base
-    _check_ranks(S, T, source_ext.lam, target_ext.lam)
+    _check_target(T, source_ext.lam, target_ext.lam)
 
     one = source_ext.position[S.identity]  # offset of the units in their blocks
     coords = target_ext.coords
@@ -295,11 +324,15 @@ def recover_triple(
     base = _base_verdict(source_ext, T, tuple(h))
     if isinstance(base, NotClassifiable):
         return base
-    try:
-        triple = make_triple(base, u, phi, target_ext.lam)
-    except IllFormedTriple as exc:
-        return NotClassifiable(str(exc))
-    rebuilt = tuple(_induced_mapping(triple, source_ext, target_ext))
+    e = u[0]  # = h(1_S)
+    inv = maximal_subgroup(T, e).inverses
+    reason = _weight_outside(T, e, inv, u)
+    if not reason and len(set(phi)) != len(phi):
+        reason = _NOT_INJECTIVE
+    if reason:
+        return NotClassifiable(reason)
+    triple = MorphismTriple(base, tuple(u), tuple(phi), target_ext.lam)
+    rebuilt = tuple(_induced_mapping(triple, source_ext, target_ext, inv))
     if rebuilt != sigma.mapping:
         first = next(i for i, (x, y) in enumerate(zip(rebuilt, sigma.mapping)) if x != y)
         return NotClassifiable(f"reconstruction differs at carrier index {first}")
@@ -354,6 +387,10 @@ def _check_ranks(S: FiniteSemigroup, T: FiniteSemigroup, lam1: int, lam2: int):
     if lam1 < 1:
         raise ShapeError(f"lambda must be positive, got {lam1}")
     require_monoid_with_zero(S, "source base")
+    _check_target(T, lam1, lam2)
+
+
+def _check_target(T: FiniteSemigroup, lam1: int, lam2: int):
     require_monoid_with_zero(T, "target base")
     if lam1 > lam2:
         raise Mismatch("source index set exceeds the target one")
@@ -362,7 +399,16 @@ def _check_ranks(S: FiniteSemigroup, T: FiniteSemigroup, lam1: int, lam2: int):
 def _triples(homs, lam1: int, lam2: int, canonical: bool = False):
     """The triples over the zero-preserving maps in ``homs``, in list order:
     weights over H(h(1_S))^lam1 in product order, then all injections.
-    With ``canonical`` only those with u(0) = h(1_S), one per induced map."""
+    With ``canonical`` only those with u(0) = h(1_S), one per induced map.
+
+    The callers have passed the bases through _check_ranks, and each h is
+    a homomorphism from their search, so the triples are built without
+    make_triple, whose checks they pass by construction: h(0) = 0 is the
+    filter below; if h(1_S) is the zero then h(s) = h(s) * h(1_S) = 0
+    for every s, so h is constant; the weights are lam1 >= 1 members of
+    H(h(1_S)); and every index map is an injection of range(lam1) into
+    range(lam2), from itertools.permutations.
+    """
     injections = list(itertools.permutations(range(lam2), lam1))
     for h in homs:
         S, T = h.source, h.target
@@ -373,7 +419,7 @@ def _triples(homs, lam1: int, lam2: int, canonical: bool = False):
         first = (e,) if canonical else members
         for w in itertools.product(first, *[members] * (lam1 - 1)):
             for phi in injections:
-                yield make_triple(h, w, phi, lam2)
+                yield MorphismTriple(h, w, phi, lam2)
 
 
 def enumerate_triples(
@@ -601,6 +647,8 @@ def check_block_separation(
     (a, 1, b) in its target block, in (a, b) order, as the units are read.
     Raises HypothesisUnmet when the target base fails the exclusion
     hypotheses and ConformanceError when a guaranteed assertion fails.
+    A source element whose images vanish in every block passes both
+    per-element checks, so it is skipped after one count.
     """
     _require_map(sigma, source_ext, target_ext.carrier)
     lam1 = source_ext.lam
@@ -633,12 +681,16 @@ def check_block_separation(
     m2 = len(target_ext.nonzero_base)
     labels = source_ext.base.labels
     images = sigma.mapping
+    blocks = len(spans)
     for p, s in enumerate(source_ext.nonzero_base):
         row = [images[src + p] for _, _, src, _ in spans]
+        vanished = row.count(0)
+        if vanished == blocks:
+            continue
         for (a, b, _, dst), img in zip(spans, row):
             if img != 0 and not dst <= img < dst + m2:
                 raise ConformanceError(f"image of ({a},{labels[s]},{b}) leaves its block")
-        if 0 < row.count(0) < len(row):
+        if vanished:
             raise ConformanceError(f"vanishing pattern of {labels[s]} is not uniform")
 
     return tuple(placed)

@@ -344,11 +344,13 @@ def matrix_unit_exclusion(T: FiniteSemigroup, lam: int) -> bool:
         raise NoZero("the rank-dependent exclusion needs a zero")
     if lam < 2:
         raise ShapeError("matrix-unit rank must be at least 2")
-    return _memoized(
-        T,
-        ("matrix_unit_exclusion", lam),
-        lambda: find_matrix_unit_copy(T, 2, anchor_zero=True) is None
-        and find_matrix_unit_copy(T, lam) is None,
+    return _memoized(T, ("matrix_unit_exclusion", lam), _excludes_matrix_units, T, lam)
+
+
+def _excludes_matrix_units(T: FiniteSemigroup, lam: int) -> bool:
+    return (
+        find_matrix_unit_copy(T, 2, anchor_zero=True) is None
+        and find_matrix_unit_copy(T, lam) is None
     )
 
 

@@ -53,8 +53,8 @@ from typing import Optional
 from brandt.category import (
     NotClassifiable,
     _check_ranks,
-    _induced_mapping,
     _require_map,
+    induced_hom,
     make_triple,
 )
 from brandt.core import (
@@ -553,7 +553,7 @@ def reference_recover_triple(sigma, source_ext, target_ext):
         triple = make_triple(base, u, phi, target_ext.lam)
     except IllFormedTriple as exc:
         return NotClassifiable(str(exc))
-    rebuilt = tuple(_induced_mapping(triple, source_ext, target_ext))
+    rebuilt = induced_hom(triple, source_ext, target_ext).mapping
     if rebuilt != sigma.mapping:
         first = next(i for i, (x, y) in enumerate(zip(rebuilt, sigma.mapping)) if x != y)
         return NotClassifiable(f"reconstruction differs at carrier index {first}")

@@ -109,6 +109,23 @@ def test_triple_validation():
     assert t.is_trivial and t.idempotent == E.zero
     with pytest.raises(IllFormedTriple, match="outside the maximal subgroup"):
         make_triple(zero_base, (2, 1), (0, 1), 2)
+    # two weights over one index, and one weight over two
+    for weights, index_map in (((1, 1), (0,)), ((1,), (0, 1))):
+        with pytest.raises(IllFormedTriple, match="cover the same index set"):
+            make_triple(base, weights, index_map, 2)
+
+
+def test_induced_hom_rejects_the_right_bases_at_the_wrong_lambda():
+    """Each extension must match the triple in its base and in its lambda;
+    the right base alone is not enough on either side."""
+    E = example_e()
+    t = ex2_14_triple()  # lam 2 into lam 2
+    ext, wide = brandt_extension(E, 2), brandt_extension(E, 3)
+    assert induced_hom(t, ext, ext).source is ext.carrier
+    with pytest.raises(Mismatch, match="source extension does not match"):
+        induced_hom(t, wide, ext)
+    with pytest.raises(Mismatch, match="target extension does not match"):
+        induced_hom(t, ext, wide)
 
 
 def test_constant_zero_triples_induce_the_zero_map():
@@ -420,18 +437,64 @@ def test_completeness_rows_search_each_base_pair_once(monkeypatch):
 
 def test_completeness_rows_build_one_triple_per_induced_map(monkeypatch):
     """extension_homs builds only the canonical triples, u(0) = h(1_S), so
-    one completeness_rows() pass validates one triple per induced map."""
-    calls = []
-    make = category.make_triple
+    one completeness_rows() pass builds one triple per induced map, and
+    validates none through make_triple."""
+    built, validated = [], []
+    triples, make = category._triples, category.make_triple
 
-    def counting(*args, **kwargs):
-        calls.append(1)
+    def counting_triples(*args, **kwargs):
+        for t in triples(*args, **kwargs):
+            built.append(t)
+            yield t
+
+    def counting_make(*args, **kwargs):
+        validated.append(1)
         return make(*args, **kwargs)
 
-    monkeypatch.setattr(category, "make_triple", counting)
+    monkeypatch.setattr(category, "_triples", counting_triples)
+    monkeypatch.setattr(category, "make_triple", counting_make)
     rows = completeness_rows()
     induced = sum(len(from_triples) for *_, from_triples, _ in rows)
-    assert (len(calls), induced) == (219, 219)
+    assert (len(built), induced, len(validated)) == (219, 219, 0)
+
+
+def oracle_grid_bases():
+    """The corpus, C3^0 and three targets that are not classifiable: rect,
+    B2 with an identity, and the rank-2 matrix units with an identity and
+    a new zero."""
+    return [
+        *acceptance_corpus().values(),
+        cyclic_group_with_zero(3),
+        rect_band_with_unit_and_zero(),
+        b2_with_identity(),
+        matrix_units_with_identity_and_new_zero(2),
+    ]
+
+
+def test_triples_the_calculus_builds_pass_make_triple():
+    """The triples enumerate_triples and recover_triple build without
+    make_triple equal, field by field and in type, what make_triple makes
+    of their data, over the grid of the recover_triple oracle below: the
+    constant-zero triples of enumerate_triples included, and every
+    non-trivial map recover_triple reads a triple from."""
+    bases = oracle_grid_bases()
+
+    def validated(t):
+        return make_triple(t.base, t.weights, t.index_map, t.index_codomain)
+
+    listed = recovered = 0
+    for S, T in itertools.product(bases, repeat=2):
+        for l1, l2 in RANKS[:-1]:
+            for t in enumerate_triples(S, T, l1, l2, nontrivial_only=False):
+                assert t == validated(t), t
+                listed += 1
+            src, dst = brandt_extension(S, l1), brandt_extension(T, l2)
+            for sigma in enumerate_homs(src.carrier, dst.carrier, nontrivial_only=True):
+                t = recover_triple(sigma, src, dst)
+                if isinstance(t, category.MorphismTriple):
+                    assert t == validated(t), t
+                    recovered += 1
+    assert (listed, recovered) == (6564, 4542)
 
 
 def test_calculus_calls_no_per_index_encode_or_decode(monkeypatch):
@@ -767,13 +830,7 @@ def test_recover_triple_matches_the_reference_on_every_map():
     classifiable (rect, B2 with an identity, and the rank-2 matrix units
     with an identity and a new zero), at lam1 <= lam2 <= 3 up to (2, 3),
     zero-moving maps included."""
-    bases = [
-        *acceptance_corpus().values(),
-        cyclic_group_with_zero(3),
-        rect_band_with_unit_and_zero(),
-        b2_with_identity(),
-        matrix_units_with_identity_and_new_zero(2),
-    ]
+    bases = oracle_grid_bases()
     maps = zero_moving = 0
     verdicts = set()
     for S, T in itertools.product(bases, repeat=2):
@@ -1171,6 +1228,11 @@ def test_block_separation_hypothesis_gate():
             r"image of \(0,x1,1\) leaves its block",
         ),
         (lambda ext: (ext.encode(0, 1, 1), 0), "vanishing pattern of x1 is not uniform"),
+        (
+            # the first index past the (0, 0) block, where the (0, 1) block starts
+            lambda ext: (ext.encode(0, 1, 0), ext.block_starts[0][0] + len(ext.nonzero_base)),
+            r"image of \(0,x1,0\) leaves its block",
+        ),
     ],
 )
 def test_block_separation_reports_each_planted_defect(plant, message):
