@@ -19,7 +19,6 @@ from .core import (
     NoZero,
     ParseError,
     ShapeError,
-    TooLarge,
     TrivialInput,
     build_semigroup,
     maximal_subgroup,
@@ -36,7 +35,6 @@ from .search import (
     is_congruence_free,
     iso_search,
     matrix_unit_exclusion,
-    principal_congruence,
 )
 from .classify import (
     PropertyReport,

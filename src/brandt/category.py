@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Union
 
 from .core import (
@@ -69,6 +68,7 @@ from .core import (
     TrivialInput,
     _memoized,
     _subsemigroup,
+    _tuple_getter,
     maximal_subgroup,
     require_monoid_with_zero,
 )
@@ -216,7 +216,7 @@ def induced_hom(
         raise Mismatch("target extension does not match the triple")
     inv = maximal_subgroup(T, triple.idempotent).inverses
     mapping = _induced_mapping(triple, source_ext, target_ext, inv)
-    return Homomorphism(source_ext.carrier, target_ext.carrier, tuple(mapping))
+    return Homomorphism(source_ext.carrier, target_ext.carrier, mapping)
 
 
 def _induced_mapping(
@@ -224,7 +224,7 @@ def _induced_mapping(
     source_ext: BrandtExtension,
     target_ext: BrandtExtension,
     inv,
-) -> list[int]:
+) -> tuple[int, ...]:
     """The carrier map the triple induces between its own extensions, given
     the inverses ``inv`` in H(h(1_S)); induced_hom checks the extensions and
     wraps it."""
@@ -249,7 +249,7 @@ def _induced_mapping(
                 if middle == tz:
                     raise ConformanceError("induced middle vanished on a nonzero image")
                 mapping[src + p] = dst + position[middle]
-    return mapping
+    return tuple(mapping)
 
 
 @dataclass(frozen=True)
@@ -332,7 +332,7 @@ def recover_triple(
     if reason:
         return NotClassifiable(reason)
     triple = MorphismTriple(base, tuple(u), tuple(phi), target_ext.lam)
-    rebuilt = tuple(_induced_mapping(triple, source_ext, target_ext, inv))
+    rebuilt = _induced_mapping(triple, source_ext, target_ext, inv)
     if rebuilt != sigma.mapping:
         first = next(i for i, (x, y) in enumerate(zip(rebuilt, sigma.mapping)) if x != y)
         return NotClassifiable(f"reconstruction differs at carrier index {first}")
@@ -451,27 +451,29 @@ def extension_homs(
     One search finds the non-constant base homomorphisms h: S -> T.  A
     zero-preserving h induces a map from each canonical triple (h, u, phi),
     u(0) = e = h(1_S), which the generator behind enumerate_triples builds
-    directly, and every triple-induced map appears exactly once.  At a rank-one
-    source, an h with h(0_S) != 0_T gives one zero-moving map per target
-    index a, living on the diagonal block (a, a):
-    (0, s, 0) |-> (a, h(s), a), the extension zero going to (a, h(0_S), a).
-    The image of a moved zero is an idempotent absorbing every image on
-    both sides, so at rank two or more the units, and with them every
-    element, would be sent to it; there zero_moving is empty.  Both kinds
-    are homomorphisms by construction and are not verified: the induced
-    maps by induced_hom's proof, and a zero-moving map because
-    f = h(0_S) != 0_T absorbs h(S), so 0_T is not in h(S) (else
-    f = f * 0_T = 0_T), and (0, s, 0) |-> (a, h(s), a) then respects every
-    product inside the one block.
+    directly, and every triple-induced map appears exactly once.  At a
+    rank-one source, an h with h(0_S) != 0_T gives one zero-moving map per
+    target index a, living on the diagonal block (a, a): (0, s, 0) |->
+    (a, h(s), a), the extension zero going to (a, h(0_S), a).  The image of
+    a moved zero is an idempotent absorbing every image on both sides, so
+    at rank two or more the units, and with them every element, would be
+    sent to it; there zero_moving is empty.  Both kinds are homomorphisms
+    by construction and are not verified: the induced maps by induced_hom's
+    proof (their triples are built over these extensions, so its match
+    checks are skipped), and a zero-moving map because f = h(0_S) != 0_T
+    absorbs h(S), so 0_T is not in h(S) (else f = f * 0_T = 0_T), and
+    (0, s, 0) |-> (a, h(s), a) then respects every product inside the one
+    block.
     """
     S, T = source_ext.base, target_ext.base
     lam1, lam2 = source_ext.lam, target_ext.lam
     _check_ranks(S, T, lam1, lam2)
     homs = enumerate_homs(S, T, nontrivial_only=True)
-    induced = [
-        induced_hom(t, source_ext, target_ext)
-        for t in _triples(homs, lam1, lam2, canonical=True)
-    ]
+    induced = []
+    for t in _triples(homs, lam1, lam2, canonical=True):
+        inv = maximal_subgroup(T, t.idempotent).inverses
+        mapping = _induced_mapping(t, source_ext, target_ext, inv)
+        induced.append(Homomorphism(source_ext.carrier, target_ext.carrier, mapping))
     zero_moving = []
     moving = [h for h in homs if h.mapping[S.zero] != T.zero] if lam1 == 1 else []
     # the rank-one source is the zero, then (0, s, 0) in base order
@@ -505,11 +507,11 @@ def compose_and_check(
         raise TrivialInput("expects a non-constant second map")
     composite = compose_homs(s1, s2)
     zero3 = s2.target.zero
-    lam = source_ext.lam
+    one = source_ext.position[source_ext.base.identity]  # offset of the units
     predicate = any(
-        s2.mapping[s1.mapping[source_ext.unit_index(a, b)]] != zero3
-        for a in range(lam)
-        for b in range(lam)
+        s2.mapping[s1.mapping[start + one]] != zero3
+        for row in source_ext.block_starts
+        for start in row
     )
     if predicate == composite.is_trivial:
         raise ConformanceError(
@@ -547,11 +549,10 @@ def image_decomposition(
     of the image, so it is injective exactly when it is surjective, and
     one test for a repeated value decides bijectivity.  T0 and the image
     are memoized subsemigroups of the target, built from the sorted member
-    tuples read here without validating them again, and the extension of
-    T0 is memoized on T0.  A target carrier built by ``brandt_extension``
-    shares its memo with every carrier of its base and lam, so T0, the
-    image and the extension of T0 are built once per target base and lam,
-    not once per carrier.
+    tuples read here without validating them again.  A target carrier
+    built by ``brandt_extension`` shares its memo with every carrier of
+    its base and lam, so T0, the image and the extension of T0 are built
+    once per target base and lam, not once per carrier.
 
     What depends on a member set and not on the rest of sigma is set up
     once per set, in the carriers' memos: under (lam, members of T0, z),
@@ -607,13 +608,14 @@ def _diagonal_monoid(big: FiniteSemigroup, t0_globals: tuple, z: int, lam: int):
     """The extension over lam indices of the subsemigroup T0 of ``big`` on
     the sorted members t0_globals, once T0 has z as its zero and has an
     identity (ConformanceError otherwise), with the members of T0 in the
-    order of the extension's blocks."""
+    order of the extension's blocks.  Only T0's own zero passes, so its
+    memo entry builds the extension once per T0 and lam."""
     T0 = _subsemigroup(big, t0_globals)
     if T0.zero != t0_globals.index(z):
         raise ConformanceError("image zero is not the zero of the diagonal block")
     if T0.identity is None:
         raise ConformanceError("diagonal block image is not a monoid")
-    ext0 = _memoized(T0, ("brandt_extension", lam), brandt_extension, T0, lam)
+    ext0 = brandt_extension(T0, lam)
     return ext0, tuple([t0_globals[t] for t in ext0.nonzero_base])
 
 
@@ -628,8 +630,7 @@ def _block_reads(source_ext: BrandtExtension, offsets: tuple) -> Callable:
     offsets of every block of source_ext, blocks in carrier order.  It
     depends on the carrier's value and the key's lam and offsets alone."""
     reads = [block + p for row in source_ext.block_starts for block in row for p in offsets]
-    # itemgetter of one index returns a bare value rather than a tuple
-    return itemgetter(*reads) if len(reads) > 1 else lambda seq: (seq[reads[0]],)
+    return _tuple_getter(reads)
 
 
 def check_block_separation(

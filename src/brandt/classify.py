@@ -5,13 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import FiniteSemigroup
-from .search import (
-    DEFAULT_CONGRUENCE_BOUND,
-    excludes_b2,
-    is_congruence_free,
-    matrix_unit_exclusion,
-)
+from .core import BudgetExceeded, FiniteSemigroup
+from .search import excludes_b2, is_congruence_free, matrix_unit_exclusion
 
 
 @dataclass(frozen=True)
@@ -22,7 +17,7 @@ class PropertyReport:
     Howie, *Fundamentals of Semigroup Theory*, 1995, Thm 5.1.1 and §4.2):
     a semigroup is inverse iff it is regular and its idempotents commute,
     and Clifford iff it is regular and its idempotents are central.
-    ``congruence_free`` is None when the order exceeds the congruence bound.
+    ``congruence_free`` is None when ``is_congruence_free`` runs out of budget.
     ``blambda_free`` holds the rank-dependent matrix-unit exclusion per
     queried rank (None when the semigroup has no zero).
     ``classifiable_target`` marks the monoids with zero for which the
@@ -86,9 +81,10 @@ def classify(S: FiniteSemigroup, lambdas=()) -> PropertyReport:
     clifford = regular and central
     primitive_inverse = inverse and _nonzero_idempotents_primitive(S)
 
-    congruence_free = (
-        is_congruence_free(S) if S.order <= DEFAULT_CONGRUENCE_BOUND else None
-    )
+    try:
+        congruence_free = is_congruence_free(S)
+    except BudgetExceeded:
+        congruence_free = None
 
     b2 = excludes_b2(S)
     blambda = {}

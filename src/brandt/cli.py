@@ -16,14 +16,7 @@ import sys
 from .category import NotClassifiable, recover_triple
 from .classify import classify
 from .construct import brandt_extension, matrix_units_extension
-from .core import (
-    AlgebraError,
-    BudgetExceeded,
-    Mismatch,
-    NoIdentity,
-    TooLarge,
-    TrivialInput,
-)
+from .core import AlgebraError, BudgetExceeded, Mismatch, NoIdentity, TrivialInput
 from .fixtures import FIXTURES
 from .homs import DEFAULT_BUDGET, enumerate_homs
 from .search import iso_search
@@ -193,7 +186,7 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.func(args, budget)
-    except (BudgetExceeded, TooLarge) as exc:
+    except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (AlgebraError, OSError) as exc:

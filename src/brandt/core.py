@@ -81,10 +81,6 @@ class NoIdentity(AlgebraError):
     pass
 
 
-class TooLarge(AlgebraError):
-    pass
-
-
 class BudgetExceeded(AlgebraError):
     pass
 
@@ -291,6 +287,14 @@ def _memoized(S: FiniteSemigroup, key, compute: Callable, *args):
         return memo.setdefault(key, compute(*args))
 
 
+def _tuple_getter(indices: Sequence[int]) -> Callable:
+    """``itemgetter(*indices)``, which returns a tuple for one index too."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
+
+
 def _sorted_elements(S: FiniteSemigroup, xs: Iterable, what: str) -> tuple:
     """The elements xs of S in ascending order, without repeats.
 
@@ -451,8 +455,7 @@ def _subsemigroup(S: FiniteSemigroup, members: tuple[int, ...]) -> FiniteSemigro
     def build():
         table = S.table
         pos = {x: i for i, x in enumerate(members)}
-        # itemgetter of one index returns a bare value rather than a tuple
-        pick = itemgetter(*members) if len(members) > 1 else lambda row: (row[members[0]],)
+        pick = _tuple_getter(members)
         try:
             sub = tuple(tuple(map(pos.__getitem__, pick(table[x]))) for x in members)
         except KeyError:

@@ -35,11 +35,11 @@ from typing import Optional
 
 from .construct import matrix_units
 from .core import (
+    BudgetExceeded,
     FiniteSemigroup,
     NotHomomorphism,
     NoZero,
     ShapeError,
-    TooLarge,
     _sorted_elements,
     _memoized,
 )
@@ -167,12 +167,12 @@ def _principal_congruences(S: FiniteSemigroup):
     smaller sum was closed before: it is met as a known congruence and
     unioned, not translated.  The known congruences live only as long as
     the generator; equal ones share one tuple.  Refuses orders above the
-    congruence bound, with TooLarge at the first ``next``, rather than
-    degrade silently.
+    congruence bound, with BudgetExceeded at the first ``next``, rather
+    than degrade silently.
     """
     n = S.order
     if n > DEFAULT_CONGRUENCE_BOUND:
-        raise TooLarge(f"order {n} exceeds the congruence bound {DEFAULT_CONGRUENCE_BOUND}")
+        raise BudgetExceeded(f"order {n} exceeds the congruence bound {DEFAULT_CONGRUENCE_BOUND}")
     w = [_product_count(S.table, x) for x in range(n)]
     pairs = sorted(itertools.combinations(range(n), 2), key=lambda p: w[p[0]] + w[p[1]])
     known: list = [None] * (n * n)
@@ -194,10 +194,6 @@ def _join(p, q) -> tuple[int, ...]:
     _union_classes(parent, p)
     _union_classes(parent, q)
     return _normalize_partition(lambda x: _find(parent, x), len(p))
-
-
-def principal_congruence(S: FiniteSemigroup, a: int, b: int) -> tuple[int, ...]:
-    return congruence_closure(S, [(a, b)])
 
 
 def identity_partition(n: int) -> tuple[int, ...]:
@@ -234,7 +230,7 @@ def congruence_lattice(S: FiniteSemigroup) -> list[tuple[int, ...]]:
     unions its classes untranslated.  Two congruences join as
     equivalences (``_join``): a chain whose steps lie in either translates
     step by step, so the join is a congruence and needs no translations.
-    Above the congruence bound, ``_principal_congruences`` raises TooLarge.
+    Past the congruence bound, ``_principal_congruences`` raises BudgetExceeded.
     """
     n = S.order
     found = {identity_partition(n), *(theta for _, theta in _principal_congruences(S))}

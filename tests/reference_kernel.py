@@ -65,7 +65,6 @@ from brandt.core import (
     NotHomomorphism,
     NoZero,
     ShapeError,
-    TooLarge,
     build_semigroup,
     maximal_subgroup,
 )
@@ -75,7 +74,6 @@ from brandt.search import (
     _normalize_partition,
     congruence_closure,
     identity_partition,
-    principal_congruence,
     universal_partition,
 )
 
@@ -261,11 +259,11 @@ def reference_congruence_lattice(S: FiniteSemigroup) -> list[tuple[int, ...]]:
     """
     n = S.order
     if n > DEFAULT_CONGRUENCE_BOUND:
-        raise TooLarge(f"order {n} exceeds the congruence bound {DEFAULT_CONGRUENCE_BOUND}")
+        raise BudgetExceeded(f"order {n} exceeds the congruence bound {DEFAULT_CONGRUENCE_BOUND}")
     found = {identity_partition(n)}
     for a in range(n):
         for b in range(a + 1, n):
-            found.add(principal_congruence(S, a, b))
+            found.add(congruence_closure(S, [(a, b)]))
 
     def join(p, q):
         pairs = []
@@ -299,13 +297,13 @@ def reference_is_congruence_free(S: FiniteSemigroup) -> bool:
     """
     n = S.order
     if n > DEFAULT_CONGRUENCE_BOUND:
-        raise TooLarge(f"order {n} exceeds the congruence bound {DEFAULT_CONGRUENCE_BOUND}")
+        raise BudgetExceeded(f"order {n} exceeds the congruence bound {DEFAULT_CONGRUENCE_BOUND}")
     if n < 2:
         return False
     universal = universal_partition(n)
     for a in range(n):
         for b in range(a + 1, n):
-            if principal_congruence(S, a, b) != universal:
+            if congruence_closure(S, [(a, b)]) != universal:
                 return False
     return True
 

@@ -437,25 +437,30 @@ def test_completeness_rows_search_each_base_pair_once(monkeypatch):
 
 def test_completeness_rows_build_one_triple_per_induced_map(monkeypatch):
     """extension_homs builds only the canonical triples, u(0) = h(1_S), so
-    one completeness_rows() pass builds one triple per induced map, and
-    validates none through make_triple."""
-    built, validated = [], []
-    triples, make = category._triples, category.make_triple
+    one completeness_rows() pass builds one triple per induced map.  It
+    validates none through make_triple, and builds each map without
+    induced_hom, whose extension checks took 219 calls."""
+    built, validated, checked = [], [], []
+    triples, make, induce = category._triples, category.make_triple, category.induced_hom
 
     def counting_triples(*args, **kwargs):
         for t in triples(*args, **kwargs):
             built.append(t)
             yield t
 
-    def counting_make(*args, **kwargs):
-        validated.append(1)
-        return make(*args, **kwargs)
+    def counting(calls, function):
+        def count(*args, **kwargs):
+            calls.append(1)
+            return function(*args, **kwargs)
+
+        return count
 
     monkeypatch.setattr(category, "_triples", counting_triples)
-    monkeypatch.setattr(category, "make_triple", counting_make)
+    monkeypatch.setattr(category, "make_triple", counting(validated, make))
+    monkeypatch.setattr(category, "induced_hom", counting(checked, induce))
     rows = completeness_rows()
     induced = sum(len(from_triples) for *_, from_triples, _ in rows)
-    assert (len(built), induced, len(validated)) == (219, 219, 0)
+    assert (len(built), induced, len(validated), len(checked)) == (219, 219, 0, 0)
 
 
 def oracle_grid_bases():
@@ -499,11 +504,12 @@ def test_triples_the_calculus_builds_pass_make_triple():
 
 def test_calculus_calls_no_per_index_encode_or_decode(monkeypatch):
     """The calculus strides whole coordinate blocks and reads the tabulated
-    coords and positions.  One completeness_rows() pass, and recover_triple,
+    coords and positions.  One completeness_rows() pass, recover_triple,
     image_decomposition and check_block_separation on every zero-fixing map
-    of its grid, call BrandtExtension.encode and decode not at all.
+    of its grid, and compose_and_check on the 2,464 composable pairs of the
+    prop2-16 fixture call BrandtExtension.encode and decode not at all.
     Decoding and encoding one carrier index at a time took 2,002 and 7,174
-    calls."""
+    calls, and compose_and_check 3,472 encode calls on those pairs."""
     calls = []
     for name in ("encode", "decode"):
         method = getattr(BrandtExtension, name)
@@ -525,7 +531,14 @@ def test_calculus_calls_no_per_index_encode_or_decode(monkeypatch):
                 if l1 >= 2:
                     check_block_separation(h, src, dst)
                 maps += 1
-    assert (len(calls), maps) == (0, 219)
+    pairs = 0
+    for s_name, t_name, r_name in itertools.product(acceptance_corpus(), repeat=3):
+        src, _, homs1 = _homs_between_extensions(s_name, t_name, 2, 2)
+        _, _, homs2 = _homs_between_extensions(t_name, r_name, 2, 2)
+        for h1, h2 in itertools.product(homs1, homs2):
+            compose_and_check(h1, h2, src)
+            pairs += 1
+    assert (len(calls), maps, pairs) == (0, 219, 2464)
 
 
 def test_maps_built_by_construction_pass_the_all_pairs_check():

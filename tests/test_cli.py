@@ -223,6 +223,16 @@ def test_homs_without_legend_reports_reason(e_file, capsys):
     assert "NOT-CLASSIFIABLE(no extension coordinates" in out
 
 
+def test_homs_into_a_file_without_legend_reports_the_target(tmp_path, e_file, capsys):
+    source = tmp_path / "e1.sgp"
+    source.write_text(write_extension(brandt_extension(example_e(), 1)))
+    assert main(["homs", str(source), e_file, "--nontrivial", "--classify"]) == 0
+    *maps, total = capsys.readouterr().out.splitlines()
+    assert (len(maps), total) == (7, "# 7 homomorphism(s)")
+    reason = f"  NOT-CLASSIFIABLE(no extension coordinates in {e_file})"
+    assert all(line.endswith(reason) for line in maps)
+
+
 def test_iso_exit_codes(tmp_path, e_file, two_file, capsys):
     assert main(["iso", e_file, e_file]) == 0
     assert main(["iso", e_file, two_file]) == 1

@@ -26,6 +26,7 @@ from brandt import (
     NoZero,
     ShapeError,
     build_semigroup,
+    check_block_separation,
     check_homomorphism,
     enumerate_homs,
     image_decomposition,
@@ -224,6 +225,60 @@ def test_image_decomposition_builds_each_structure_once(monkeypatch):
     # unmemoized, each call would build three tables: 3 * 184 = 552
     assert len(built) == expected
     assert (expected, calls) == (32, 184)
+
+
+def memo_kinds(*bases):
+    """The first element of every key in every memo reachable from the
+    bases: their own, the extension memos they keep, and the memos of the
+    semigroups and extensions stored in those."""
+    kinds, seen = set(), set()
+
+    def walk(value):
+        if isinstance(value, core.FiniteSemigroup):
+            walk_memo(vars(value).get("_memo", {}))
+        elif isinstance(value, construct.BrandtExtension):
+            walk(value.base)
+            walk(value.carrier)
+        elif isinstance(value, tuple):
+            for item in value:
+                walk(item)
+
+    def walk_memo(memo):
+        if id(memo) in seen:
+            return
+        seen.add(id(memo))
+        for key, value in memo.items():
+            kinds.add(key[0])
+            if key[0] == "extension_memo":
+                walk_memo(value)
+            else:
+                walk(value)
+
+    for S in bases:
+        walk(S)
+    return kinds
+
+
+def test_the_calculus_keeps_seven_kinds_of_memo_entry():
+    # a new kind of cache changes this set on purpose; the extension of T0
+    # is kept once, in the diagonal entry of the target carrier's memo
+    S, T = fresh(chain(3)), fresh(cyclic_group_with_zero(2))
+    for l1, l2 in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)):
+        src, dst = brandt_extension(S, l1), brandt_extension(T, l2)
+        for sigma in enumerate_homs(src.carrier, dst.carrier, nontrivial_only=True):
+            recover_triple(sigma, src, dst)
+            image_decomposition(sigma, src)
+            if l1 >= 2:
+                check_block_separation(sigma, src, dst)
+    assert memo_kinds(S, T) == {
+        "subsemigroup",
+        "maximal_subgroup",
+        "extension_memo",
+        "matrix_unit_exclusion",
+        "diagonal_monoid",
+        "image_positions",
+        "witness_reads",
+    }
 
 
 def test_threads_racing_on_one_memo_keep_one_entry_per_key():
