@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import BudgetExceeded, FiniteSemigroup
+from .core import BudgetExceeded, FiniteSemigroup, _memoized
 from .search import excludes_b2, is_congruence_free, matrix_unit_exclusion
 
 
@@ -70,11 +70,11 @@ def _nonzero_idempotents_primitive(S: FiniteSemigroup) -> bool:
     )
 
 
-def classify(S: FiniteSemigroup, lambdas=()) -> PropertyReport:
-    """Compute every structure flag of the report, each predicate once;
-    inverse and Clifford by the characterizations on ``PropertyReport``,
-    primitive inverse as inverse with a zero and every non-zero idempotent
-    primitive.  No other function decides these three."""
+def _structure_flags(S: FiniteSemigroup) -> dict:
+    """Every flag of the report but ``blambda_free``, by field name, each
+    predicate once; inverse and Clifford by the characterizations on
+    ``PropertyReport``, primitive inverse as inverse with a zero and every
+    non-zero idempotent primitive.  No other function decides these three."""
     regular = is_regular(S)
     central = idempotents_central(S)
     inverse = regular and _idempotents_commute(S)
@@ -87,15 +87,8 @@ def classify(S: FiniteSemigroup, lambdas=()) -> PropertyReport:
         congruence_free = None
 
     b2 = excludes_b2(S)
-    blambda = {}
-    for lam in lambdas:
-        if S.zero is None or lam < 2:
-            blambda[lam] = None  # the exclusion is defined for rank >= 2 only
-        else:
-            blambda[lam] = matrix_unit_exclusion(S, lam)
-
     monoid_with_zero = S.identity is not None and S.zero is not None
-    return PropertyReport(
+    return dict(
         monoid_with_zero=monoid_with_zero,
         regular=regular,
         inverse=inverse,
@@ -104,7 +97,27 @@ def classify(S: FiniteSemigroup, lambdas=()) -> PropertyReport:
         primitive_inverse=primitive_inverse,
         congruence_free=congruence_free,
         b2_free=b2,
-        blambda_free=blambda,
         classifiable_target=monoid_with_zero and central and b2,
         primitivity_no_zero_caveat=S.zero is None,
     )
+
+
+def classify(S: FiniteSemigroup, lambdas=()) -> PropertyReport:
+    """The structure flags of S, with ``blambda_free`` at each rank in
+    ``lambdas``.
+
+    The flags that do not depend on a rank are computed once per table by
+    ``_structure_flags`` and kept under ("structure_flags",) in S's memo,
+    which equal extension carriers share, so a sweep that classifies one
+    target at many ranks computes them once.  ``blambda_free`` reads the
+    memoized ``matrix_unit_exclusion`` per rank.  Each call returns a new
+    report with a dict of its own.
+    """
+    flags = _memoized(S, ("structure_flags",), _structure_flags, S)
+    blambda = {}
+    for lam in lambdas:
+        if S.zero is None or lam < 2:
+            blambda[lam] = None  # the exclusion is defined for rank >= 2 only
+        else:
+            blambda[lam] = matrix_unit_exclusion(S, lam)
+    return PropertyReport(blambda_free=blambda, **flags)

@@ -25,7 +25,6 @@ from .core import (
     ConformanceError,
     FiniteSemigroup,
     FunctionSemigroup,
-    NoIdentity,
     NoZero,
     ShapeError,
     _memoized,
@@ -91,12 +90,6 @@ class BrandtExtension:
     @property
     def zero(self) -> int:
         return 0
-
-    def unit_index(self, a: int, b: int) -> int:
-        """Carrier index of (a, 1_S, b)."""
-        if self.base.identity is None:
-            raise NoIdentity("base has no identity")
-        return self.encode(a, self.base.identity, b)
 
     def __repr__(self) -> str:
         return f"BrandtExtension(lam={self.lam}, base={self.base!r})"

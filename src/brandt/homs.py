@@ -31,10 +31,16 @@ reordered most constraining first, by descending |x·S| + |S·x| (as in
 symmetry-breaking semigroup searches: A. Distler, PhD thesis, St Andrews,
 2010).  On a Brandt extension that puts the units (a, 1_S, b) first; their
 images decide most products, so each later generator meets many decided
-rules and the filters leave it few candidates.  ``search.iso_search`` runs
-the kernel injectively over profile-compatible candidates with every
-element a generator, in index order, so that its first witness is the
-lexicographically smallest.
+rules and the filters leave it few candidates.  The program depends on
+the source alone, so ``enumerate_homs`` keeps it in the source's memo when
+the source already has one (``core._memoized``): every extension carrier
+built with the default labels shares a memo with its equal carriers, and a
+base has one once it has been extended, so a sweep over one base and rank
+grid compiles once per source value.  A table nothing has been derived
+from compiles per call and keeps nothing.  ``search.iso_search`` runs the
+kernel injectively over profile-compatible candidates with every element a
+generator, in index order, so that its first witness is the
+lexicographically smallest; it compiles per call.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from .core import (
     NotHomomorphism,
     ShapeError,
     _grow_closure,
+    _memoized,
     cached_property,
 )
 
@@ -182,9 +189,9 @@ def _branch_order(S: FiniteSemigroup) -> list[int]:
     return sorted(generating_set(S), key=lambda x: _product_count(t, x), reverse=True)
 
 
-def _compile(A: FiniteSemigroup, branch_order) -> list:
+def _compile(A: FiniteSemigroup, branch_order) -> tuple:
     """One level ``(x, filters, prog)`` per generator x that the earlier
-    ones do not generate.
+    ones do not generate, all of it tuples, so that searches may share it.
 
     D_k, the elements decided after the k-th level, is the subsemigroup the
     first k generators g_1, ..., g_k generate.  Words over them are ordered
@@ -297,26 +304,34 @@ def _compile(A: FiniteSemigroup, branch_order) -> list:
                 prog.append((parent[p], last[p], p, True, len(prog) + 1))
             for a, g, q in completed:
                 prog.append((a, g, q, False, len(prog) + 1))
-        levels.append((x, filters, prog))
-    return levels
+        levels.append((x, tuple(filters), tuple(prog)))
+    return tuple(levels)
+
+
+def _program(S: FiniteSemigroup) -> tuple:
+    """The program ``enumerate_homs`` runs from S: ``_compile`` over
+    ``_branch_order(S)``."""
+    return _compile(S, _branch_order(S))
 
 
 def _search_maps(
     A: FiniteSemigroup,
     B: FiniteSemigroup,
-    branch_order,
+    levels,
     domains,
     injective: bool = False,
     budget: int = DEFAULT_BUDGET,
 ):
     """Yield every product-respecting total map A -> B the search reaches.
 
-    The elements of ``branch_order`` are the generators, and they must
-    generate A.  The search branches, level by level of ``_compile``, on
-    the generators not already generated by earlier ones.  At the level of
-    x it first narrows ``domains[x]`` by the level's filters, keeping the
-    order: for (x, g) it keeps the y with y·h(g) = h(x·g), for (c, x) the
-    y with h(c)·y = h(c·x), and it prunes the branch once no y is left.
+    ``levels`` is the program ``_compile(A, branch_order)``, for a branch
+    order whose elements generate A; the kernel only reads it, so one
+    program serves every search from A.  The search branches, level by
+    level, on the generators not already generated by earlier ones.  At
+    the level of x it first narrows ``domains[x]`` by the level's filters,
+    keeping the order: for (x, g) it keeps the y with y·h(g) = h(x·g), for
+    (c, x) the y with h(c)·y = h(c·x), and it prunes the branch once no y
+    is left.
     Then it sets h(x) = y for each survivor in turn and runs the level's
     program straight through, stopping at the first failed check (or, with
     ``injective``, the first repeated image).  A level writes only its own
@@ -330,7 +345,6 @@ def _search_maps(
     limit.
     """
     tb = B.table
-    levels = _compile(A, branch_order)
     fwd: list = [None] * A.order
     used = [False] * B.order  # read only when injective: one preimage each
     steps = 0
@@ -411,12 +425,19 @@ def enumerate_homs(
     generator's images decide many products, the more rules each later
     generator meets decided, so the fewer candidates survive its filters.
     Output is sorted by map table, so the order changes the work and not
-    the result.  Raises BudgetExceeded past ``budget`` steps, a step being
-    one product defined or checked, or one candidate filter by a decided
-    rule.
+    the result.  The compiled program is kept under ("hom_program",) in
+    S's memo if S has one, and reused by every later search from S or an
+    equal carrier sharing that memo; a plain ``build_semigroup`` table is
+    compiled per call and given no memo.  Raises BudgetExceeded past
+    ``budget`` steps, a step being one product defined or checked, or one
+    candidate filter by a decided rule.
     """
+    if "_memo" in vars(S):
+        levels = _memoized(S, ("hom_program",), _program, S)
+    else:
+        levels = _program(S)
     domains = [range(T.order)] * S.order
-    maps = sorted(_search_maps(S, T, _branch_order(S), domains, budget=budget))
+    maps = sorted(_search_maps(S, T, levels, domains, budget=budget))
     if nontrivial_only:
         maps = [f for f in maps if len(set(f)) > 1]
     return [Homomorphism(source=S, target=T, mapping=f) for f in maps]

@@ -46,6 +46,7 @@ from .core import (
 from .homs import (
     DEFAULT_BUDGET,
     Homomorphism,
+    _compile,
     _product_count,
     _search_maps,
     check_homomorphism,
@@ -405,6 +406,5 @@ def iso_search(A: FiniteSemigroup, B: FiniteSemigroup, budget: int = DEFAULT_BUD
     if Counter(pa) != Counter(pb):
         return None
     candidates = [[y for y in range(n) if pb[y] == pa[x]] for x in range(n)]
-    return next(
-        _search_maps(A, B, range(n), candidates, injective=True, budget=budget), None
-    )
+    levels = _compile(A, range(n))
+    return next(_search_maps(A, B, levels, candidates, injective=True, budget=budget), None)

@@ -260,7 +260,7 @@ def test_zero_moving_needs_rank_one_source():
 def realized_idempotents(induced, source_ext, target_ext):
     """The middle coordinate of each map's image of the unit (0, 1, 0)."""
     return {
-        target_ext.decode(sigma.mapping[source_ext.unit_index(0, 0)])[1]
+        target_ext.decode(sigma.mapping[source_ext.encode(0, source_ext.base.identity, 0)])[1]
         for sigma in induced
     }
 
@@ -749,23 +749,23 @@ def _planted(defect, plant, reason):
 PLANTED_DEFECTS = [
     _planted(
         "anchor unit maps to zero",
-        lambda ext: (ext.unit_index(0, 0), 0),
+        lambda ext: (ext.encode(0, ext.base.identity, 0), 0),
         r"unit \(0,1,0\) maps to zero",
     ),
     _planted(
         "anchor unit image is off the diagonal",
-        lambda ext: (ext.unit_index(0, 0), ext.unit_index(0, 1)),
+        lambda ext: (ext.encode(0, ext.base.identity, 0), ext.encode(0, ext.base.identity, 1)),
         "reconstruction differs at carrier index {where}$",
     ),
     _planted(
         "anchor image middle is not idempotent",
-        lambda ext: (ext.unit_index(0, 0), ext.encode(0, 2, 0)),
+        lambda ext: (ext.encode(0, ext.base.identity, 0), ext.encode(0, 2, 0)),
         "recovered base map fails the product law",
     ),
-    (lambda ext: (ext.unit_index(1, 0), 0), r"unit \(1,1,0\) maps to zero"),
+    (lambda ext: (ext.encode(1, ext.base.identity, 0), 0), r"unit \(1,1,0\) maps to zero"),
     _planted(
         r"unit \(1,1,0\) image leaves the anchor column",
-        lambda ext: (ext.unit_index(1, 0), ext.unit_index(1, 1)),
+        lambda ext: (ext.encode(1, ext.base.identity, 0), ext.encode(1, ext.base.identity, 1)),
         "reconstruction differs at carrier index {where}$",
     ),
     _planted(
@@ -778,11 +778,11 @@ PLANTED_DEFECTS = [
         "recovered base map fails the product law",
     ),
     (
-        lambda ext: (ext.unit_index(1, 0), ext.encode(1, 1, 0)),
+        lambda ext: (ext.encode(1, ext.base.identity, 0), ext.encode(1, 1, 0)),
         r"weight '\(1,1\)' outside the maximal subgroup at '1'",
     ),
     (
-        lambda ext: (ext.unit_index(1, 0), ext.unit_index(0, 0)),
+        lambda ext: (ext.encode(1, ext.base.identity, 0), ext.encode(0, ext.base.identity, 0)),
         "index map is not injective",
     ),
     (lambda ext: (ext.encode(0, 2, 1), 0), "reconstruction differs at carrier index {where}$"),
@@ -1143,10 +1143,10 @@ def _image_defect(defect):
         dst = brandt_extension(cyclic_group_with_zero(2), 1)
         return two1, dst, (dst.encode(0, 0, 0), dst.encode(0, 1, 0))
     if defect == "diagonal image squares to zero":
-        return two1, b2x, (0, b2x.unit_index(0, 1))
+        return two1, b2x, (0, b2x.encode(0, b2x.base.identity, 1))
     if defect == "an off-diagonal unit vanishes":
         mapping = list(range(5))
-        mapping[b2x.unit_index(0, 1)] = 0
+        mapping[b2x.encode(0, b2x.base.identity, 1)] = 0
         return b2x, b2x, tuple(mapping)
     # the rank-2 extension of chain(3) onto the B2 inside B3: the diagonal
     # block collapses onto the unit (0,1,0), so T0 has order 2 and the
@@ -1157,8 +1157,8 @@ def _image_defect(defect):
     mapping = [0] * src.carrier.order
     for (a, b), (mu, nu) in image.items():
         for s in src.nonzero_base:
-            mapping[src.encode(a, s, b)] = b3x.unit_index(mu, nu)
-    mapping[src.encode(0, 1, 1)] = b3x.unit_index(1, 0)
+            mapping[src.encode(a, s, b)] = b3x.encode(mu, b3x.base.identity, nu)
+    mapping[src.encode(0, 1, 1)] = b3x.encode(1, b3x.base.identity, 0)
     return src, b3x, tuple(mapping)
 
 
@@ -1230,10 +1230,10 @@ def test_block_separation_hypothesis_gate():
 @pytest.mark.parametrize(
     "plant, message",
     [
-        (lambda ext: (0, ext.unit_index(0, 0)), "zero image is not the zero"),
-        (lambda ext: (ext.unit_index(0, 1), 0), r"unit \(0,1,1\) maps to zero"),
+        (lambda ext: (0, ext.encode(0, ext.base.identity, 0)), "zero image is not the zero"),
+        (lambda ext: (ext.encode(0, ext.base.identity, 1), 0), r"unit \(0,1,1\) maps to zero"),
         (
-            lambda ext: (ext.unit_index(0, 1), ext.unit_index(0, 0)),
+            lambda ext: (ext.encode(0, ext.base.identity, 1), ext.encode(0, ext.base.identity, 0)),
             "distinct units share a coordinate block",
         ),
         (
@@ -1276,7 +1276,7 @@ def test_restriction_to_unit_copy_detects_triviality():
     for S in (example_e(), cyclic_group_with_zero(2)):
         ext = brandt_extension(S, 2)
         unit_copy = [0] + [
-            ext.unit_index(a, b) for a in range(2) for b in range(2)
+            ext.encode(a, ext.base.identity, b) for a in range(2) for b in range(2)
         ]
         for h in enumerate_homs(ext.carrier, ext.carrier):
             restricted = {h.mapping[i] for i in unit_copy}

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brandt import (
-    NoIdentity,
     NoZero,
     ShapeError,
     build_semigroup,
@@ -255,8 +254,6 @@ def test_extension_warning_flag_for_non_monoid_base():
     assert glued.identity is None
     ext = brandt_extension(glued, 2)
     assert ext.base.identity is None
-    with pytest.raises(NoIdentity):
-        ext.unit_index(0, 0)
 
 
 def test_double_extension_examples():

@@ -290,7 +290,8 @@ def test_compiled_kernel_matches_reference_kernel_on_every_small_table():
             for T in tables:
                 domains = [range(T.order)] * S.order
                 for injective in (False, True):
-                    got = list(_search_maps(S, T, order, domains, injective=injective))
+                    levels = _compile(S, order)
+                    got = list(_search_maps(S, T, levels, domains, injective=injective))
                     want = reference_search_maps(S, T, order, domains, injective=injective)
                     assert got == list(want)
 
@@ -461,7 +462,7 @@ def test_forward_checking_keeps_sub_domain_order(s_table, t_table, data):
     )
     for injective in (False, True):
         for order in orders:
-            got = list(_search_maps(S, T, order, domains, injective=injective))
+            got = list(_search_maps(S, T, _compile(S, order), domains, injective=injective))
             want = list(reference_search_maps(S, T, order, domains, injective=injective))
             assert got == want
 
@@ -470,7 +471,7 @@ def greedy_order_homs(S, T):
     """Oracle: the sorted maps of the kernel branching in the greedy order
     of ``generating_set(S)``."""
     domains = [range(T.order)] * S.order
-    return sorted(_search_maps(S, T, generating_set(S), domains))
+    return sorted(_search_maps(S, T, _compile(S, generating_set(S)), domains))
 
 
 def assert_branch_order_permutes_the_generators(S):
@@ -513,7 +514,7 @@ def test_branch_order_puts_the_units_first_on_relabeled_extensions():
     ext = brandt_extension(rect_band_with_unit_and_zero(), 3)
     C = ext.carrier
     n = C.order
-    units = {ext.unit_index(a, b) for a in range(3) for b in range(3)}
+    units = {ext.encode(a, ext.base.identity, b) for a in range(3) for b in range(3)}
     rng = random.Random(23)
     for _ in range(4):
         perm = list(range(n))

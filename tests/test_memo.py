@@ -1,17 +1,19 @@
 """Derived structures memoized per semigroup, against fresh ones.
 
-``subsemigroup``, ``maximal_subgroup``, ``matrix_unit_exclusion`` and the
-extension built inside ``image_decomposition`` are computed once per memo:
-one per FiniteSemigroup, shared by the extension carriers that one base
-builds at one lam with the default labels.  Every memo hit must return the
-first call's object and equal what an equal, memo-free instance computes; a
-call that raises must raise every time and leave nothing in the memo.  The
-memo and every other cached value live in the instance dict through
-``core.cached_property``, which takes no lock and keeps one value per
-instance when threads race.
+``subsemigroup``, ``maximal_subgroup``, ``matrix_unit_exclusion``, the
+extension built inside ``image_decomposition``, the program
+``enumerate_homs`` compiles and the rank-free flags of ``classify`` are
+computed once per memo: one per FiniteSemigroup, shared by the extension
+carriers that one base builds at one lam with the default labels.  Every
+memo hit must return the first call's object and equal what an equal,
+memo-free instance computes; a call that raises must raise every time and
+leave nothing in the memo.  The memo and every other cached value live in
+the instance dict through ``core.cached_property``, which takes no lock and
+keeps one value per instance when threads race.
 """
 
 import gc
+import importlib
 import itertools
 import sys
 import threading
@@ -28,19 +30,30 @@ from brandt import (
     build_semigroup,
     check_block_separation,
     check_homomorphism,
+    classify,
     enumerate_homs,
+    enumerate_triples,
     image_decomposition,
     matrix_unit_exclusion,
     maximal_subgroup,
     recover_triple,
     subsemigroup,
 )
-from brandt import construct, core
+from brandt import construct, core, homs
 from brandt.category import MorphismTriple
 from brandt.homs import Homomorphism
 from brandt.construct import brandt_extension, matrix_units_extension
-from brandt.corpus import acceptance_corpus, chain, cyclic_group_with_zero
+from brandt.corpus import (
+    acceptance_corpus,
+    chain,
+    cyclic_group_with_zero,
+    rect_band_with_unit_and_zero,
+)
+from reference_kernel import reference_search_maps
 from test_homs import associative_tables, mulclose
+
+# the package exports the function under the module's name
+classify_module = importlib.import_module("brandt.classify")
 
 
 def fresh(S):
@@ -227,6 +240,96 @@ def test_image_decomposition_builds_each_structure_once(monkeypatch):
     assert (expected, calls) == (32, 184)
 
 
+def test_enumerate_homs_compiles_once_per_source_value(monkeypatch):
+    # the searches of a triple-sweep grid on fresh bases: the source
+    # carrier at each lam1 and, inside enumerate_triples, the base itself.
+    # Equal carriers share the memo their base keeps, and the base has one
+    # once it is extended, so 12 searches compile 4 programs; compiled per
+    # call, they would compile 12
+    compiled = []
+    real = homs._compile
+
+    def counting(A, branch_order):
+        compiled.append(A)
+        return real(A, branch_order)
+
+    monkeypatch.setattr(homs, "_compile", counting)
+    S, T = fresh(chain(3)), fresh(cyclic_group_with_zero(2))
+    calls = 0
+    for l1, l2 in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)):
+        src, dst = brandt_extension(S, l1), brandt_extension(T, l2)
+        enumerate_homs(src.carrier, dst.carrier, nontrivial_only=True)
+        enumerate_triples(S, T, l1, l2)
+        calls += 2
+    assert (len(compiled), calls) == (4, 12)
+    assert compiled == [brandt_extension(S, 1).carrier, S] + [
+        brandt_extension(S, lam).carrier for lam in (2, 3)
+    ]
+
+
+def test_enumerate_homs_gives_a_plain_table_no_memo():
+    # a table nothing has been derived from compiles per call and keeps
+    # nothing, so one-off searches pay no memory for a program never reused
+    S, T = fresh(chain(3)), fresh(brandt_extension(cyclic_group_with_zero(2), 2).carrier)
+    for _ in range(2):
+        assert enumerate_homs(S, T) == enumerate_homs(S, T)
+        enumerate_homs(T, S)
+    assert "_memo" not in vars(S) and "_memo" not in vars(T)
+
+
+def test_warm_programs_give_the_maps_of_a_fresh_compile_and_the_reference():
+    targets = [fresh(chain(3)), brandt_extension(fresh(cyclic_group_with_zero(2)), 2).carrier]
+    checked = 0
+    for S in acceptance_corpus().values():
+        S = fresh(S)
+        sources = [brandt_extension(S, lam).carrier for lam in (1, 2)]
+        for A, T in itertools.product([S, *sources], targets):
+            cold = enumerate_homs(A, T)
+            assert ("hom_program",) in A._memo
+            warm = enumerate_homs(A, T)
+            fresh_compile = enumerate_homs(fresh(A), T)
+            domains = [range(T.order)] * A.order
+            reference = sorted(reference_search_maps(A, T, homs.generating_set(A), domains))
+            assert warm == cold == fresh_compile
+            assert [h.mapping for h in warm] == reference
+            checked += 1
+    # an equal carrier built later reads the program and finds the same maps
+    again = brandt_extension(S, 2).carrier
+    assert again._memo[("hom_program",)] is sources[1]._memo[("hom_program",)]
+    assert enumerate_homs(again, targets[1]) == enumerate_homs(fresh(again), targets[1])
+    assert checked == 24
+
+
+def test_classify_computes_the_rank_free_flags_once_per_table(monkeypatch):
+    runs = []
+    real = classify_module.is_congruence_free
+
+    def counting(S):
+        runs.append(S)
+        return real(S)
+
+    monkeypatch.setattr(classify_module, "is_congruence_free", counting)
+    ranks = ((), (2,), (3,), (1, 2, 3), (2,))
+    for base in (chain(3), cyclic_group_with_zero(2), rect_band_with_unit_and_zero()):
+        base = fresh(base)
+        first, second = (brandt_extension(base, 2).carrier for _ in range(2))
+        for T in (base, first):
+            runs.clear()
+            reports = [classify(T, lambdas=lams) for lams in ranks]
+            assert runs == [T]
+            expected = [classify(fresh(T), lambdas=lams) for lams in ranks]
+            assert reports == expected
+            # a new report and a dict of its own each call: an edit to one
+            # reaches no other report
+            assert len({id(r.blambda_free) for r in reports}) == len(ranks)
+            reports[0].blambda_free[2] = reports[1].blambda_free[2] = "edited"
+            assert classify(T) == expected[0] and classify(T, lambdas=(2,)) == expected[1]
+        # the second carrier reads the flags the first one's calls computed
+        runs.clear()
+        assert [classify(second, lambdas=lams) for lams in ranks] == expected
+        assert runs == []
+
+
 def memo_kinds(*bases):
     """The first element of every key in every memo reachable from the
     bases: their own, the extension memos they keep, and the memos of the
@@ -259,9 +362,10 @@ def memo_kinds(*bases):
     return kinds
 
 
-def test_the_calculus_keeps_seven_kinds_of_memo_entry():
+def test_the_calculus_keeps_eight_kinds_of_memo_entry():
     # a new kind of cache changes this set on purpose; the extension of T0
-    # is kept once, in the diagonal entry of the target carrier's memo
+    # is kept once, in the diagonal entry of the target carrier's memo, and
+    # each source carrier keeps the program its searches run
     S, T = fresh(chain(3)), fresh(cyclic_group_with_zero(2))
     for l1, l2 in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)):
         src, dst = brandt_extension(S, l1), brandt_extension(T, l2)
@@ -278,19 +382,26 @@ def test_the_calculus_keeps_seven_kinds_of_memo_entry():
         "diagonal_monoid",
         "image_positions",
         "witness_reads",
+        "hom_program",
     }
 
 
 def test_threads_racing_on_one_memo_keep_one_entry_per_key():
     # a race may compute an entry twice; every thread still gets a value
-    # equal to the fresh one, and the memo ends with one entry per key
-    S = brandt_extension(fresh(cyclic_group_with_zero(2)), 3).carrier
+    # equal to the fresh one, and the memo ends with one entry per key.
+    # Each thread reads through a carrier of its own, all equal and all
+    # sharing the memo the base keeps for them
+    base, T = fresh(cyclic_group_with_zero(2)), fresh(chain(3))
+    carriers = [brandt_extension(base, 3).carrier for _ in range(8)]
+    S = carriers[0]
     arguments = [(e,) for e in S.idempotents] + [(sorted({0, x}),) for x in S.idempotents]
     calls = [maximal_subgroup] * len(S.idempotents) + [subsemigroup] * len(S.idempotents)
+    arguments += [(T,), ((2, 3),)]
+    calls += [enumerate_homs, classify]
     results = [None] * 8
 
     def work(i):
-        results[i] = [call(S, *args) for call, args in zip(calls, arguments)]
+        results[i] = [call(carriers[i], *args) for call, args in zip(calls, arguments)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -305,7 +416,9 @@ def test_threads_racing_on_one_memo_keep_one_entry_per_key():
     assert not any(t.is_alive() for t in threads)
     U = fresh(S)
     assert results == [[call(U, *args) for call, args in zip(calls, arguments)]] * 8
-    assert len(S._memo) == len(arguments)
+    # one program, one set of flags and the exclusion at ranks 2 and 3
+    assert len(S._memo) == len(arguments) + 2
+    assert all(C._memo is S._memo for C in carriers)
 
 
 def test_cached_property_computes_once_per_instance():

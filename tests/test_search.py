@@ -33,7 +33,7 @@ from brandt.corpus import (
     rect_band_with_unit_and_zero,
     two_element,
 )
-from brandt.homs import _product_count, _search_maps, check_homomorphism
+from brandt.homs import _compile, _product_count, _search_maps, check_homomorphism
 from brandt.search import (
     DEFAULT_CONGRUENCE_BOUND,
     _principal_congruences,
@@ -399,9 +399,9 @@ def test_copy_search_matches_reference_and_definition(relabeled):
                 domains = [range(T.order)] * (lam * lam + 1)
                 if anchor_zero:
                     domains[0] = (T.zero,)
-                maps = _search_maps(
-                    matrix_units(lam), T, range(lam * lam + 1), domains, injective=True
-                )
+                units = matrix_units(lam)
+                levels = _compile(units, range(lam * lam + 1))
+                maps = _search_maps(units, T, levels, domains, injective=True)
                 assert (next(maps, None) is not None) == (copy is not None)
     assert found and missing
 
@@ -518,9 +518,9 @@ def test_injective_search_obeys_budget(relabeled):
     A, B = relabeled(matrix_units(2), random.Random(3)), matrix_units(2)
     domains = [range(5)] * 5
     with pytest.raises(BudgetExceeded):
-        next(_search_maps(A, B, range(5), domains, injective=True, budget=3))
+        next(_search_maps(A, B, _compile(A, range(5)), domains, injective=True, budget=3))
     with pytest.raises(BudgetExceeded):
         iso_search(A, B, budget=3)
-    assert next(_search_maps(A, B, range(5), domains, injective=True)) == (
+    assert next(_search_maps(A, B, _compile(A, range(5)), domains, injective=True)) == (
         first_isomorphism(A, B)
     )
