@@ -26,12 +26,21 @@ defines images along the least words and runs each check as soon as the
 three images it reads are decided, so a failing candidate meets the check
 that rejects it before any define it does not need (the fail-first
 principle of the same paper).  A step of the budget is one program op run
-or one such filter.  ``enumerate_homs`` runs it over ``generating_set(S)``
-reordered most constraining first, by descending |x·S| + |S·x| (as in
-symmetry-breaking semigroup searches: A. Distler, PhD thesis, St Andrews,
-2010).  On a Brandt extension that puts the units (a, 1_S, b) first; their
-images decide most products, so each later generator meets many decided
-rules and the filters leave it few candidates.  The program depends on
+or one such filter.  ``generating_set`` is greedy: each round adds the
+element whose closure together with the chosen ones is largest, ties to the
+smallest index.  Its first round chooses from nothing, so each candidate
+e's closure is the monogenic subsemigroup <e>, the powers e, e^2, ... up to
+the first repeat, and it walks those directly instead of growing a
+closure; an element it skips because it lies in an earlier candidate's <d>
+is a power of d, whose closure is no larger, so the choice is the same.
+Later rounds grow Froidure–Pin closures of the chosen set
+(``core._grow_closure``).  ``enumerate_homs`` runs the kernel over
+``generating_set(S)`` reordered most constraining first, by descending
+|x·S| + |S·x| (as in symmetry-breaking semigroup searches: A. Distler, PhD
+thesis, St Andrews, 2010).  On a Brandt extension that puts the units
+(a, 1_S, b) first; their images decide most products, so each later
+generator meets many decided rules and the filters leave it few
+candidates.  The program depends on
 the source alone, so ``enumerate_homs`` keeps it in the source's memo when
 the source already has one (``core._memoized``): every extension carrier
 built with the default labels shares a memo with its equal carriers, and a
@@ -153,12 +162,33 @@ def generating_set(S: FiniteSemigroup) -> list[int]:
     Ties go to the smallest index.  Within a round an element inside the
     closure of an earlier candidate is skipped, since its own closure lies
     in that one and cannot be strictly larger, and a closure of every
-    element ends the round.
+    element ends the round.  In the first round nothing is chosen yet, so
+    each candidate e's closure is <e>, the powers e, e^2, ... up to the
+    first repeat: they are walked directly, with no ``_grow_closure``
+    call, and the longest walk, ties to the smallest index, is kept.  The
+    skip keeps that choice too: a skipped element is a power of an earlier
+    candidate d, and <d> contains its closure.  Later rounds grow
+    Froidure–Pin closures of the chosen set.
     """
     n = S.order
     t = S.table
-    gens: list[int] = []
+    walked = [-1] * n  # walked[p]: the last candidate whose powers reached p
     closed: list[int] = []
+    for e in range(n):
+        if walked[e] >= 0:
+            continue
+        walked[e] = e
+        powers = [e]
+        p = t[e][e]
+        while walked[p] != e:
+            walked[p] = e
+            powers.append(p)
+            p = t[p][e]
+        if len(powers) > len(closed):
+            closed = powers
+            if len(powers) == n:
+                break
+    gens = closed[:1]
     while len(closed) < n:
         covered = set(closed)
         best, best_closure = None, []

@@ -47,12 +47,17 @@ from .homs import (
     DEFAULT_BUDGET,
     Homomorphism,
     _compile,
-    _product_count,
     _search_maps,
     check_homomorphism,
 )
 
 DEFAULT_CONGRUENCE_BOUND = 40
+
+
+def _rows_and_columns(t) -> tuple[list, list]:
+    """x·S and S·x for every element x of the table t: its row and its
+    column, as sets, read at C level (the columns through one ``zip``)."""
+    return list(map(set, t)), list(map(set, zip(*t)))
 
 
 def _normalize_partition(find, n) -> tuple[int, ...]:
@@ -174,7 +179,8 @@ def _principal_congruences(S: FiniteSemigroup):
     n = S.order
     if n > DEFAULT_CONGRUENCE_BOUND:
         raise BudgetExceeded(f"order {n} exceeds the congruence bound {DEFAULT_CONGRUENCE_BOUND}")
-    w = [_product_count(S.table, x) for x in range(n)]
+    rows, cols = _rows_and_columns(S.table)
+    w = [len(row) + len(col) for row, col in zip(rows, cols)]
     pairs = sorted(itertools.combinations(range(n), 2), key=lambda p: w[p[0]] + w[p[1]])
     known: list = [None] * (n * n)
     distinct: dict = {}
@@ -369,35 +375,29 @@ def _power_profile(t, x):
 
 
 def _element_profiles(S: FiniteSemigroup):
+    """Per element x: is x idempotent, its power profile, |x·S|, |S·x|, and
+    whether x lies in x·S and in S·x; each is kept by every isomorphism."""
     t = S.table
-    n = S.order
-    out = []
-    for x in range(n):
-        row = {t[x][y] for y in range(n)}
-        col = {t[y][x] for y in range(n)}
-        out.append(
-            (
-                t[x][x] == x,
-                _power_profile(t, x),
-                len(row),
-                len(col),
-                x in row,
-                x in col,
-            )
-        )
-    return out
+    rows, cols = _rows_and_columns(t)
+    return [
+        (t[x][x] == x, _power_profile(t, x), len(row), len(col), x in row, x in col)
+        for x, (row, col) in enumerate(zip(rows, cols))
+    ]
 
 
 def iso_search(A: FiniteSemigroup, B: FiniteSemigroup, budget: int = DEFAULT_BUDGET):
     """Find an isomorphism A -> B, or None.
 
-    Prunes by order and per-element invariants, then runs the injective
-    hom-search kernel in index order with ascending candidates; its
-    filters keep their order, so the returned map is the lexicographically
-    smallest witness.  Returns the map as a tuple.  Raises BudgetExceeded
-    past ``budget`` steps of the kernel (products defined or checked, and
-    candidate filters); every element is a generator, so an element the
-    earlier ones generate is never branched on.
+    Prunes by order and per-element invariants (``_element_profiles``):
+    B's elements are grouped by profile once, in ascending order, and each
+    x of A is offered the group of its own profile, so equal profiles share
+    one candidate list.  Then it runs the injective hom-search kernel in
+    index order; its filters keep the candidates' order, so the returned
+    map is the lexicographically smallest witness.  Returns the map as a
+    tuple.  Raises BudgetExceeded past ``budget`` steps of the kernel
+    (products defined or checked, and candidate filters); every element is
+    a generator, so an element the earlier ones generate is never branched
+    on.
     """
     if A.order != B.order:
         return None
@@ -405,6 +405,9 @@ def iso_search(A: FiniteSemigroup, B: FiniteSemigroup, budget: int = DEFAULT_BUD
     pa, pb = _element_profiles(A), _element_profiles(B)
     if Counter(pa) != Counter(pb):
         return None
-    candidates = [[y for y in range(n) if pb[y] == pa[x]] for x in range(n)]
+    groups: dict = {}
+    for y, profile in enumerate(pb):
+        groups.setdefault(profile, []).append(y)
+    candidates = [groups[profile] for profile in pa]
     levels = _compile(A, range(n))
     return next(_search_maps(A, B, levels, candidates, injective=True, budget=budget), None)

@@ -43,7 +43,9 @@ natural partial order on the idempotents, and the primitive ones, from the
 definition; the library no longer needs it, since ``classify`` tests
 primitivity directly.  ``reference_identity`` is the
 oracle for the identity that ``core._trusted_semigroup`` detects: it
-checks every element on both sides.
+checks every element on both sides.  ``reference_element_profiles`` is
+the oracle for ``search._element_profiles``: it collects each row and
+column one table cell at a time.
 """
 
 import itertools
@@ -696,3 +698,21 @@ def reference_identity(S: FiniteSemigroup) -> Optional[int]:
     return next(
         (e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))), None
     )
+
+
+def reference_element_profiles(S: FiniteSemigroup) -> list:
+    """Per element x: (x idempotent, (tail, period) of its powers, |x·S|,
+    |S·x|, x in x·S, x in S·x), each row and column read cell by cell."""
+    t = S.table
+    n = S.order
+    out = []
+    for x in range(n):
+        row = {t[x][y] for y in range(n)}
+        col = {t[y][x] for y in range(n)}
+        powers, p = [x], t[x][x]
+        while p not in powers:
+            powers.append(p)
+            p = t[p][x]
+        tail = powers.index(p)
+        out.append((t[x][x] == x, (tail, len(powers) - tail), len(row), len(col), x in row, x in col))
+    return out

@@ -32,6 +32,7 @@ from brandt.corpus import (
 from brandt.fixtures import ex2_5_data, EX2_12_ENTRIES
 from brandt.construct import matrix_units_extension
 from brandt.core import _grow_closure, _magma_generators
+from brandt import homs
 from brandt.homs import _branch_order, _compile, _search_maps, generating_set
 from conftest import associative_tables, small_semigroups
 from reference_kernel import (
@@ -429,6 +430,22 @@ def test_generating_set_matches_reference_on_oracle_carriers(relabeled):
 def test_generating_set_matches_reference_on_random_tables(table, data):
     S = build_semigroup(table)
     assert_closures_match_reference(S, data.draw(st.permutations(range(S.order))))
+
+
+def test_generating_set_grows_no_closure_in_its_first_round(monkeypatch):
+    # with nothing chosen yet each candidate's closure is its powers, which
+    # are walked directly; later rounds grow closures of the chosen set
+    R3 = brandt_extension(rect_band_with_unit_and_zero(), 3).carrier
+    chosen = []
+    grow = homs._grow_closure
+
+    def counted(table, members, gens, x):
+        chosen.append(len(gens))
+        return grow(table, members, gens, x)
+
+    monkeypatch.setattr(homs, "_grow_closure", counted)
+    assert generating_set(R3) == reference_generating_set(R3) == [6, 20, 9, 15, 40]
+    assert chosen == [1] * 39 + [2] * 25 + [3] * 14 + [4] * 6
 
 
 def generating_prefix(S, order):

@@ -36,6 +36,7 @@ from brandt.corpus import (
 from brandt.homs import _compile, _product_count, _search_maps, check_homomorphism
 from brandt.search import (
     DEFAULT_CONGRUENCE_BOUND,
+    _element_profiles,
     _principal_congruences,
     identity_partition,
     universal_partition,
@@ -43,6 +44,7 @@ from brandt.search import (
 from reference_kernel import (
     reference_congruence_closure,
     reference_congruence_lattice,
+    reference_element_profiles,
     reference_find_matrix_unit_copy,
     reference_is_congruence_free,
     reference_search_maps,
@@ -502,6 +504,20 @@ def test_iso_witness_matches_reference_kernel_on_oracle_carriers(relabeled):
         domains = [range(n)] * n
         first = next(reference_search_maps(A, B, range(n), domains, injective=True), None)
         assert iso_search(A, B) == first
+
+
+def test_element_profiles_match_reference_on_oracle_carriers(relabeled):
+    rng = random.Random(37)
+    for C in oracle_carriers():
+        for S in (C, relabeled(C, rng), relabeled(C, rng)):
+            assert _element_profiles(S) == reference_element_profiles(S)
+
+
+@given(associative_tables())
+@settings(max_examples=200, deadline=None)
+def test_element_profiles_match_reference_on_random_tables(table):
+    S = build_semigroup(table)
+    assert _element_profiles(S) == reference_element_profiles(S)
 
 
 def test_iso_search_step_count(relabeled):
