@@ -29,25 +29,10 @@ coordinate blocks: the block (a, b) is m consecutive carrier indices from
 block_starts[a][b], (a, s, b) at offset position[s], and the extension's
 tabulated coords and positions stand in for per-index decoding and encoding.
 
-Each fact is checked by one function, once per call.  make_triple
-validates triple data a caller hands in.  The triples the calculus builds
-itself, in _triples and recover_triple, are built directly: the docstrings
-of those two prove every check they skip, and recover_triple keeps the two
-a recovered triple can fail.  recover_triple checks the product law of a
-recovered base map once per source extension, target base and base map,
-not once per map.  _require_map is the precondition of recover_triple,
-image_decomposition, check_block_separation and compose_and_check: a
-non-constant map (TrivialInput) out of the given extension (Mismatch),
-whose base is a monoid (NoIdentity).  _check_ranks requires a positive
-source rank and a monoid with zero as the source base, then
-_check_target a monoid with zero as the target base and lam1 <= lam2
-(Mismatch); recover_triple, whose source base _require_map has checked,
-calls _check_target alone.  These raise rather than return
-NotClassifiable; ``homs --classify`` prints their messages as the
-verdict.  The maps the calculus builds, induced, zero-moving and image
-witnesses, are homomorphisms by construction, with the proofs in the
-docstrings of induced_hom, extension_homs and image_decomposition, so none
-is verified again; brute force checks them in the tests and sweeps.
+Each fact is checked by one function, once per call: make_triple validates
+the triple data a caller hands in, and the triples and maps the calculus
+builds itself are built directly, with the proofs of the checks they skip
+in their builders' docstrings; brute force checks them in the tests.
 core.maximal_subgroup gives H(e) with its inverses.
 """
 
@@ -179,7 +164,9 @@ def _same(x, y) -> bool:
 def _require_map(sigma: Homomorphism, source_ext: BrandtExtension, target=None):
     """The precondition on a map out of an extension: sigma is not constant
     (TrivialInput), starts at source_ext and ends at ``target`` when given
-    (Mismatch), and the source base is a monoid with zero (NoIdentity)."""
+    (Mismatch), and the source base is a monoid with zero (NoIdentity).
+    Like the rank checks it raises rather than returning NotClassifiable;
+    ``homs --classify`` prints the message as the verdict."""
     if sigma.is_trivial:
         raise TrivialInput("trivial map")
     if not _same(sigma.source, source_ext.carrier) or (
@@ -384,6 +371,8 @@ def compose_triples(t1: MorphismTriple, t2: MorphismTriple) -> MorphismTriple:
 
 
 def _check_ranks(S: FiniteSemigroup, T: FiniteSemigroup, lam1: int, lam2: int):
+    """A positive source rank (ShapeError), a monoid with zero as the
+    source base, then ``_check_target``."""
     if lam1 < 1:
         raise ShapeError(f"lambda must be positive, got {lam1}")
     require_monoid_with_zero(S, "source base")
@@ -391,6 +380,9 @@ def _check_ranks(S: FiniteSemigroup, T: FiniteSemigroup, lam1: int, lam2: int):
 
 
 def _check_target(T: FiniteSemigroup, lam1: int, lam2: int):
+    """A monoid with zero as the target base, and lam1 <= lam2 (Mismatch).
+    recover_triple, whose source base ``_require_map`` checks, calls it
+    alone."""
     require_monoid_with_zero(T, "target base")
     if lam1 > lam2:
         raise Mismatch("source index set exceeds the target one")

@@ -137,7 +137,7 @@ def _extension_table(S: FiniteSemigroup, lam: int) -> tuple[tuple[int, ...], ...
     offsets = [[pos.get(S.table[s][t]) for t in nonzero] for s in nonzero]
     zeros = (0,) * (lam * lam * m + 1)
     table = [zeros] * len(zeros)
-    for a, outs in enumerate(starts):
+    for outs in starts:
         # the blocks (b, d) of the row of (a, s, b), d ascending, for each s
         runs = [
             tuple([0 if r is None else out + r for out in outs for r in offs])

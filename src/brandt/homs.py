@@ -25,31 +25,8 @@ satisfaction problems", 1980).  For each candidate the program then
 defines images along the least words and runs each check as soon as the
 three images it reads are decided, so a failing candidate meets the check
 that rejects it before any define it does not need (the fail-first
-principle of the same paper).  A step of the budget is one program op run
-or one such filter.  ``generating_set`` is greedy: each round adds the
-element whose closure together with the chosen ones is largest, ties to the
-smallest index.  Its first round chooses from nothing, so each candidate
-e's closure is the monogenic subsemigroup <e>, the powers e, e^2, ... up to
-the first repeat, and it walks those directly instead of growing a
-closure; an element it skips because it lies in an earlier candidate's <d>
-is a power of d, whose closure is no larger, so the choice is the same.
-Later rounds grow Froidure–Pin closures of the chosen set
-(``core._grow_closure``).  ``enumerate_homs`` runs the kernel over
-``generating_set(S)`` reordered most constraining first, by descending
-|x·S| + |S·x| (as in symmetry-breaking semigroup searches: A. Distler, PhD
-thesis, St Andrews, 2010).  On a Brandt extension that puts the units
-(a, 1_S, b) first; their images decide most products, so each later
-generator meets many decided rules and the filters leave it few
-candidates.  The program depends on
-the source alone, so ``enumerate_homs`` keeps it in the source's memo when
-the source already has one (``core._memoized``): every extension carrier
-built with the default labels shares a memo with its equal carriers, and a
-base has one once it has been extended, so a sweep over one base and rank
-grid compiles once per source value.  A table nothing has been derived
-from compiles per call and keeps nothing.  ``search.iso_search`` runs the
-kernel injectively over profile-compatible candidates with every element a
-generator, in index order, so that its first witness is the
-lexicographically smallest; it compiles per call.
+principle of the same paper).  ``enumerate_homs`` runs the kernel over
+``generating_set``, ``search.iso_search`` over every element.
 """
 
 from __future__ import annotations
@@ -213,8 +190,13 @@ def _product_count(t, x: int) -> int:
 
 
 def _branch_order(S: FiniteSemigroup) -> list[int]:
-    """``generating_set(S)`` by descending ``_product_count``; the sort is
-    stable, so ties keep the greedy order."""
+    """``generating_set(S)`` by descending ``_product_count``, most
+    constraining first as in symmetry-breaking semigroup searches (A.
+    Distler, PhD thesis, St Andrews, 2010); the sort is stable, so ties
+    keep the greedy order.  On a Brandt extension this puts the units
+    (a, 1_S, b) first: their images decide most products, so each later
+    generator meets many decided rules and the filters leave it few
+    candidates."""
     t = S.table
     return sorted(generating_set(S), key=lambda x: _product_count(t, x), reverse=True)
 
@@ -457,8 +439,11 @@ def enumerate_homs(
     Output is sorted by map table, so the order changes the work and not
     the result.  The compiled program is kept under ("hom_program",) in
     S's memo if S has one, and reused by every later search from S or an
-    equal carrier sharing that memo; a plain ``build_semigroup`` table is
-    compiled per call and given no memo.  Raises BudgetExceeded past
+    equal carrier sharing that memo: extension carriers built with the
+    default labels share one with their equal carriers, and a base has one
+    once it is extended, so a sweep over one base and rank grid compiles
+    once per source value.  A plain ``build_semigroup`` table is compiled
+    per call and given no memo.  Raises BudgetExceeded past
     ``budget`` steps, a step being one product defined or checked, or one
     candidate filter by a decided rule.
     """

@@ -60,11 +60,13 @@ def _rows_and_columns(t) -> tuple[list, list]:
     return list(map(set, t)), list(map(set, zip(*t)))
 
 
-def _normalize_partition(find, n) -> tuple[int, ...]:
+def _normalize_partition(parent: list) -> tuple[int, ...]:
+    """The partition of the union-find forest ``parent``, its classes
+    numbered in order of first appearance."""
     ids = {}
     out = []
-    for i in range(n):
-        r = find(i)
+    for i in range(len(parent)):
+        r = _find(parent, i)
         if r not in ids:
             ids[r] = len(ids)
         out.append(ids[r])
@@ -128,7 +130,7 @@ def _close(S: FiniteSemigroup, pairs, known: list) -> tuple[int, ...]:
             x, y = tg[a], tg[b]
             if x != y:
                 work.append((x, y))
-    return _normalize_partition(lambda x: _find(parent, x), n)
+    return _normalize_partition(parent)
 
 
 def congruence_closure(S: FiniteSemigroup, pairs) -> tuple[int, ...]:
@@ -200,7 +202,7 @@ def _join(p, q) -> tuple[int, ...]:
     parent = list(range(len(p)))
     _union_classes(parent, p)
     _union_classes(parent, q)
-    return _normalize_partition(lambda x: _find(parent, x), len(p))
+    return _normalize_partition(parent)
 
 
 def identity_partition(n: int) -> tuple[int, ...]:
@@ -393,11 +395,11 @@ def iso_search(A: FiniteSemigroup, B: FiniteSemigroup, budget: int = DEFAULT_BUD
     x of A is offered the group of its own profile, so equal profiles share
     one candidate list.  Then it runs the injective hom-search kernel in
     index order; its filters keep the candidates' order, so the returned
-    map is the lexicographically smallest witness.  Returns the map as a
-    tuple.  Raises BudgetExceeded past ``budget`` steps of the kernel
-    (products defined or checked, and candidate filters); every element is
-    a generator, so an element the earlier ones generate is never branched
-    on.
+    map is the lexicographically smallest witness.  The program is
+    compiled per call.  Returns the map as a tuple.  Raises BudgetExceeded
+    past ``budget`` steps of the kernel (products defined or checked, and
+    candidate filters); every element is a generator, so an element the
+    earlier ones generate is never branched on.
     """
     if A.order != B.order:
         return None

@@ -251,7 +251,7 @@ def reference_congruence_closure(S: FiniteSemigroup, pairs) -> tuple[int, ...]:
             ax, bx = t[a][x], t[b][x]
             if find(ax) != find(bx):
                 work.append((ax, bx))
-    return _normalize_partition(find, n)
+    return _normalize_partition(parent)
 
 
 def reference_congruence_lattice(S: FiniteSemigroup) -> list[tuple[int, ...]]:

@@ -37,6 +37,7 @@ from brandt.category import NotClassifiable
 from brandt.classify import classify
 from brandt.construct import (
     BrandtExtension,
+    bicyclic_with_zero,
     brandt_extension,
     matrix_units_extension,
     orthogonal_sum,
@@ -481,25 +482,32 @@ def test_triples_the_calculus_builds_pass_make_triple():
     make_triple equal, field by field and in type, what make_triple makes
     of their data, over the grid of the recover_triple oracle below: the
     constant-zero triples of enumerate_triples included, and every
-    non-trivial map recover_triple reads a triple from."""
+    non-trivial map recover_triple reads a triple from.  The counts are
+    pinned on the whole grid and on its part over four bases at
+    lam1 <= lam2 <= 2."""
     bases = oracle_grid_bases()
+    part = [chain(3), cyclic_group_with_zero(2), rect_band_with_unit_and_zero(), b2_with_identity()]
 
     def validated(t):
         return make_triple(t.base, t.weights, t.index_map, t.index_codomain)
 
-    listed = recovered = 0
+    listed = recovered = part_listed = part_recovered = 0
     for S, T in itertools.product(bases, repeat=2):
         for l1, l2 in RANKS[:-1]:
+            in_part = S in part and T in part and l2 <= 2
             for t in enumerate_triples(S, T, l1, l2, nontrivial_only=False):
                 assert t == validated(t), t
                 listed += 1
+                part_listed += in_part
             src, dst = brandt_extension(S, l1), brandt_extension(T, l2)
             for sigma in enumerate_homs(src.carrier, dst.carrier, nontrivial_only=True):
                 t = recover_triple(sigma, src, dst)
                 if isinstance(t, category.MorphismTriple):
                     assert t == validated(t), t
                     recovered += 1
+                    part_recovered += in_part
     assert (listed, recovered) == (6564, 4542)
+    assert (part_listed, part_recovered) == (618, 489)
 
 
 def test_calculus_calls_no_per_index_encode_or_decode(monkeypatch):
@@ -1281,3 +1289,46 @@ def test_restriction_to_unit_copy_detects_triviality():
         for h in enumerate_homs(ext.carrier, ext.carrier):
             restricted = {h.mapping[i] for i in unit_copy}
             assert h.is_trivial == (len(restricted) == 1)
+
+
+def _collapsing_base():
+    """An unchecked map chain(3) -> chain(3) that fixes the zero and sends
+    the identity to it but not the middle element; no homomorphism does
+    that, since h(s) = h(s)h(1)."""
+    S = chain(3)
+    return Homomorphism(source=S, target=S, mapping=(S.zero, S.identity, S.zero))
+
+
+def _into_function_backed_target():
+    """B_1(chain(3)) -> the bicyclic monoid with zero: the nonzero elements
+    to the identity, the zero to the zero."""
+    src, B = brandt_extension(chain(3), 1), bicyclic_with_zero()
+    mapping = [B.zero if i == src.zero else B.identity for i in range(src.carrier.order)]
+    return check_homomorphism(mapping, src.carrier, B), src
+
+
+@pytest.mark.parametrize(
+    "call, exc, message",
+    [
+        (
+            lambda: make_triple(_collapsing_base(), (chain(3).zero,), (0,), 1),
+            IllFormedTriple,
+            "identity collapses to zero but the map is not constant",
+        ),
+        (
+            lambda: compose_triples(identity_triple(chain(3), 1), identity_triple(chain(3), 2)),
+            Mismatch,
+            "middle index set differs",
+        ),
+        (
+            lambda: image_decomposition(*_into_function_backed_target()),
+            Mismatch,
+            "decomposition needs a table-backed target",
+        ),
+    ],
+    ids=["collapsed-identity", "index-sets", "function-backed"],
+)
+def test_calculus_inputs_rejected_by_message(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

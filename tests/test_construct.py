@@ -344,3 +344,9 @@ def test_function_extension_product_rule():
     assert ext.multiply(a, b) == (0, (0, 0), 0)
     assert ext.multiply(a, a) == ext.zero
     assert ext.multiply(ext.zero, a) == ext.zero
+
+
+def test_orthogonal_sum_of_no_parts_rejected():
+    with pytest.raises(ValueError) as info:
+        orthogonal_sum([])
+    assert str(info.value) == "need at least one part"

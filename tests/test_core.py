@@ -14,8 +14,10 @@ from brandt import (
     BadZero,
     NonAssociative,
     NotIdempotent,
+    NoZero,
     ShapeError,
     build_semigroup,
+    enumerate_triples,
     maximal_subgroup,
     subsemigroup,
     with_adjoined_identity,
@@ -446,3 +448,28 @@ def test_chain_structure(n):
     order = idempotent_order(S)
     assert len(order.idempotents) == n
     assert order.primitives == (n - 2,)
+
+
+@pytest.mark.parametrize(
+    "call, exc, message",
+    [
+        (lambda: build_semigroup([[0, 0], [0, 1]], zero=2), BadZero, "zero index 2 out of range"),
+        (
+            lambda: build_semigroup([[0, 0], [0, 1]], identity=-1),
+            BadIdentity,
+            "identity index -1 out of range",
+        ),
+        (lambda: build_semigroup([]), ShapeError, "empty table"),
+        # C2 is a monoid without a zero
+        (
+            lambda: enumerate_triples(build_semigroup([[0, 1], [1, 0]]), chain(3), 1, 1),
+            NoZero,
+            "source base has no zero",
+        ),
+    ],
+    ids=["zero-range", "identity-range", "empty", "no-zero"],
+)
+def test_declarations_and_shapes_rejected_by_message(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from brandt import (
     BudgetExceeded,
     FiniteSemigroup,
+    Mismatch,
     NotHomomorphism,
+    ShapeError,
     build_semigroup,
     check_homomorphism,
     compose_homs,
@@ -194,6 +196,20 @@ def oracle_carriers():
     for base, lam in ORACLE_EXTENSIONS:
         C = brandt_extension(base, lam).carrier
         carriers.setdefault(C.table, C)
+    return list(carriers.values())
+
+
+def rank_grid_carriers():
+    """oracle_carriers() and the carriers it leaves out of seven bases over
+    ranks 1 to 3: chain(4), C3^0, rect and B2 with an identity at rank 1,
+    and rect and B2 with an identity at rank 3 (order 46)."""
+    bases = [two_element(), chain(3), chain(4), cyclic_group_with_zero(2)]
+    bases += [cyclic_group_with_zero(3), rect_band_with_unit_and_zero(), b2_with_identity()]
+    carriers = {C.table: C for C in oracle_carriers()}
+    for base in bases:
+        for lam in (1, 2, 3):
+            C = brandt_extension(base, lam).carrier
+            carriers.setdefault(C.table, C)
     return list(carriers.values())
 
 
@@ -418,7 +434,9 @@ def test_generating_set_matches_reference_on_oracle_carriers(relabeled):
     # skipping covered candidates and stopping at a full closure keep the
     # greedy choice; relabelings change the ties and the skipped elements
     rng = random.Random(31)
-    for C in oracle_carriers():
+    carriers = rank_grid_carriers()
+    assert len(carriers) == 21
+    for C in carriers:
         for S in (C, relabeled(C, rng), relabeled(C, rng)):
             order = list(range(S.order))
             rng.shuffle(order)
@@ -619,3 +637,33 @@ def test_compose_homs():
     g = compose_homs(f, f)
     assert g.mapping == (2, 2, 2)
     assert g.is_trivial
+
+
+@pytest.mark.parametrize(
+    "call, exc, message",
+    [
+        (
+            lambda: check_homomorphism((0, 0), chain(3), chain(3)),
+            ShapeError,
+            "map covers 2 elements, source has 3",
+        ),
+        (
+            lambda: check_homomorphism((0, 1, 3), chain(3), chain(3)),
+            ShapeError,
+            "image 3 outside the target",
+        ),
+        (
+            lambda: compose_homs(
+                check_homomorphism((0, 1, 2), chain(3), chain(3)),
+                check_homomorphism((0, 0), two_element(), two_element()),
+            ),
+            Mismatch,
+            "middle semigroups differ",
+        ),
+    ],
+    ids=["map-length", "image-range", "compose"],
+)
+def test_map_shapes_rejected_by_message(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

@@ -128,6 +128,9 @@ def test_equal_extension_carriers_share_one_memo():
             check_memoized_structures(second)
             assert second._memo.keys() == filled.keys()
             assert all(second._memo[key] is value for key, value in filled.items())
+            for e in first.idempotents:
+                assert maximal_subgroup(second, e) is maximal_subgroup(first, e)
+                assert subsemigroup(second, sorted({0, e})) is subsemigroup(first, sorted({0, e}))
         assert brandt_extension(S, 2).carrier._memo is not brandt_extension(S, 3).carrier._memo
     # caller-given labels: a memo of its own, not filled in advance
     units = [matrix_units_extension(2).carrier for _ in range(2)]
@@ -146,12 +149,17 @@ def test_the_shared_memo_outlives_its_carriers_and_keeps_none_alive():
     decompositions = [image_decomposition(sigma, src) for sigma in sigmas]
     check_memoized_structures(dst.carrier)
     memo = dst.carrier._memo
+    groups = {e: maximal_subgroup(dst.carrier, e) for e in dst.carrier.idempotents}
+    subs = {e: subsemigroup(dst.carrier, sorted({0, e})) for e in groups}
     ref = weakref.ref(dst.carrier)
     del dst, sigmas
     gc.collect()
     assert ref() is None
     assert T._memo[("extension_memo", 2)] is memo
     again = brandt_extension(T, 2)
+    for e, group in groups.items():
+        assert maximal_subgroup(again.carrier, e) is group
+        assert subsemigroup(again.carrier, sorted({0, e})) is subs[e]
     for sigma, (T0, witness) in zip(
         enumerate_homs(src.carrier, again.carrier, nontrivial_only=True), decompositions
     ):
@@ -267,13 +275,17 @@ def test_enumerate_homs_compiles_once_per_source_value(monkeypatch):
     ]
 
 
-def test_enumerate_homs_gives_a_plain_table_no_memo():
+def test_enumerate_homs_gives_a_plain_table_no_memo(monkeypatch):
     # a table nothing has been derived from compiles per call and keeps
     # nothing, so one-off searches pay no memory for a program never reused
+    compiled = []
+    real = homs._compile
+    monkeypatch.setattr(homs, "_compile", lambda A, order: compiled.append(A) or real(A, order))
     S, T = fresh(chain(3)), fresh(brandt_extension(cyclic_group_with_zero(2), 2).carrier)
     for _ in range(2):
         assert enumerate_homs(S, T) == enumerate_homs(S, T)
         enumerate_homs(T, S)
+    assert compiled == [S, S, T] * 2
     assert "_memo" not in vars(S) and "_memo" not in vars(T)
 
 
@@ -319,15 +331,23 @@ def test_classify_computes_the_rank_free_flags_once_per_table(monkeypatch):
             assert runs == [T]
             expected = [classify(fresh(T), lambdas=lams) for lams in ranks]
             assert reports == expected
+            # each equal, memo-free table computes its own flags
+            assert len(runs) == 1 + len(ranks)
             # a new report and a dict of its own each call: an edit to one
             # reaches no other report
             assert len({id(r.blambda_free) for r in reports}) == len(ranks)
             reports[0].blambda_free[2] = reports[1].blambda_free[2] = "edited"
             assert classify(T) == expected[0] and classify(T, lambdas=(2,)) == expected[1]
-        # the second carrier reads the flags the first one's calls computed
+        # the second carrier reads the flags the first one's calls computed,
+        # in reports and dicts of its own, and neither carrier stays alive
         runs.clear()
-        assert [classify(second, lambdas=lams) for lams in ranks] == expected
-        assert runs == []
+        again = [classify(second, lambdas=lams) for lams in ranks]
+        assert again == expected and runs == []
+        assert not any(a.blambda_free is r.blambda_free for a in again for r in reports)
+        refs = [weakref.ref(C) for C in (first, second)]
+        del first, second, T, reports, again
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 def memo_kinds(*bases):

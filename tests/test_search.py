@@ -49,7 +49,7 @@ from reference_kernel import (
     reference_is_congruence_free,
     reference_search_maps,
 )
-from test_homs import associative_tables, mulclose, oracle_carriers
+from test_homs import associative_tables, mulclose, oracle_carriers, rank_grid_carriers
 
 
 def class_ids(keys):
@@ -488,10 +488,10 @@ def test_iso_witness_matches_permutation_oracle(relabeled):
 
 
 def test_iso_witness_matches_reference_kernel_on_oracle_carriers(relabeled):
-    # orders up to 28, where forward checking narrows most candidate lists;
+    # orders up to 46, where forward checking narrows most candidate lists;
     # over full domains the reference's first map is the smallest witness
     rng = random.Random(17)
-    carriers = oracle_carriers()
+    carriers = rank_grid_carriers()
     pairs = [(relabeled(C, rng), relabeled(C, rng)) for C in carriers for _ in range(3)]
     pairs += [
         (relabeled(X, rng), relabeled(Y, rng))
@@ -499,11 +499,15 @@ def test_iso_witness_matches_reference_kernel_on_oracle_carriers(relabeled):
         for Y in carriers
         if X is not Y and X.order == Y.order
     ]
+    found = 0
     for A, B in pairs:
         n = A.order
         domains = [range(n)] * n
         first = next(reference_search_maps(A, B, range(n), domains, injective=True), None)
         assert iso_search(A, B) == first
+        found += first is not None
+    # the distinct carriers are pairwise non-isomorphic
+    assert (len(pairs), found) == (3 * len(carriers) + 18, 3 * len(carriers))
 
 
 def test_element_profiles_match_reference_on_oracle_carriers(relabeled):
@@ -540,3 +544,30 @@ def test_injective_search_obeys_budget(relabeled):
     assert next(_search_maps(A, B, _compile(A, range(5)), domains, injective=True)) == (
         first_isomorphism(A, B)
     )
+
+
+def cyclic_group(n):
+    return build_semigroup([[(i + j) % n for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "call, exc, message",
+    [
+        (
+            lambda: find_matrix_unit_copy(matrix_units(2), 1),
+            ShapeError,
+            "matrix-unit rank must be at least 2",
+        ),
+        # order 5 leaves room for the rank-2 units, so the zero is asked for
+        (
+            lambda: find_matrix_unit_copy(cyclic_group(5), 2, anchor_zero=True),
+            NoZero,
+            "anchored search needs a zero",
+        ),
+    ],
+    ids=["rank-one", "anchored-without-zero"],
+)
+def test_matrix_unit_search_inputs_rejected_by_message(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

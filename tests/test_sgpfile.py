@@ -315,3 +315,23 @@ def test_random_extension_roundtrip(data):
     lam = data.draw(st.integers(min_value=1, max_value=3))
     ext = brandt_extension(S, lam)
     assert parse_sgp(write_sgp(ext.carrier)) == ext.carrier
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("# a comment\n\n", "empty document", None),
+        ("sgp 1\n", "unexpected end of document", 1),
+        ("sgp 1\nn 0\n", "order must be positive", 2),
+        ("sgp 1\nn 1\nrow 0\nlabels a\n", "labels line out of place", 4),
+        ("sgp 1\nn 2\nlabels a b c\n", "3 labels for 2 elements", 3),
+        ("sgp 1\nn 2\nrow 0 1\nzero 1\nrow 1 1\n", "row after zero/identity line", 5),
+        ("sgp 1\nn 1\nrow 0\nrow 0\n", "more than 1 rows", 4),
+    ],
+    ids=["empty", "end", "order-zero", "labels-late", "label-count", "row-late", "extra-row"],
+)
+def test_layout_errors_name_their_line(text, message, line):
+    with pytest.raises(ParseError) as exc:
+        parse_sgp(text)
+    assert exc.value.line == line
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
