@@ -11,10 +11,10 @@ from brandt import brandt_extension, classify
 from brandt.corpus import acceptance_corpus
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-lambda", type=int, default=3)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     corpus = acceptance_corpus()
     header = (

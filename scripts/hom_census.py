@@ -16,14 +16,14 @@ import argparse
 from brandt.fixtures import completeness_rows
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--rank-two-only",
         action="store_true",
         help="restrict the grid to lam1 = lam2 = 2",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     pairs = ((2, 2),) if args.rank_two_only else ((1, 1), (1, 2), (2, 2))
     rows = [
         (s, t, l1, l2, len(brute), len(triples), len(moved),

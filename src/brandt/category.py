@@ -16,8 +16,9 @@ base homomorphism h with h(0) != 0 placed on a single diagonal block.
 enumerate_triples and extension_homs take their triples from one generator
 over one search for the base homomorphisms.  H(0) = {0}, so the constant-zero
 base is an ordinary triple, with zero weights, inducing the zero map.  For
-targets whose base monoid has central idempotents and no embedded rank-2
-matrix units, every non-trivial homomorphism between extensions is either
+targets whose base monoid has central idempotents (which rules out an
+embedded copy of the rank-2 matrix units; see classify.PropertyReport),
+every non-trivial homomorphism between extensions is either
 induced by a triple, and then recovered from its values on the unit blocks,
 or, at a rank-one source, one of the zero-moving maps; the two classes are
 disjoint.

@@ -21,8 +21,12 @@ class PropertyReport:
     ``blambda_free`` holds the rank-dependent matrix-unit exclusion per
     queried rank (None when the semigroup has no zero).
     ``classifiable_target`` marks the monoids with zero for which the
-    homomorphism classification of Brandt extensions is complete: central
-    idempotents and no embedded rank-2 matrix units.
+    homomorphism classification of Brandt extensions is complete: those
+    with central idempotents.  Such a T holds no copy of the rank-2 matrix
+    units B2: an injective homomorphism phi: B2 -> T would give
+    phi(1,2) = phi(1,1)·phi(1,2) = phi(1,2)·phi(1,1) = phi(0), since the
+    idempotent phi(1,1) is central.  So ``b2_free``, which runs its own
+    search, holds on every classifiable target.
     """
 
     monoid_with_zero: bool
@@ -86,7 +90,6 @@ def _structure_flags(S: FiniteSemigroup) -> dict:
     except BudgetExceeded:
         congruence_free = None
 
-    b2 = excludes_b2(S)
     monoid_with_zero = S.identity is not None and S.zero is not None
     return dict(
         monoid_with_zero=monoid_with_zero,
@@ -96,8 +99,8 @@ def _structure_flags(S: FiniteSemigroup) -> dict:
         idempotents_central=central,
         primitive_inverse=primitive_inverse,
         congruence_free=congruence_free,
-        b2_free=b2,
-        classifiable_target=monoid_with_zero and central and b2,
+        b2_free=excludes_b2(S),
+        classifiable_target=monoid_with_zero and central,
         primitivity_no_zero_caveat=S.zero is None,
     )
 

@@ -341,7 +341,7 @@ def matrix_unit_exclusion(T: FiniteSemigroup, lam: int) -> bool:
     """No rank-2 copy at T's zero and no rank-lam copy anywhere in T.
 
     This is the rank-dependent exclusion; ``excludes_b2`` is the plain
-    membership test used for classifiable targets.  The anchored rank-2
+    membership test behind ``classify``'s ``b2_free``.  The anchored rank-2
     search runs first: it settles every extension of rank 2 or more, which
     holds such a copy.  The flag is computed once per T and lam.
     """

@@ -18,7 +18,6 @@ from brandt import (
     NonAssociative,
     ParseError,
     congruence_lattice,
-    enumerate_homs,
     image_decomposition,
     is_congruence,
     is_congruence_free,
@@ -28,6 +27,7 @@ from brandt import (
 from brandt.construct import brandt_extension, matrix_units
 from brandt.corpus import acceptance_corpus, chain
 from brandt.fixtures import (
+    _homs_between_extensions,
     run_cor1_10,
     run_ex2_12,
     run_ex2_13,
@@ -106,16 +106,14 @@ def test_criterion_12_composition_predicate():
 
 
 def test_criterion_13_image_decomposition_sweep():
-    corpus = acceptance_corpus()
+    # the maps of the completeness grid, searched once for criterion 6 too
+    names = list(acceptance_corpus())
     checked = 0
-    for S in corpus.values():
-        for T in corpus.values():
+    for s_name in names:
+        for t_name in names:
             for l1, l2 in ((1, 1), (1, 2), (2, 2)):
-                src = brandt_extension(S, l1)
-                dst = brandt_extension(T, l2)
-                for h in enumerate_homs(
-                    src.carrier, dst.carrier, nontrivial_only=True
-                ):
+                src, _, homs = _homs_between_extensions(s_name, t_name, l1, l2)
+                for h in homs:
                     T0, witness = image_decomposition(h, src)
                     assert (
                         witness.target.order

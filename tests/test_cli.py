@@ -1,22 +1,13 @@
-import os
 import sys
-from pathlib import Path
 
 import pytest
 
 from brandt import BudgetExceeded, build_semigroup, iso_search, sgpfile
 from brandt.cli import main
-from brandt.construct import brandt_extension, matrix_units_extension, orthogonal_sum
-from brandt.corpus import (
-    b2_with_identity,
-    chain,
-    cyclic_group_with_zero,
-    example_e,
-    rect_band_with_unit_and_zero,
-    two_element,
-)
-from brandt.fixtures import FIXTURES
+from brandt.construct import brandt_extension
+from brandt.corpus import example_e, two_element
 from brandt.sgpfile import write_extension, write_sgp
+from goldens import DATA, RECIPES
 
 
 @pytest.fixture
@@ -58,35 +49,10 @@ def test_props_of_the_trivial_semigroup(tmp_path, capsys):
     )
 
 
-def test_props_match_golden(tmp_path, capsys):
-    """``props --lambda 2`` of nine bases, of their rank-2 extensions written
-    by ``extend``, and of the rank-6 extension of C8^0 (order 289, above the
-    congruence bound), each after a ``# name`` line, byte for byte as checked
-    in."""
-    bases = {
-        "two_element": two_element(),
-        "chain3": chain(3),
-        "chain4": chain(4),
-        "example_e": example_e(),
-        "c2": cyclic_group_with_zero(2),
-        "c3": cyclic_group_with_zero(3),
-        "c8": cyclic_group_with_zero(8),
-        "rect": rect_band_with_unit_and_zero(),
-        "b2one": b2_with_identity(),
-    }
-    runs = [*bases, *(f"{name}x2" for name in bases), "c8x6"]
-    for name, S in bases.items():
-        (tmp_path / f"{name}.sgp").write_text(write_sgp(S))
-    for base, lam in [*((name, 2) for name in bases), ("c8", 6)]:
-        src, out = tmp_path / f"{base}.sgp", tmp_path / f"{base}x{lam}.sgp"
-        assert main(["extend", str(src), "--lambda", str(lam), "-o", str(out)]) == 0
-    capsys.readouterr()
-    outs = []
-    for name in runs:
-        assert main(["props", str(tmp_path / f"{name}.sgp"), "--lambda", "2"]) == 0
-        outs.append(f"# {name}\n" + capsys.readouterr().out)
-    golden = Path(__file__).parent / "data" / "props.txt"
-    assert "".join(outs) == golden.read_text(encoding="utf-8")
+@pytest.mark.parametrize("name", sorted(RECIPES))
+def test_golden_matches_its_recipe(name, tmp_path):
+    """A golden file in tests/data/ holds what its recipe in goldens.py builds."""
+    assert RECIPES[name](tmp_path).encode() == (DATA / name).read_bytes()
 
 
 def test_units_and_extend(tmp_path, two_file, capsys):
@@ -111,22 +77,6 @@ def test_units_and_extend(tmp_path, two_file, capsys):
     assert "lambda must be positive" in err and "Traceback" not in err
 
 
-def test_extend_and_units_match_their_golden_files(tmp_path):
-    """``extend`` and ``units`` write canonical .sgp text, the carrier and
-    its (a, s, b) coordinate legend, byte for byte as checked in."""
-    data = Path(__file__).parent / "data"
-    base = tmp_path / "chain3.sgp"
-    base.write_text(write_sgp(chain(3)))
-    runs = {
-        "extension_chain3x3.sgp": ["extend", str(base), "--lambda", "3"],
-        "units3.sgp": ["units", "--lambda", "3"],
-    }
-    for name, argv in runs.items():
-        out = tmp_path / name
-        assert main([*argv, "-o", str(out)]) == 0
-        assert out.read_bytes() == (data / name).read_bytes()
-
-
 def test_homs_classified(tmp_path, capsys):
     out_b2 = str(tmp_path / "b2.sgp")
     main(["units", "--lambda", "2", "-o", out_b2])
@@ -136,63 +86,6 @@ def test_homs_classified(tmp_path, capsys):
     hom_lines = [l for l in out if not l.startswith("#")]
     assert len(hom_lines) == 2
     assert all("triple" in l for l in hom_lines)
-
-
-def test_homs_classify_matches_golden(tmp_path, capsys):
-    """Recovered triples next to each NotClassifiable reason a real
-    homomorphism can get (a weight outside H(e), a reconstruction that
-    differs), over four legend-carrying pairs; the concatenated stdout must
-    match the checked-in transcript byte for byte."""
-    b2x = matrix_units_extension(2)
-    rect = brandt_extension(rect_band_with_unit_and_zero(), 2)
-    chain3 = brandt_extension(chain(3), 2)
-    pairs = [
-        (b2x, rect),
-        (b2x, brandt_extension(b2_with_identity(), 2)),
-        (brandt_extension(cyclic_group_with_zero(2), 1), chain3),
-        (chain3, rect),
-    ]
-    outs = []
-    for k, exts in enumerate(pairs):
-        paths = []
-        for side, ext in zip("st", exts):
-            path = tmp_path / f"{k}{side}.sgp"
-            path.write_text(write_extension(ext))
-            paths.append(str(path))
-        assert main(["homs", "--classify", "--nontrivial", *paths]) == 0
-        outs.append(capsys.readouterr().out)
-    golden = Path(__file__).parent / "data" / "homs_classify.txt"
-    assert "".join(outs) == golden.read_text(encoding="utf-8")
-
-
-def test_homs_classify_preconditions_match_golden(tmp_path, capsys):
-    """The verdicts recover_triple raises rather than returns, printed with
-    the exception's message: trivial maps (no --nontrivial), a source index
-    set larger than the target one, and a source or a target base without
-    identity.  The concatenated stdout must match the checked-in transcript
-    byte for byte."""
-    glued, _ = orthogonal_sum([two_element(), two_element()])
-    files = {
-        "two1": brandt_extension(two_element(), 1),
-        "two2": brandt_extension(two_element(), 2),
-        "b2one1": brandt_extension(b2_with_identity(), 1),
-        "glued2": brandt_extension(glued, 2),
-    }
-    for name, ext in files.items():
-        (tmp_path / f"{name}.sgp").write_text(write_extension(ext))
-    runs = [
-        ("two1", "two1"),
-        ("two2", "b2one1", "--nontrivial"),
-        ("glued2", "two2", "--nontrivial"),
-        ("two2", "glued2", "--nontrivial"),
-    ]
-    outs = []
-    for source, target, *flags in runs:
-        paths = [str(tmp_path / f"{name}.sgp") for name in (source, target)]
-        assert main(["homs", "--classify", *flags, *paths]) == 0
-        outs.append(capsys.readouterr().out)
-    golden = Path(__file__).parent / "data" / "homs_preconditions.txt"
-    assert "".join(outs) == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize(
@@ -238,19 +131,6 @@ def test_iso_exit_codes(tmp_path, e_file, two_file, capsys):
     assert main(["iso", e_file, two_file]) == 1
     out = capsys.readouterr().out
     assert "NOT-ISOMORPHIC" in out
-
-
-def test_verify_pass_and_exit(capsys):
-    # one test over every fixture, so the test id stays the same; the
-    # concatenated stdout must match the checked-in transcript byte for byte
-    outs = []
-    for name in sorted(FIXTURES):
-        assert main(["verify", name]) == 0, name
-        out = capsys.readouterr().out
-        assert f"PASS: {name}" in out
-        outs.append(out)
-    golden = Path(__file__).parent / "data" / "verify.txt"
-    assert "".join(outs) == golden.read_text(encoding="utf-8")
 
 
 def test_usage_error_exit_code():

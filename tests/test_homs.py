@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import traceback
 
 import pytest
 from hypothesis import given, settings
@@ -623,11 +625,18 @@ def test_budget_exceeded():
 
 
 def test_chain4_rank3_endomorphisms_step_count():
+    """The whole search takes exactly 21574 steps (order 28; 49432 in the
+    greedy order).  A budget runs out at one of _search_maps's two raises:
+    21573 after a candidate's program, 2438 after a level's filters."""
     B3 = brandt_extension(chain(4), 3).carrier
-    # the whole search takes exactly 21574 steps (order 28; 49432 in the
-    # greedy order)
-    with pytest.raises(BudgetExceeded):
-        enumerate_homs(B3, B3, budget=21573)
+    lines, start = inspect.getsourcelines(_search_maps)
+    filters, program = (
+        start + i for i, line in enumerate(lines) if "raise BudgetExceeded(f" in line
+    )
+    for budget, site in [(2438, filters), (21573, program)]:
+        with pytest.raises(BudgetExceeded) as exc:
+            enumerate_homs(B3, B3, budget=budget)
+        assert traceback.extract_tb(exc.tb)[-1].lineno == site
     assert len(enumerate_homs(B3, B3, budget=21574)) == 124
 
 
